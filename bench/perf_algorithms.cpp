@@ -6,9 +6,13 @@
 // google-benchmark timings of the framework's building blocks against
 // block size: schedule-graph construction, transitive closure, false
 // dependence graph, PIG construction, the two coloring procedures, the
-// list scheduler, and the full combined pipeline. These back the
-// engineering claim that the construction is practical: the closure is
-// the asymptotic bottleneck at O(V^2 * V/64) bit steps.
+// list scheduler, and the full combined pipeline. The layer benches sit
+// beside the whole combined compile so a layer's cost can be read as a
+// share of it: at 512-instruction blocks the closure is well under 1% of
+// BM_CombinedPipeline, while the PIG build and the Section 4 coloring
+// are most of it. BM_PinterColor and BM_CombinedPipeline run up to
+// 1024-instruction blocks, where tools/perf_gate.py gates how their time
+// grows with block size.
 //
 // A custom main wraps the console reporter so every run also lands in
 // BENCH_perf_algorithms.json ("pira.bench" schema) with the
@@ -175,7 +179,8 @@ void BM_PinterColor(benchmark::State &State) {
     benchmark::DoNotOptimize(A.NumColorsUsed);
   }
 }
-BENCHMARK(BM_PinterColor)->Arg(32)->Arg(128)->Arg(512);
+BENCHMARK(BM_PinterColor)
+    ->Arg(32)->Arg(128)->Arg(256)->Arg(512)->Arg(1024);
 
 void BM_ListScheduler(benchmark::State &State) {
   Function F = makeBlock(static_cast<unsigned>(State.range(0)));
@@ -195,7 +200,8 @@ void BM_CombinedPipeline(benchmark::State &State) {
     benchmark::DoNotOptimize(R.StaticCycles);
   }
 }
-BENCHMARK(BM_CombinedPipeline)->Arg(32)->Arg(128);
+BENCHMARK(BM_CombinedPipeline)
+    ->Arg(32)->Arg(128)->Arg(256)->Arg(512)->Arg(1024);
 
 void BM_Oracle(benchmark::State &State) {
   // The exact branch-and-bound search on a tournament-corpus block.

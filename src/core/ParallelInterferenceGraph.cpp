@@ -22,6 +22,7 @@
 #include <cassert>
 #include <set>
 #include <string>
+#include <tuple>
 
 using namespace pira;
 
@@ -29,29 +30,55 @@ PIRA_STAT(NumPigParallelEdges, "Parallel (Ep) edges added to PIGs");
 PIRA_STAT(NumPigRegionPairs,
           "Cross-block parallel pairs found by the region extension");
 
+/// Orders parallel edges by their endpoints (A, B). A lambda rather than
+/// a function so std::sort inlines it.
+static constexpr auto EndpointsLess = [](const ParallelEdge &X,
+                                         const ParallelEdge &Y) {
+  return std::tie(X.A, X.B) < std::tie(Y.A, Y.B);
+};
+
 void ParallelInterferenceGraph::addParallelEdge(unsigned WebA, unsigned WebB,
                                                 double BenefitValue) {
   if (WebA == WebB)
     return;
-  ++NumPigParallelEdges;
-  Parallel.addEdge(WebA, WebB);
-  Combined.addEdge(WebA, WebB);
-  auto Key = std::minmax(WebA, WebB);
-  double &Slot = Benefit[{Key.first, Key.second}];
-  Slot = std::max(Slot, BenefitValue);
+  auto [Lo, Hi] = std::minmax(WebA, WebB);
+  Edges.push_back({Lo, Hi, BenefitValue});
+}
+
+void ParallelInterferenceGraph::finishEdges() {
+  NumPigParallelEdges += Edges.size();
+  std::sort(Edges.begin(), Edges.end(), EndpointsLess);
+  // Max-merge each run of one web pair into its first entry.
+  size_t Out = 0;
+  for (size_t I = 0, E = Edges.size(); I != E; ++I) {
+    if (Out != 0 && Edges[Out - 1].A == Edges[I].A &&
+        Edges[Out - 1].B == Edges[I].B) {
+      Edges[Out - 1].Benefit =
+          std::max(Edges[Out - 1].Benefit, Edges[I].Benefit);
+      continue;
+    }
+    Edges[Out++] = Edges[I];
+  }
+  Edges.resize(Out);
+  Edges.shrink_to_fit();
+  for (const ParallelEdge &E : Edges) {
+    Parallel.addEdge(E.A, E.B);
+    Combined.addEdge(E.A, E.B);
+  }
 }
 
 double ParallelInterferenceGraph::parallelBenefit(unsigned A,
                                                   unsigned B) const {
-  auto Key = std::minmax(A, B);
-  auto It = Benefit.find({Key.first, Key.second});
-  return It == Benefit.end() ? 0.0 : It->second;
+  auto [Lo, Hi] = std::minmax(A, B);
+  ParallelEdge Key{Lo, Hi, 0.0};
+  auto It = std::lower_bound(Edges.begin(), Edges.end(), Key, EndpointsLess);
+  return It != Edges.end() && It->A == Lo && It->B == Hi ? It->Benefit : 0.0;
 }
 
 unsigned ParallelInterferenceGraph::numParallelOnlyEdges() const {
   unsigned Count = 0;
-  for (const auto &[A, B] : Parallel.edgeList())
-    if (!Interference.hasEdge(A, B))
+  for (const ParallelEdge &E : Edges)
+    if (!Interference.hasEdge(E.A, E.B))
       ++Count;
   return Count;
 }
@@ -241,35 +268,35 @@ ParallelInterferenceGraph::ParallelInterferenceGraph(
     }
   }
 
-  if (!UseRegions)
-    return;
-
-  // Global extension: Ef pairs across the blocks of each region.
-  PIRA_TIME_SCOPE("pig/regions");
-  RegionAnalysis RA(F);
-  for (const std::vector<unsigned> &Blocks : RA.regions()) {
-    if (Blocks.size() < 2)
-      continue;
-    RegionFalseDeps RFD(F, W, Blocks);
-    unsigned N = static_cast<unsigned>(RFD.nodes().size());
-    for (unsigned A = 0; A != N; ++A) {
-      const Instruction &IA = RFD.instAt(A);
-      if (!IA.hasDef())
+  if (UseRegions) {
+    // Global extension: Ef pairs across the blocks of each region.
+    PIRA_TIME_SCOPE("pig/regions");
+    RegionAnalysis RA(F);
+    for (const std::vector<unsigned> &Blocks : RA.regions()) {
+      if (Blocks.size() < 2)
         continue;
-      for (unsigned B2 = A + 1; B2 != N; ++B2) {
-        const Instruction &IB = RFD.instAt(B2);
-        if (!IB.hasDef())
+      RegionFalseDeps RFD(F, W, Blocks);
+      unsigned N = static_cast<unsigned>(RFD.nodes().size());
+      for (unsigned A = 0; A != N; ++A) {
+        const Instruction &IA = RFD.instAt(A);
+        if (!IA.hasDef())
           continue;
-        if (RFD.nodes()[A].first == RFD.nodes()[B2].first)
-          continue; // intra-block pairs were handled exactly above
-        if (!RFD.canIssueTogether(A, B2, Machine))
-          continue;
-        auto [BlockA, InstA] = RFD.nodes()[A];
-        auto [BlockB, InstB] = RFD.nodes()[B2];
-        ++NumPigRegionPairs;
-        addParallelEdge(W.webOfDef(BlockA, InstA),
-                        W.webOfDef(BlockB, InstB), /*Benefit=*/1.0);
+        for (unsigned B2 = A + 1; B2 != N; ++B2) {
+          const Instruction &IB = RFD.instAt(B2);
+          if (!IB.hasDef())
+            continue;
+          if (RFD.nodes()[A].first == RFD.nodes()[B2].first)
+            continue; // intra-block pairs were handled exactly above
+          if (!RFD.canIssueTogether(A, B2, Machine))
+            continue;
+          auto [BlockA, InstA] = RFD.nodes()[A];
+          auto [BlockB, InstB] = RFD.nodes()[B2];
+          ++NumPigRegionPairs;
+          addParallelEdge(W.webOfDef(BlockA, InstA),
+                          W.webOfDef(BlockB, InstB), /*Benefit=*/1.0);
+        }
       }
     }
   }
+  finishEdges();
 }

@@ -26,8 +26,7 @@
 
 #include "support/UndirectedGraph.h"
 
-#include <map>
-#include <utility>
+#include <vector>
 
 namespace pira {
 
@@ -36,6 +35,14 @@ class InterferenceGraph;
 class MachineModel;
 class ThreadPool;
 class Webs;
+
+/// One parallel edge {A, B} (A < B) of the PIG with its scheduling
+/// benefit.
+struct ParallelEdge {
+  unsigned A;
+  unsigned B;
+  double Benefit;
+};
 
 /// The PIG over webs, keeping the two edge families separate so the
 /// Section-4 heuristics can weigh them differently (Lemmas 2 and 3).
@@ -71,16 +78,25 @@ public:
   /// under register pressure. Zero for non-parallel edges.
   double parallelBenefit(unsigned A, unsigned B) const;
 
+  /// Every parallel edge once, sorted by (A, B), each carrying the
+  /// largest benefit any inducing instruction pair gave it. Includes the
+  /// Lemma 3 edges that are also interference edges.
+  const std::vector<ParallelEdge> &parallelEdges() const { return Edges; }
+
   /// Number of parallel edges that are not interference edges.
   unsigned numParallelOnlyEdges() const;
 
 private:
+  /// Appends {WebA, WebB}; duplicates are merged by finishEdges().
   void addParallelEdge(unsigned WebA, unsigned WebB, double Benefit);
+  /// Sorts and max-merges the appended edges, then fills Parallel and
+  /// Combined from them.
+  void finishEdges();
 
   UndirectedGraph Interference;
   UndirectedGraph Parallel;
   UndirectedGraph Combined;
-  std::map<std::pair<unsigned, unsigned>, double> Benefit;
+  std::vector<ParallelEdge> Edges;
 };
 
 } // namespace pira

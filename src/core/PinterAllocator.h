@@ -43,6 +43,11 @@ class ParallelInterferenceGraph;
 class ThreadPool;
 
 /// Tuning knobs for the Section 4 procedure.
+///
+/// pinterColor sums h*'s edge weights from per-web neighbour counts
+/// rather than edge by edge. The two agree bit for bit when both weights
+/// are integers, as every in-tree setting is; other weights may round
+/// differently in the last place.
 struct PinterOptions {
   /// Weight of pure interference edges in h* (spill avoidance).
   double InterferenceWeight = 1.0;

@@ -10,6 +10,11 @@ machine: a slow CI runner slows both numerator and denominator, while a
 real regression (say the bitset closure losing its word-parallel inner
 loop) collapses the ratio no matter the host.
 
+Scaling gates divide one benchmark's time at a large block size by its
+time at a smaller one. Lower is better: the ratio exposes the growth
+order of a layer (4x the size at quadratic cost reads 16), so an
+accidentally cubic coloring or pipeline fails them on any host.
+
 Absolute wall-clock gates (--absolute) are also available for
 same-machine comparisons, e.g. a developer re-running the suite before
 and after a change on one box.
@@ -41,6 +46,25 @@ RATIO_GATES = [
 # ratchet a requirement away.
 RATIO_FLOORS = {
     "closure_reduction_speedup_1024": 2.0,
+}
+
+# (label, larger-size benchmark, smaller-size benchmark). Lower is
+# better: the fresh ratio must stay within the threshold above the
+# baseline's and under its hard ceiling in SCALING_CEILINGS.
+SCALING_GATES = [
+    ("pinter_color_scaling",
+     "BM_PinterColor/1024", "BM_PinterColor/256"),
+    ("combined_scaling",
+     "BM_CombinedPipeline/512", "BM_CombinedPipeline/128"),
+]
+
+# Hard ceilings on the fresh scaling ratios, the counterpart of
+# RATIO_FLOORS. Per 4x of block size a quadratic layer reads about 16
+# and a cubic one about 64; each ceiling keeps at least 25% headroom over
+# the measured runs (EXPERIMENTS.md P1e) and stays well below cubic.
+SCALING_CEILINGS = {
+    "pinter_color_scaling": 24.0,
+    "combined_scaling": 33.0,
 }
 
 
@@ -131,18 +155,26 @@ def main():
         if not ok:
             failed.append(label)
 
-    for label, num, den in RATIO_GATES:
+    def ratios(label, num, den):
         missing = [n for n in (num, den)
                    if n not in base_times or n not in fresh_times]
         if missing:
             fail_usage("gate %s: benchmark(s) %s missing from a report"
                        % (label, ", ".join(missing)))
-        base_ratio = base_times[num] / base_times[den]
-        fresh_ratio = fresh_times[num] / fresh_times[den]
+        return (base_times[num] / base_times[den],
+                fresh_times[num] / fresh_times[den])
+
+    for label, num, den in RATIO_GATES:
+        base_ratio, fresh_ratio = ratios(label, num, den)
         floor = max(base_ratio * (1.0 - slack),
                     RATIO_FLOORS.get(label, 0.0))
         record(label, base_ratio, fresh_ratio, floor,
                fresh_ratio >= floor)
+
+    for label, num, den in SCALING_GATES:
+        base_ratio, fresh_ratio = ratios(label, num, den)
+        ceil = min(base_ratio * (1.0 + slack), SCALING_CEILINGS[label])
+        record(label, base_ratio, fresh_ratio, ceil, fresh_ratio <= ceil)
 
     if args.absolute:
         for name in sorted(set(base_times) & set(fresh_times)):
