@@ -6,13 +6,22 @@
 // google-benchmark timings of the framework's building blocks against
 // block size: schedule-graph construction, transitive closure, false
 // dependence graph, PIG construction, the two coloring procedures, the
-// list scheduler, and the full combined pipeline. The layer benches sit
-// beside the whole combined compile so a layer's cost can be read as a
-// share of it: at 512-instruction blocks the closure is well under 1% of
-// BM_CombinedPipeline, while the PIG build and the Section 4 coloring
-// are most of it. BM_PinterColor and BM_CombinedPipeline run up to
-// 1024-instruction blocks, where tools/perf_gate.py gates how their time
-// grows with block size.
+// list scheduler, the EP pre-scheduler, and the full combined pipeline.
+// The layer benches sit beside the whole combined compile so a layer's
+// cost can be read as a share of it: at 512-instruction blocks the
+// closure is well under 1% of BM_CombinedPipeline, while the PIG build
+// and the Section 4 coloring are most of it.
+//
+// The schedule-graph and list-scheduler benches also run on allocated
+// code (the *Allocated variants): block 0 of an alloc-first compile on
+// rs6000(12), where spill-everywhere makes most instructions loads and
+// stores of one spill array. That is the code the Theorem 1
+// false-dependence check and every phased strategy's final scheduling
+// see, and the shape on which a pairwise memory scan or a rescanning
+// scheduler grows quadratically. tools/perf_gate.py gates how the time
+// of the coloring, the combined pipeline, the schedule graph (symbolic
+// and allocated), the allocated-code list scheduler and the
+// pre-scheduler grows with block size.
 //
 // A custom main wraps the console reporter so every run also lands in
 // BENCH_perf_algorithms.json ("pira.bench" schema) with the
@@ -37,6 +46,7 @@
 #include "regalloc/InterferenceGraph.h"
 #include "regalloc/SpillCost.h"
 #include "sched/ListScheduler.h"
+#include "sched/PreScheduler.h"
 #include "support/ThreadPool.h"
 #include "workloads/RandomProgram.h"
 
@@ -58,6 +68,17 @@ Function makeBlock(unsigned Instructions) {
   return generateRandomProgram(Opts);
 }
 
+/// makeBlock(Instructions) after alloc-first on rs6000(12): spill
+/// everywhere adds a store after each spilled def and a load before each
+/// use, so block 0 grows to about three times the input, mostly memory
+/// ops on the one spill array.
+Function makeAllocatedBlock(unsigned Instructions) {
+  PipelineResult R = runStrategy(StrategyKind::AllocFirst,
+                                 makeBlock(Instructions),
+                                 MachineModel::rs6000(12));
+  return R.Final;
+}
+
 void BM_DependenceGraph(benchmark::State &State) {
   Function F = makeBlock(static_cast<unsigned>(State.range(0)));
   MachineModel M = MachineModel::rs6000(32);
@@ -68,6 +89,18 @@ void BM_DependenceGraph(benchmark::State &State) {
 }
 BENCHMARK(BM_DependenceGraph)
     ->Arg(32)->Arg(128)->Arg(512)->Arg(1024)->Arg(2048)->Arg(4096);
+
+void BM_DependenceGraphAllocated(benchmark::State &State) {
+  // Spill-everywhere code, where most instructions are memory ops on one
+  // array: the shape the Theorem 1 false-dependence check rebuilds Gs on.
+  Function F = makeAllocatedBlock(static_cast<unsigned>(State.range(0)));
+  MachineModel M = MachineModel::rs6000(12);
+  for (auto _ : State) {
+    DependenceGraph G(F, 0, M);
+    benchmark::DoNotOptimize(G.size());
+  }
+}
+BENCHMARK(BM_DependenceGraphAllocated)->Arg(256)->Arg(1024);
 
 void BM_TransitiveClosure(benchmark::State &State) {
   // The production path: pre-closure DAG reduction (sink peel, component
@@ -190,7 +223,31 @@ void BM_ListScheduler(benchmark::State &State) {
     benchmark::DoNotOptimize(S.totalMakespan());
   }
 }
-BENCHMARK(BM_ListScheduler)->Arg(32)->Arg(128)->Arg(512);
+BENCHMARK(BM_ListScheduler)->Arg(32)->Arg(128)->Arg(512)->Arg(2048);
+
+void BM_ListSchedulerAllocated(benchmark::State &State) {
+  // scheduleFunction on the final code of alloc-first, as every phased
+  // strategy's last step runs it.
+  Function F = makeAllocatedBlock(static_cast<unsigned>(State.range(0)));
+  MachineModel M = MachineModel::rs6000(12);
+  for (auto _ : State) {
+    FunctionSchedule S = scheduleFunction(F, M);
+    benchmark::DoNotOptimize(S.totalMakespan());
+  }
+}
+BENCHMARK(BM_ListSchedulerAllocated)->Arg(256)->Arg(1024);
+
+void BM_PreSchedule(benchmark::State &State) {
+  // Section 4's EP pre-ordering of the symbolic input, on a fresh copy
+  // each iteration (the copy is timed too; it is a small share).
+  Function Input = makeBlock(static_cast<unsigned>(State.range(0)));
+  MachineModel M = MachineModel::rs6000(12);
+  for (auto _ : State) {
+    Function F = Input;
+    benchmark::DoNotOptimize(preScheduleFunction(F, M));
+  }
+}
+BENCHMARK(BM_PreSchedule)->Arg(256)->Arg(1024);
 
 void BM_CombinedPipeline(benchmark::State &State) {
   Function F = makeBlock(static_cast<unsigned>(State.range(0)));

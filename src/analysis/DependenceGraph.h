@@ -37,6 +37,7 @@ namespace pira {
 
 class BasicBlock;
 class Function;
+class Instruction;
 class MachineModel;
 class ThreadPool;
 
@@ -51,6 +52,20 @@ enum class DepKind : unsigned {
 
 /// Returns a printable name for \p Kind.
 const char *depKindName(DepKind Kind);
+
+/// Returns true when memory instructions \p A and \p B of \p F provably
+/// access disjoint locations under the interpreter's wrap-modulo-size
+/// addressing.
+///
+/// Sound rules only: different arrays never alias. Within one array of
+/// nonzero declared size, two accesses are disjoint when they use the same
+/// index register (or are both direct) and have distinct constant offsets
+/// that both lie inside the declared bounds: wrapping is then the
+/// identity, and equal index values shift both offsets alike. Anything
+/// else (an undeclared or empty array, different index registers, an
+/// offset out of bounds) may alias.
+bool memoryProvablyDisjoint(const Function &F, const Instruction &A,
+                            const Instruction &B);
 
 /// One precedence edge of the schedule graph.
 struct DepEdge {

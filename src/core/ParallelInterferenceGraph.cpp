@@ -190,7 +190,7 @@ private:
     // plus a barrier when a block between the two writes the array).
     if (IA.isMemory() && IB.isMemory() &&
         !(IA.opcode() == Opcode::Load && IB.opcode() == Opcode::Load)) {
-      if (!memoryDisjoint(IA, IB))
+      if (!memoryProvablyDisjoint(F, IA, IB))
         return true;
       if (!SameBlock && InterveningStoreTo(BlockA, BlockB, IA.arraySymbol()))
         return true;
@@ -211,26 +211,6 @@ private:
     if (!SameBlock && IA.isTerminator() && IB.isTerminator())
       return true;
     return false;
-  }
-
-  /// Same-location test mirroring the block-level rule.
-  bool memoryDisjoint(const Instruction &A, const Instruction &B) const {
-    if (A.arraySymbol() != B.arraySymbol())
-      return true;
-    unsigned Size = F.arraySize(A.arraySymbol());
-    if (Size == 0)
-      return false;
-    auto IndexOf = [](const Instruction &I) -> Reg {
-      if (I.opcode() == Opcode::Load)
-        return I.uses().empty() ? NoReg : I.uses()[0];
-      return I.uses().size() > 1 ? I.uses()[1] : NoReg;
-    };
-    if (IndexOf(A) != IndexOf(B))
-      return false;
-    bool InBounds = A.imm() >= 0 && B.imm() >= 0 &&
-                    A.imm() < static_cast<int64_t>(Size) &&
-                    B.imm() < static_cast<int64_t>(Size);
-    return InBounds && A.imm() != B.imm();
   }
 
   const Function &F;

@@ -14,6 +14,30 @@
 
 using namespace pira;
 
+// Integer arithmetic wraps in two's complement: it is computed on the
+// unsigned representation, where overflow is defined, and converted back.
+static int64_t wrapAdd(int64_t A, int64_t B) {
+  return static_cast<int64_t>(static_cast<uint64_t>(A) +
+                              static_cast<uint64_t>(B));
+}
+static int64_t wrapSub(int64_t A, int64_t B) {
+  return static_cast<int64_t>(static_cast<uint64_t>(A) -
+                              static_cast<uint64_t>(B));
+}
+static int64_t wrapMul(int64_t A, int64_t B) {
+  return static_cast<int64_t>(static_cast<uint64_t>(A) *
+                              static_cast<uint64_t>(B));
+}
+/// Division by zero yields 0, and INT64_MIN / -1 (whose quotient does not
+/// fit) wraps to INT64_MIN.
+static int64_t wrapDiv(int64_t A, int64_t B) {
+  if (B == 0)
+    return 0;
+  if (B == -1)
+    return wrapSub(0, A);
+  return A / B;
+}
+
 ExecState pira::makeInitialState(const Function &F, uint64_t Seed) {
   ExecState State;
   State.Regs.assign(F.numRegs(), 0);
@@ -40,7 +64,7 @@ bool pira::resolveAddress(const Instruction &I, const ExecState &State,
     Index = I.uses().size() > 1 ? I.uses()[1] : NoReg;
   int64_t Addr = I.imm();
   if (Index != NoReg)
-    Addr += State.Regs[Index];
+    Addr = wrapAdd(Addr, State.Regs[Index]);
   int64_t Size = static_cast<int64_t>(It->second.size());
   Addr %= Size;
   if (Addr < 0)
@@ -78,23 +102,23 @@ void pira::executeInstruction(const Instruction &I, const Function &F,
     break;
   case Opcode::Add:
   case Opcode::FAdd:
-    SetDef(U(0) + U(1));
+    SetDef(wrapAdd(U(0), U(1)));
     break;
   case Opcode::Sub:
   case Opcode::FSub:
-    SetDef(U(0) - U(1));
+    SetDef(wrapSub(U(0), U(1)));
     break;
   case Opcode::Mul:
   case Opcode::FMul:
-    SetDef(U(0) * U(1));
+    SetDef(wrapMul(U(0), U(1)));
     break;
   case Opcode::Div:
   case Opcode::FDiv:
-    SetDef(U(1) == 0 ? 0 : U(0) / U(1));
+    SetDef(wrapDiv(U(0), U(1)));
     break;
   case Opcode::Neg:
   case Opcode::FNeg:
-    SetDef(-U(0));
+    SetDef(wrapSub(0, U(0)));
     break;
   case Opcode::And:
     SetDef(U(0) & U(1));
@@ -106,7 +130,7 @@ void pira::executeInstruction(const Instruction &I, const Function &F,
     SetDef(U(0) ^ U(1));
     break;
   case Opcode::Shl:
-    SetDef(U(0) << (U(1) & 63));
+    SetDef(static_cast<int64_t>(static_cast<uint64_t>(U(0)) << (U(1) & 63)));
     break;
   case Opcode::Shr:
     SetDef(U(0) >> (U(1) & 63));
@@ -121,7 +145,7 @@ void pira::executeInstruction(const Instruction &I, const Function &F,
     SetDef(U(0) <= U(1) ? 1 : 0);
     break;
   case Opcode::FMA:
-    SetDef(U(0) * U(1) + U(2));
+    SetDef(wrapAdd(wrapMul(U(0), U(1)), U(2)));
     break;
   case Opcode::Load: {
     int64_t *Slot = addressSlot(I, State);

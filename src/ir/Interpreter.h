@@ -51,8 +51,10 @@ ExecState makeInitialState(const Function &F, uint64_t Seed);
 
 /// Runs \p F from block 0 on \p Initial for at most \p MaxSteps executed
 /// instructions. Addresses wrap modulo the array size so that execution is
-/// total (documented behaviour relied on by randomized property tests);
-/// division by zero yields zero.
+/// total (documented behaviour relied on by randomized property tests).
+/// Integer arithmetic, address arithmetic included, wraps in two's
+/// complement; division by zero yields zero, and INT64_MIN / -1 yields
+/// INT64_MIN.
 ExecResult interpret(const Function &F, ExecState Initial,
                      uint64_t MaxSteps = 1u << 20);
 

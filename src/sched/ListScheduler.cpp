@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
+#include <functional>
 #include <numeric>
 
 using namespace pira;
@@ -40,49 +41,88 @@ BlockSchedule pira::scheduleBlockFor(const Function &F, unsigned BlockIdx,
   std::vector<unsigned> PredsLeft(N, 0);
   for (unsigned V = 0; V != N; ++V)
     PredsLeft[V] = static_cast<unsigned>(G.predEdges(V).size());
+  auto KindOf = [&](unsigned V) {
+    return static_cast<unsigned>(BB.inst(V).unit());
+  };
+
+  // The priority: greatest height first, ties to the lowest original
+  // index (program order).
+  auto Before = [&](unsigned A, unsigned B) {
+    return Height[A] != Height[B] ? Height[A] > Height[B] : A < B;
+  };
+  auto HeapLess = [&](unsigned A, unsigned B) { return Before(B, A); };
+
+  // Ready[k]: nodes of unit kind k whose predecessors have all issued and
+  // whose operands are ready by this cycle, as a heap with the best node
+  // on top. Pending: nodes whose predecessors have all issued but whose
+  // operands are not ready yet, as a min-heap on ReadyAt.
+  std::array<std::vector<unsigned>, NumUnitKinds> Ready;
+  using PendingNode = std::pair<unsigned, unsigned>; // (ReadyAt, node)
+  std::vector<PendingNode> Pending;
+  auto MakeReady = [&](unsigned V) {
+    std::vector<unsigned> &Heap = Ready[KindOf(V)];
+    Heap.push_back(V);
+    std::push_heap(Heap.begin(), Heap.end(), HeapLess);
+  };
+  for (unsigned V = 0; V != N; ++V)
+    if (PredsLeft[V] == 0)
+      MakeReady(V);
 
   // ReadyAt[v]: earliest cycle v may issue given already-issued preds.
   std::vector<unsigned> ReadyAt(N, 0);
-  std::vector<bool> Issued(N, false);
   unsigned Remaining = N;
   unsigned Cycle = 0;
 
   while (Remaining != 0) {
+    while (!Pending.empty() && Pending.front().first <= Cycle) {
+      std::pop_heap(Pending.begin(), Pending.end(), std::greater<>());
+      MakeReady(Pending.back().second);
+      Pending.pop_back();
+    }
+    bool AnyReady = std::any_of(Ready.begin(), Ready.end(),
+                                [](const auto &H) { return !H.empty(); });
+    if (!AnyReady) {
+      // Nothing can issue until the next pending node's operands arrive.
+      assert(!Pending.empty() && "unissued nodes but none pending");
+      Cycle = Pending.front().first;
+      continue;
+    }
+
     unsigned SlotsLeft = Machine.issueWidth();
     std::array<unsigned, NumUnitKinds> UnitsLeft{};
     for (unsigned K = 0; K != NumUnitKinds; ++K)
       UnitsLeft[K] = Machine.units(static_cast<UnitKind>(K));
 
     // Issue greedily within the cycle; each issue can unlock zero-latency
-    // successors in the same cycle, so loop until no candidate fits.
-    bool IssuedAny = true;
-    while (IssuedAny && SlotsLeft != 0) {
-      IssuedAny = false;
-      // Pick the ready candidate with the greatest height (ties: lowest
-      // original index, preserving program order).
+    // successors in the same cycle. Each pick is the best ready node of a
+    // unit kind with capacity left in this cycle.
+    while (SlotsLeft != 0) {
       unsigned Best = ~0u;
-      for (unsigned V = 0; V != N; ++V) {
-        if (Issued[V] || PredsLeft[V] != 0 || ReadyAt[V] > Cycle)
-          continue;
-        unsigned Kind = static_cast<unsigned>(BB.inst(V).unit());
-        if (UnitsLeft[Kind] == 0)
-          continue;
-        if (Best == ~0u || Height[V] > Height[Best])
-          Best = V;
-      }
+      for (unsigned K = 0; K != NumUnitKinds; ++K)
+        if (UnitsLeft[K] != 0 && !Ready[K].empty() &&
+            (Best == ~0u || Before(Ready[K].front(), Best)))
+          Best = Ready[K].front();
       if (Best == ~0u)
         break;
 
-      Issued[Best] = true;
+      std::vector<unsigned> &Heap = Ready[KindOf(Best)];
+      std::pop_heap(Heap.begin(), Heap.end(), HeapLess);
+      Heap.pop_back();
       Out.CycleOf[Best] = Cycle;
       --Remaining;
       --SlotsLeft;
-      --UnitsLeft[static_cast<unsigned>(BB.inst(Best).unit())];
-      IssuedAny = true;
+      --UnitsLeft[KindOf(Best)];
       for (unsigned EI : G.succEdges(Best)) {
         const DepEdge &E = G.edges()[EI];
         ReadyAt[E.To] = std::max(ReadyAt[E.To], Cycle + E.Latency);
-        --PredsLeft[E.To];
+        if (--PredsLeft[E.To] != 0)
+          continue;
+        if (ReadyAt[E.To] <= Cycle) {
+          MakeReady(E.To);
+        } else {
+          Pending.push_back({ReadyAt[E.To], E.To});
+          std::push_heap(Pending.begin(), Pending.end(), std::greater<>());
+        }
       }
     }
     ++Cycle;

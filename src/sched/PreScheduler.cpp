@@ -11,6 +11,7 @@
 #include "ir/Function.h"
 #include "machine/MachineModel.h"
 #include "sched/EPTimes.h"
+#include "support/BitVector.h"
 #include "support/Telemetry.h"
 
 #include <algorithm>
@@ -33,30 +34,43 @@ static std::vector<unsigned> adjustEP(const Function &F, unsigned BlockIdx,
   std::vector<unsigned> EP = computeEP(G);
   std::vector<unsigned> Height = computeHeights(G);
 
-  // Process EP levels smallest first. Levels can grow as members are
-  // postponed, so re-scan until every level fits.
-  unsigned Level = 0;
-  unsigned MaxLevel = 0;
+  // Levels[L] lists every node whose EP has been L. EP numbers only grow,
+  // so a node enters each level at most once, and an entry whose EP has
+  // since moved on is stale. Postponing a member of level L raises EPs
+  // to L + 1 or more only, so level L is complete when its turn comes.
+  std::vector<std::vector<unsigned>> Levels;
+  auto SetEP = [&](unsigned V, unsigned Value) {
+    EP[V] = Value;
+    if (Levels.size() <= Value)
+      Levels.resize(Value + 1);
+    Levels[Value].push_back(V);
+  };
   for (unsigned V = 0; V != N; ++V)
-    MaxLevel = std::max(MaxLevel, EP[V]);
-  while (Level <= MaxLevel) {
+    SetEP(V, EP[V]);
+
+  // Nodes whose EP rose and whose outgoing edges still need relaxing.
+  BitVector Raised(N);
+  std::vector<unsigned> Members;
+  std::vector<unsigned> Postponed;
+  // Process EP levels smallest first; levels can grow as members are
+  // postponed.
+  for (unsigned Level = 0; Level < Levels.size(); ++Level) {
     // Members of this level, most urgent (greatest height) first; ties in
     // original program order.
-    std::vector<unsigned> Members;
-    for (unsigned V = 0; V != N; ++V)
+    Members.clear();
+    for (unsigned V : Levels[Level])
       if (EP[V] == Level)
         Members.push_back(V);
-    std::stable_sort(Members.begin(), Members.end(),
-                     [&](unsigned A, unsigned B) {
-                       return Height[A] > Height[B];
-                     });
+    std::sort(Members.begin(), Members.end(), [&](unsigned A, unsigned B) {
+      return Height[A] != Height[B] ? Height[A] > Height[B] : A < B;
+    });
 
     // Admit members while capacity lasts; postpone the rest.
     unsigned SlotsLeft = Machine.issueWidth();
     std::array<unsigned, NumUnitKinds> UnitsLeft{};
     for (unsigned K = 0; K != NumUnitKinds; ++K)
       UnitsLeft[K] = Machine.units(static_cast<UnitKind>(K));
-    std::vector<unsigned> Postponed;
+    Postponed.clear();
     for (unsigned V : Members) {
       unsigned Kind = static_cast<unsigned>(BB.inst(V).unit());
       if (SlotsLeft != 0 && UnitsLeft[Kind] != 0) {
@@ -68,21 +82,24 @@ static std::vector<unsigned> adjustEP(const Function &F, unsigned BlockIdx,
     }
 
     for (unsigned V : Postponed) {
-      ++EP[V];
-      MaxLevel = std::max(MaxLevel, EP[V]);
+      SetEP(V, EP[V] + 1);
       // Propagate along outgoing paths: a successor may issue no earlier
-      // than EP[V] + latency. One forward sweep suffices per bump because
-      // indices are topologically ordered.
-      for (unsigned U = V; U != N; ++U)
-        for (unsigned EI : G.succEdges(U)) {
+      // than EP[V] + latency. Every edge held before the bump, so only
+      // the out-edges of nodes whose EP rose can fail; ascending index
+      // order is topological, so each such node is final when visited.
+      Raised.set(V);
+      for (int U = static_cast<int>(V); U != -1;
+           U = Raised.findNext(static_cast<unsigned>(U))) {
+        Raised.reset(static_cast<unsigned>(U));
+        for (unsigned EI : G.succEdges(static_cast<unsigned>(U))) {
           const DepEdge &E = G.edges()[EI];
           if (EP[E.To] < EP[U] + E.Latency) {
-            EP[E.To] = EP[U] + E.Latency;
-            MaxLevel = std::max(MaxLevel, EP[E.To]);
+            SetEP(E.To, EP[U] + E.Latency);
+            Raised.set(E.To);
           }
         }
+      }
     }
-    ++Level;
   }
   return EP;
 }

@@ -125,6 +125,36 @@ TEST(HardeningTest, ParseEnterFaultSiteFires) {
   EXPECT_EQ(F.status().code(), ErrorCode::FaultInjected);
 }
 
+TEST(HardeningTest, SignedOverflowProgramCompilesUnderEveryStrategy) {
+  // A verified program whose values overflow: the add reaches INT64_MIN
+  // and the div then computes INT64_MIN / -1, which traps as a native
+  // division. Integer arithmetic wraps, so the quotient is INT64_MIN and
+  // the compile (interpreter and simulator included) must succeed.
+  const char *Text = "func @f regs 4 {\n"
+                     "block e:\n"
+                     "  %s0 = li -9223372036854775807\n"
+                     "  %s1 = li -1\n"
+                     "  %s2 = add %s0, %s1\n"
+                     "  %s3 = div %s2, %s1\n"
+                     "  ret %s3\n"
+                     "}\n";
+  Expected<Function> F = parseFunctionEx(Text, "overflow.pir");
+  ASSERT_TRUE(F.ok()) << F.status().toString();
+  ASSERT_TRUE(verifyFunctionStatus(*F).ok());
+  MachineModel M = MachineModel::rs6000();
+  for (StrategyKind K : {StrategyKind::AllocFirst, StrategyKind::SchedFirst,
+                         StrategyKind::IntegratedPrepass,
+                         StrategyKind::Combined}) {
+    BatchOptions BOpts;
+    BOpts.Strategy = K;
+    GuardedResult G = compileFunctionGuarded(*F, M, BOpts);
+    ASSERT_TRUE(G.Result.Success)
+        << strategyName(K) << ": " << G.Result.Diag.toString();
+    EXPECT_FALSE(G.Outcome.Degraded) << strategyName(K);
+    EXPECT_TRUE(G.Result.SemanticsPreserved) << strategyName(K);
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Seeded random-mutation round-trip
 //===----------------------------------------------------------------------===//

@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 using namespace pira;
 
 //===----------------------------------------------------------------------===//
@@ -341,6 +343,59 @@ TEST(InterpreterTest, DivisionByZeroYieldsZero) {
   B.ret(B.binary(Opcode::Div, A, Z));
   ExecResult R = interpret(F, makeInitialState(F, 0));
   EXPECT_EQ(R.ReturnValue, 0);
+}
+
+namespace {
+
+/// Interprets `ret A <Op> B` (or `ret fma A, B, C` / `ret neg A`).
+int64_t evalOp(Opcode Op, std::vector<int64_t> Args) {
+  Function F("t");
+  IRBuilder B(F);
+  B.startBlock("e");
+  std::vector<Reg> R;
+  for (int64_t V : Args)
+    R.push_back(B.loadImm(V));
+  Reg Result = Op == Opcode::FMA   ? B.fma(R[0], R[1], R[2])
+               : Op == Opcode::Neg ? B.unary(Op, R[0])
+                                   : B.binary(Op, R[0], R[1]);
+  B.ret(Result);
+  ExecResult Res = interpret(F, makeInitialState(F, 0));
+  EXPECT_TRUE(Res.Completed);
+  return Res.ReturnValue;
+}
+
+} // namespace
+
+TEST(InterpreterTest, IntegerArithmeticWrapsInTwosComplement) {
+  constexpr int64_t Max = std::numeric_limits<int64_t>::max();
+  constexpr int64_t Min = std::numeric_limits<int64_t>::min();
+  EXPECT_EQ(evalOp(Opcode::Add, {Max, 1}), Min);
+  EXPECT_EQ(evalOp(Opcode::Add, {Min, -1}), Max);
+  EXPECT_EQ(evalOp(Opcode::Sub, {Min, 1}), Max);
+  EXPECT_EQ(evalOp(Opcode::Mul, {Max, 2}), -2);
+  EXPECT_EQ(evalOp(Opcode::Mul, {Min, -1}), Min);
+  EXPECT_EQ(evalOp(Opcode::Neg, {Min}), Min);
+  EXPECT_EQ(evalOp(Opcode::Div, {Min, -1}), Min);
+  EXPECT_EQ(evalOp(Opcode::Div, {Min, 1}), Min);
+  EXPECT_EQ(evalOp(Opcode::Div, {-7, 2}), -3);
+  EXPECT_EQ(evalOp(Opcode::FMA, {Max, 2, 3}), 1);
+  EXPECT_EQ(evalOp(Opcode::Shl, {-1, 63}), Min);
+  EXPECT_EQ(evalOp(Opcode::Shl, {3, 62}), Min + (int64_t(1) << 62));
+}
+
+TEST(InterpreterTest, IndexedAddressWrapsInTwosComplement) {
+  // Index INT64_MAX plus offset 1 wraps to INT64_MIN, which is 0 modulo
+  // the 64-element array.
+  Function F("t");
+  IRBuilder B(F);
+  B.startBlock("e");
+  Reg V = B.loadImm(11);
+  Reg I = B.loadImm(std::numeric_limits<int64_t>::max());
+  B.store("a", V, I, 1);
+  B.ret(B.load("a", NoReg, 0));
+  ExecResult R = interpret(F, makeInitialState(F, 0));
+  ASSERT_TRUE(R.Completed);
+  EXPECT_EQ(R.ReturnValue, 11);
 }
 
 TEST(InterpreterTest, ShiftsAndCompares) {

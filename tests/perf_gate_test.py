@@ -3,10 +3,11 @@
 
 Usage: perf_gate_test.py PATH/TO/perf_gate.py
 
-Three cases, one per exit code: a fresh report equal to the baseline
-passes (0); a BM_PinterColor scaling ratio over its hard ceiling fails
-(1) even though it is within the threshold of the baseline's; a report
-missing a scaling row is unusable (2).
+Cases by exit code: a fresh report equal to the baseline passes (0); a
+scaling ratio over its hard ceiling fails (1) even though it is within
+the threshold of the baseline's, once for BM_PinterColor and once for
+each schedule-layer gate; a report missing a scaling row is unusable
+(2).
 """
 
 import json
@@ -29,7 +30,31 @@ BASE_TIMES = {
     "BM_PinterColor/1024": 22000000.0,
     "BM_CombinedPipeline/128": 10000000.0,
     "BM_CombinedPipeline/512": 200000000.0,
+    "BM_DependenceGraph/1024": 200000.0,
+    "BM_DependenceGraph/4096": 1920000.0,
+    "BM_DependenceGraphAllocated/256": 125000.0,
+    "BM_DependenceGraphAllocated/1024": 900000.0,
+    "BM_ListSchedulerAllocated/256": 350000.0,
+    "BM_ListSchedulerAllocated/1024": 2520000.0,
+    "BM_PreSchedule/256": 1200000.0,
+    "BM_PreSchedule/1024": 20400000.0,
 }
+
+# One fresh ratio per schedule-layer scaling gate, over the gate's hard
+# ceiling but within the threshold of the baseline ratio above (9.6, 7.2,
+# 7.2 and 17, whose limits are 12, 9, 9 and 21.25): (gate label, larger
+# bench, smaller bench, fresh ratio).
+SCHEDULE_LAYER_OVER_CEILING = [
+    ("depgraph_scaling",
+     "BM_DependenceGraph/4096", "BM_DependenceGraph/1024", 11.8),
+    ("depgraph_allocated_scaling",
+     "BM_DependenceGraphAllocated/1024", "BM_DependenceGraphAllocated/256",
+     8.8),
+    ("list_scheduler_allocated_scaling",
+     "BM_ListSchedulerAllocated/1024", "BM_ListSchedulerAllocated/256", 8.8),
+    ("preschedule_scaling",
+     "BM_PreSchedule/1024", "BM_PreSchedule/256", 21.0),
+]
 
 
 def report(times):
@@ -72,16 +97,28 @@ def main():
         if code != 1 or "pinter_color_scaling" not in out:
             failures.append("scaling over ceiling: exit %d\n%s" % (code, out))
 
-        missing = dict(BASE_TIMES)
-        del missing["BM_CombinedPipeline/512"]
-        code, out = run_gate(gate, tmp, missing)
-        if code != 2 or "combined_scaling" not in out:
-            failures.append("missing scaling row: exit %d\n%s" % (code, out))
+        for label, num, den, ratio in SCHEDULE_LAYER_OVER_CEILING:
+            over = dict(BASE_TIMES)
+            over[num] = ratio * over[den]
+            code, out = run_gate(gate, tmp, over)
+            if code != 1 or label not in out:
+                failures.append("%s over ceiling: exit %d\n%s"
+                                % (label, code, out))
+
+        for label, num in (("combined_scaling", "BM_CombinedPipeline/512"),
+                           ("preschedule_scaling", "BM_PreSchedule/1024")):
+            missing = dict(BASE_TIMES)
+            del missing[num]
+            code, out = run_gate(gate, tmp, missing)
+            if code != 2 or label not in out:
+                failures.append("missing %s row: exit %d\n%s"
+                                % (label, code, out))
 
     for f in failures:
         print("FAIL: " + f, file=sys.stderr)
     if not failures:
-        print("perf_gate_test: 3 cases pass")
+        print("perf_gate_test: %d cases pass"
+              % (4 + len(SCHEDULE_LAYER_OVER_CEILING)))
     return 1 if failures else 0
 
 

@@ -65,17 +65,17 @@ block entry:
 )";
 }
 
-/// A deliberately expensive function (~240 instructions): long enough
-/// that admission races in the budget / queue-full / deadline tests
-/// have tens of milliseconds of slack, not microseconds.
+/// A deliberately expensive function (~320 instructions): long enough
+/// that admission races in the budget / queue-full / deadline / drain
+/// tests have tens of milliseconds of slack, not microseconds.
 std::string heavyFunctionText(const std::string &Name) {
-  std::string T = "func @" + Name + " regs 240 {\nblock entry:\n"
+  std::string T = "func @" + Name + " regs 320 {\nblock entry:\n"
                   "  %s0 = li 1\n  %s1 = li 3\n";
-  for (int I = 2; I != 240; ++I)
+  for (int I = 2; I != 320; ++I)
     T += "  %s" + std::to_string(I) + " = " +
          (I % 3 == 0 ? "fmul" : "add") + " %s" + std::to_string(I - 1) +
          ", %s" + std::to_string(I / 2) + "\n";
-  T += "  ret %s239\n}\n";
+  T += "  ret %s319\n}\n";
   return T;
 }
 

@@ -56,15 +56,29 @@ SCALING_GATES = [
      "BM_PinterColor/1024", "BM_PinterColor/256"),
     ("combined_scaling",
      "BM_CombinedPipeline/512", "BM_CombinedPipeline/128"),
+    ("depgraph_scaling",
+     "BM_DependenceGraph/4096", "BM_DependenceGraph/1024"),
+    ("depgraph_allocated_scaling",
+     "BM_DependenceGraphAllocated/1024", "BM_DependenceGraphAllocated/256"),
+    ("list_scheduler_allocated_scaling",
+     "BM_ListSchedulerAllocated/1024", "BM_ListSchedulerAllocated/256"),
+    ("preschedule_scaling",
+     "BM_PreSchedule/1024", "BM_PreSchedule/256"),
 ]
 
 # Hard ceilings on the fresh scaling ratios, the counterpart of
-# RATIO_FLOORS. Per 4x of block size a quadratic layer reads about 16
-# and a cubic one about 64; each ceiling keeps at least 25% headroom over
-# the measured runs (EXPERIMENTS.md P1e) and stays well below cubic.
+# RATIO_FLOORS. Per 4x of block size a linear layer reads about 4, a
+# quadratic one about 16 and a cubic one about 64; each ceiling keeps at
+# least 25% headroom over the measured runs (EXPERIMENTS.md P1e, P1f).
+# Symbolic Gs cannot read 4: its memory edges grow quadratically with
+# the block (one 32-element array), and its adjacency matrix is N^2 bits.
 SCALING_CEILINGS = {
     "pinter_color_scaling": 24.0,
     "combined_scaling": 33.0,
+    "depgraph_scaling": 11.5,
+    "depgraph_allocated_scaling": 8.5,
+    "list_scheduler_allocated_scaling": 8.5,
+    "preschedule_scaling": 20.0,
 }
 
 
