@@ -18,8 +18,12 @@
 // stores of one spill array. That is the code the Theorem 1
 // false-dependence check and every phased strategy's final scheduling
 // see, and the shape on which a pairwise memory scan or a rescanning
-// scheduler grows quadratically. tools/perf_gate.py gates how the time
-// of the coloring, the combined pipeline, the schedule graph (symbolic
+// scheduler grows quadratically. Likewise BM_PigConstructionSpilled
+// builds the PIG of block 0 after one combined color/spill round on
+// rs6000(12): the code, roughly three times the input, on which rounds
+// 2 and 3 of a combined compile rebuild the PIG. tools/perf_gate.py
+// gates how the time of the coloring, the combined pipeline (512/128
+// and 1024/256), the post-spill PIG build, the schedule graph (symbolic
 // and allocated), the allocated-code list scheduler and the
 // pre-scheduler grows with block size.
 //
@@ -45,12 +49,15 @@
 #include "regalloc/ChaitinAllocator.h"
 #include "regalloc/InterferenceGraph.h"
 #include "regalloc/SpillCost.h"
+#include "regalloc/SpillInserter.h"
 #include "sched/ListScheduler.h"
 #include "sched/PreScheduler.h"
 #include "support/ThreadPool.h"
 #include "workloads/RandomProgram.h"
 
 #include <benchmark/benchmark.h>
+
+#include <set>
 
 using namespace pira;
 
@@ -77,6 +84,24 @@ Function makeAllocatedBlock(unsigned Instructions) {
                                  makeBlock(Instructions),
                                  MachineModel::rs6000(12));
   return R.Final;
+}
+
+/// makeBlock(Instructions) after the first color/spill round of the
+/// combined strategy on rs6000(12): the EP pre-ordering, one Section 4
+/// coloring, and spill code for the webs it spilled. Spill-everywhere
+/// roughly triples the code, and rounds 2 and 3 of a combined compile
+/// build their PIGs on code like this.
+Function makeSpilledBlock(unsigned Instructions) {
+  Function F = makeBlock(Instructions);
+  MachineModel M = MachineModel::rs6000(12);
+  preScheduleFunction(F, M);
+  Webs W(F);
+  InterferenceGraph IG(F, W);
+  ParallelInterferenceGraph PIG(F, W, IG, M);
+  Allocation A = pinterColor(PIG, computeSpillCosts(F, W), 12);
+  std::set<Reg> NoSpillRegs;
+  insertSpillCode(F, W, A.SpilledWebs, NoSpillRegs);
+  return F;
 }
 
 void BM_DependenceGraph(benchmark::State &State) {
@@ -186,7 +211,21 @@ void BM_PigConstruction(benchmark::State &State) {
     benchmark::DoNotOptimize(PIG.numWebs());
   }
 }
-BENCHMARK(BM_PigConstruction)->Arg(32)->Arg(128)->Arg(512);
+BENCHMARK(BM_PigConstruction)->Arg(32)->Arg(128)->Arg(512)->Arg(1024);
+
+void BM_PigConstructionSpilled(benchmark::State &State) {
+  // The PIG of post-spill code, as a combined compile's later rounds
+  // build it: many more webs, most of them short reload temporaries.
+  Function F = makeSpilledBlock(static_cast<unsigned>(State.range(0)));
+  MachineModel M = MachineModel::rs6000(12);
+  Webs W(F);
+  InterferenceGraph IG(F, W);
+  for (auto _ : State) {
+    ParallelInterferenceGraph PIG(F, W, IG, M);
+    benchmark::DoNotOptimize(PIG.numWebs());
+  }
+}
+BENCHMARK(BM_PigConstructionSpilled)->Arg(256)->Arg(1024);
 
 void BM_ChaitinColor(benchmark::State &State) {
   Function F = makeBlock(static_cast<unsigned>(State.range(0)));

@@ -46,8 +46,17 @@ struct ParallelEdge {
 
 /// The PIG over webs, keeping the two edge families separate so the
 /// Section-4 heuristics can weigh them differently (Lemmas 2 and 3).
+///
+/// Both families are bit rows; no per-pair list is kept. A web with one
+/// defining instruction has that instruction's critical-path height, and
+/// a parallel edge between two such webs in one block has benefit
+/// H(def A) + H(def B). Only the edges whose benefit is not that sum are
+/// listed (explicitEdges()).
 class ParallelInterferenceGraph {
 public:
+  /// defHeight() of a web with several defining instructions, or none.
+  static constexpr unsigned NoHeight = ~0u;
+
   /// Builds the PIG of \p F. \p IG must be the interference graph of the
   /// same function/web partition. When \p UseRegions is true, parallel
   /// edges are additionally collected across plausible block pairs.
@@ -78,25 +87,28 @@ public:
   /// under register pressure. Zero for non-parallel edges.
   double parallelBenefit(unsigned A, unsigned B) const;
 
-  /// Every parallel edge once, sorted by (A, B), each carrying the
-  /// largest benefit any inducing instruction pair gave it. Includes the
-  /// Lemma 3 edges that are also interference edges.
-  const std::vector<ParallelEdge> &parallelEdges() const { return Edges; }
+  /// Critical-path height, in its block's schedule graph, of \p Web's
+  /// only defining instruction; NoHeight for any other web.
+  unsigned defHeight(unsigned Web) const { return DefHeight[Web]; }
+
+  /// The parallel edges whose benefit is not the defHeight() sum of their
+  /// ends, sorted by (A, B), each carrying the largest benefit any
+  /// inducing pair gave it: every edge with a multi-def end, and every
+  /// region edge (cross-block, benefit 1). Includes the Lemma 3 edges
+  /// that are also interference edges.
+  const std::vector<ParallelEdge> &explicitEdges() const { return Explicit; }
 
   /// Number of parallel edges that are not interference edges.
-  unsigned numParallelOnlyEdges() const;
+  unsigned numParallelOnlyEdges() const {
+    return Combined.numEdges() - Interference.numEdges();
+  }
 
 private:
-  /// Appends {WebA, WebB}; duplicates are merged by finishEdges().
-  void addParallelEdge(unsigned WebA, unsigned WebB, double Benefit);
-  /// Sorts and max-merges the appended edges, then fills Parallel and
-  /// Combined from them.
-  void finishEdges();
-
   UndirectedGraph Interference;
   UndirectedGraph Parallel;
   UndirectedGraph Combined;
-  std::vector<ParallelEdge> Edges;
+  std::vector<unsigned> DefHeight;
+  std::vector<ParallelEdge> Explicit;
 };
 
 } // namespace pira

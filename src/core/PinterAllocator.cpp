@@ -22,7 +22,6 @@
 #include "support/UndirectedGraph.h"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <limits>
@@ -74,36 +73,6 @@ private:
   std::vector<uint64_t> Nodes;
 };
 
-/// Sorts \p Edges by benefit, keeping their order among equal benefits:
-/// an LSD radix sort over each benefit's order-preserving bit pattern,
-/// one byte per pass. Passes where every key has the same byte are
-/// skipped, so integer-valued benefits take two or three.
-void sortByBenefitStable(std::vector<ParallelEdge> &Edges) {
-  auto KeyOf = [](double Benefit) {
-    // -0.0 and +0.0 must tie, as they do under operator<.
-    uint64_t Bits = std::bit_cast<uint64_t>(Benefit == 0.0 ? 0.0 : Benefit);
-    return Bits >> 63 ? ~Bits : Bits | uint64_t(1) << 63;
-  };
-  size_t Count[8][256] = {};
-  for (const ParallelEdge &E : Edges) {
-    uint64_t Key = KeyOf(E.Benefit);
-    for (unsigned Byte = 0; Byte != 8; ++Byte)
-      ++Count[Byte][Key >> 8 * Byte & 0xff];
-  }
-  std::vector<ParallelEdge> Sorted(Edges.size());
-  for (unsigned Byte = 0; Byte != 8; ++Byte) {
-    size_t *Start = Count[Byte];
-    if (std::find(Start, Start + 256, Edges.size()) != Start + 256)
-      continue;
-    size_t Sum = 0;
-    for (unsigned Digit = 0; Digit != 256; ++Digit)
-      Sum += std::exchange(Start[Digit], Sum);
-    for (const ParallelEdge &E : Edges)
-      Sorted[Start[KeyOf(E.Benefit) >> 8 * Byte & 0xff]++] = E;
-    Edges.swap(Sorted);
-  }
-}
-
 /// The Section 4 procedure over incrementally maintained worklists. Each
 /// structure answers one question of the original whole-graph rescans
 /// exactly, tie-breaks included (see DESIGN.md §5):
@@ -113,29 +82,28 @@ void sortByBenefitStable(std::vector<ParallelEdge> &Edges) {
 ///   * Victims — present webs of interference degree < r keyed on
 ///     (combined degree, index): step 3's victim is the minimum.
 ///   * Rows — each web's parallel-only neighbours in (benefit, index)
-///     order. Edges only ever disappear, so a cursor that skips gone
-///     entries finds step 3's edge.
-///   * NumI/NumP/NumB — present neighbours joined by an interference-only,
-///     parallel-only or both-families edge, from which step 4 takes Σw.
+///     order: the PIG's explicit edges sorted per web, merged with the
+///     height-sum neighbours in the one (height, index) order of webs.
+///     Edges only ever disappear, so cursors that skip gone entries find
+///     step 3's edge, and each victim reads its rows in one run.
+///   * Num — per web, its present neighbours joined by an
+///     interference-only (I), parallel-only (P) or both-families (B)
+///     edge, from which step 4 takes Σw.
 class PinterColoring {
 public:
   PinterColoring(const ParallelInterferenceGraph &PIG, unsigned NumRegs)
-      : Interf(PIG.interference()), Par(PIG.parallel()),
+      : PIG(PIG), Interf(PIG.interference()), Par(PIG.parallel()),
         Live(PIG.combined()), R(NumRegs), Present(PIG.numWebs(), true),
         Low(PIG.numWebs()), Victims(PIG.numWebs()),
         Remaining(PIG.numWebs()) {
     unsigned N = PIG.numWebs();
-    NumI.resize(N);
-    NumP.resize(N);
-    NumB.resize(N);
+    Num.resize(N);
     for (unsigned V = 0; V != N; ++V) {
       unsigned Both = Interf.degree(V) + Par.degree(V) - Live.degree(V);
-      NumB[V] = Both;
-      NumI[V] = Interf.degree(V) - Both;
-      NumP[V] = Par.degree(V) - Both;
+      Num[V] = {Interf.degree(V) - Both, Par.degree(V) - Both, Both};
       refresh(V);
     }
-    buildRows(PIG);
+    buildRows();
   }
 
   unsigned remaining() const { return Remaining; }
@@ -163,24 +131,57 @@ public:
     return Key == MinTree::Absent ? ~0u : static_cast<unsigned>(Key);
   }
 
-  /// Drops \p V's present parallel-only edge of least benefit (then
-  /// neighbour index).
-  void dropCheapestParallelEdge(unsigned V) {
-    unsigned &C = Cursor[V];
-    while (true) {
-      assert(C != RowStart[V + 1] &&
-             "interference degree < combined degree implies a "
-             "parallel-only edge");
-      unsigned U = Rows[C++];
-      if (Present.test(U) && Live.hasEdge(V, U)) {
-        Live.removeEdge(V, U);
-        --NumP[V];
-        --NumP[U];
-        refresh(V);
-        refresh(U);
-        return;
+  /// Drops \p V's present parallel-only edges in (benefit, index) order
+  /// until \p V can be simplified. \returns the number dropped.
+  ///
+  /// This is the one-drop step 3 repeated. After a drop that leaves V at
+  /// r or more, no present web is below r, so the next simplify removes
+  /// nothing, and V is the victim again: its key fell by one, as did its
+  /// partner's, and no other key changed. The partner U never reaches
+  /// r - 1 first. If U is a victim candidate its key was at least V's, so
+  /// degree(U) = r forces degree(V) = r; otherwise U's interference
+  /// degree is at least r, so the edge to V put it above r.
+  ///
+  /// V leaves at the next simplify, so this run is the only one to read
+  /// V's rows: the height-sum row is built from V's present edges here,
+  /// and only the explicit row, laid out up front, can hold gone entries.
+  unsigned dropCheapestParallelEdges(unsigned V) {
+    buildRankedRow(V);
+    int K = RankedRow.findFirst();
+    unsigned E = ExplicitStart[V], End = ExplicitStart[V + 1];
+    unsigned Dropped = 0;
+    do {
+      while (E != End && gone(V, Explicit[E].second))
+        ++E;
+      bool TakeRanked = K >= 0;
+      if (TakeRanked && E != End) {
+        unsigned U = Order[static_cast<unsigned>(K)];
+        double Benefit = static_cast<double>(PIG.defHeight(V) +
+                                             PIG.defHeight(U));
+        TakeRanked = std::make_pair(Benefit, U) < Explicit[E];
       }
-    }
+      unsigned U;
+      if (TakeRanked) {
+        U = Order[static_cast<unsigned>(K)];
+        K = RankedRow.findNext(static_cast<unsigned>(K));
+      } else {
+        assert(E != End && "interference degree < combined degree implies "
+                           "a parallel-only edge");
+        U = Explicit[E++].second;
+      }
+      assert(!gone(V, U) && "only V's own drops remove edges in its run");
+      Live.removeEdge(V, U);
+      --Num[V].P;
+      --Num[U].P;
+      assert((degree(U) >= R || degree(V) < R) &&
+             "the partner fell below r before the victim");
+      refresh(U);
+      ++Dropped;
+    } while (degree(V) >= R);
+    // V's key only fell during the run, so one re-filing at its end
+    // leaves the worklists as a re-filing after every drop would.
+    refresh(V);
+    return Dropped;
   }
 
   /// Step 4: the present web of least h* (then index); the first
@@ -191,10 +192,9 @@ public:
     double WP = Opts.ParallelWeight;
     unsigned Spill = ~0u;
     double BestH = std::numeric_limits<double>::infinity();
-    for (int I = Present.findFirst(); I != -1;
-         I = Present.findNext(static_cast<unsigned>(I))) {
-      unsigned V = static_cast<unsigned>(I);
-      double WeightSum = NumI[V] * WI + NumP[V] * WP + NumB[V] * (WI + WP);
+    Present.forEachSetBit([&](unsigned V) {
+      const Counts &C = Num[V];
+      double WeightSum = C.I * WI + C.P * WP + C.B * (WI + WP);
       // All surviving vertices have degree >= r >= 1, but guard against a
       // zero weight sum from degenerate option settings.
       double H = WeightSum > 0.0 ? Costs[V] / WeightSum : Costs[V];
@@ -202,7 +202,7 @@ public:
         BestH = H;
         Spill = V;
       }
-    }
+    });
     return Spill;
   }
 
@@ -212,17 +212,17 @@ public:
     Low.reset(V);
     Victims.erase(V);
     --Remaining;
-    const BitVector &Row = Live.neighbors(V);
-    for (int I = Row.findFirst(); I != -1;
-         I = Row.findNext(static_cast<unsigned>(I))) {
-      unsigned U = static_cast<unsigned>(I);
-      if (!Present.test(U))
-        continue;
-      bool InI = Interf.hasEdge(V, U);
-      bool InP = Par.hasEdge(V, U);
-      --(InI && InP ? NumB[U] : InI ? NumI[U] : NumP[U]);
+    const BitVector &InI = Interf.neighbors(V);
+    const BitVector &InP = Par.neighbors(V);
+    Scratch = Live.neighbors(V);
+    Scratch.intersectWith(Present);
+    Scratch.forEachSetBit([&](unsigned U) {
+      bool I = InI.test(U);
+      bool P = InP.test(U);
+      Counts &C = Num[U];
+      --(I && P ? C.B : I ? C.I : C.P);
       refresh(U);
-    }
+    });
   }
 
   /// The combined graph minus dropped edges; removed webs keep theirs, as
@@ -230,54 +230,104 @@ public:
   const UndirectedGraph &selectGraph() const { return Live; }
 
 private:
+  static constexpr unsigned NoRank = ~0u;
+
+  unsigned degree(unsigned V) const {
+    return Num[V].I + Num[V].P + Num[V].B;
+  }
+
   /// Re-files present web \p V after its degrees changed.
   void refresh(unsigned V) {
-    unsigned Degree = NumI[V] + NumP[V] + NumB[V];
+    unsigned Degree = degree(V);
     if (Degree < R)
       Low.set(V);
-    if (NumI[V] + NumB[V] < R)
+    if (Num[V].I + Num[V].B < R)
       Victims.decrease(V, uint64_t(Degree) << 32 | V);
   }
 
-  /// Lays out every web's parallel-only neighbours in (benefit, index)
-  /// order: one sort of the edges by (benefit, A, B), then a stable
-  /// distribution, puts the X < V entries of row V before the B > V ones,
-  /// each ascending.
-  void buildRows(const ParallelInterferenceGraph &PIG) {
-    // The PIG's edges come sorted by (A, B), so a stable sort by benefit
-    // leaves them in (benefit, A, B) order.
-    std::vector<ParallelEdge> Order;
-    for (const ParallelEdge &E : PIG.parallelEdges())
-      if (!Interf.hasEdge(E.A, E.B))
-        Order.push_back(E);
-    sortByBenefitStable(Order);
-    unsigned N = PIG.numWebs();
-    RowStart.assign(N + 1, 0);
-    for (const ParallelEdge &E : Order) {
-      ++RowStart[E.A + 1];
-      ++RowStart[E.B + 1];
-    }
-    for (unsigned V = 0; V != N; ++V)
-      RowStart[V + 1] += RowStart[V];
-    Cursor.assign(RowStart.begin(), RowStart.end() - 1);
-    Rows.resize(RowStart[N]);
-    for (const ParallelEdge &E : Order) {
-      Rows[Cursor[E.A]++] = E.B;
-      Rows[Cursor[E.B]++] = E.A;
-    }
-    Cursor.assign(RowStart.begin(), RowStart.end() - 1);
+  /// True when parallel-only edge {\p V, \p U} has left the graph.
+  bool gone(unsigned V, unsigned U) const {
+    return !Present.test(U) || !Live.hasEdge(V, U);
   }
 
+  /// Sorts the webs with a defHeight() by (height, index) once, and lays
+  /// out every web's parallel-only explicit edges in (benefit, index)
+  /// order.
+  void buildRows() {
+    unsigned N = PIG.numWebs();
+    std::vector<uint64_t> Keys;
+    for (unsigned V = 0; V != N; ++V)
+      if (PIG.defHeight(V) != ParallelInterferenceGraph::NoHeight)
+        Keys.push_back(uint64_t(PIG.defHeight(V)) << 32 | V);
+    std::sort(Keys.begin(), Keys.end());
+    Order.resize(Keys.size());
+    Rank.assign(N, NoRank);
+    for (unsigned K = 0, E = static_cast<unsigned>(Keys.size()); K != E;
+         ++K) {
+      Order[K] = static_cast<unsigned>(Keys[K]);
+      Rank[Order[K]] = K;
+    }
+    RankedRow.resize(static_cast<unsigned>(Order.size()));
+
+    ExplicitStart.assign(N + 1, 0);
+    for (const ParallelEdge &E : PIG.explicitEdges())
+      if (!Interf.hasEdge(E.A, E.B)) {
+        ++ExplicitStart[E.A + 1];
+        ++ExplicitStart[E.B + 1];
+      }
+    for (unsigned V = 0; V != N; ++V)
+      ExplicitStart[V + 1] += ExplicitStart[V];
+    std::vector<unsigned> Fill(ExplicitStart.begin(), ExplicitStart.end() - 1);
+    Explicit.resize(ExplicitStart[N]);
+    for (const ParallelEdge &E : PIG.explicitEdges())
+      if (!Interf.hasEdge(E.A, E.B)) {
+        Explicit[Fill[E.A]++] = {E.Benefit, E.B};
+        Explicit[Fill[E.B]++] = {E.Benefit, E.A};
+      }
+    for (unsigned V = 0; V != N; ++V)
+      std::sort(Explicit.begin() + ExplicitStart[V],
+                Explicit.begin() + ExplicitStart[V + 1]);
+  }
+
+  /// Fills RankedRow with \p V's present height-sum neighbours as a row
+  /// over ranks: bit K is set when Order[K] is one. Every such neighbour
+  /// U has benefit H(V) + H(U), so ascending rank is (benefit, index)
+  /// order. Empty when V itself has no height.
+  void buildRankedRow(unsigned V) {
+    RankedRow.resetAll();
+    if (Rank[V] == NoRank)
+      return;
+    Scratch = Live.neighbors(V);
+    Scratch.subtract(Interf.neighbors(V));
+    Scratch.intersectWith(Present);
+    Scratch.forEachSetBit([&](unsigned U) {
+      if (Rank[U] != NoRank)
+        RankedRow.set(Rank[U]);
+    });
+    // Region edges between two such webs carry an explicit benefit.
+    for (unsigned I = ExplicitStart[V]; I != ExplicitStart[V + 1]; ++I)
+      if (unsigned K = Rank[Explicit[I].second]; K != NoRank)
+        RankedRow.reset(K);
+  }
+
+  const ParallelInterferenceGraph &PIG;
   const UndirectedGraph &Interf;
   const UndirectedGraph &Par;
   UndirectedGraph Live;
   unsigned R;
   BitVector Present;
   BitVector Low;
+  BitVector Scratch;
   MinTree Victims;
   unsigned Remaining;
-  std::vector<unsigned> NumI, NumP, NumB;
-  std::vector<unsigned> RowStart, Rows, Cursor;
+  struct Counts {
+    unsigned I, P, B;
+  };
+  std::vector<Counts> Num;
+  std::vector<unsigned> Order, Rank;
+  BitVector RankedRow;
+  std::vector<unsigned> ExplicitStart;
+  std::vector<std::pair<double, unsigned>> Explicit;
 };
 
 } // namespace
@@ -302,8 +352,7 @@ Allocation pira::pinterColor(const ParallelInterferenceGraph &PIG,
     // parallel-only edge.
     unsigned Victim = Work.victim();
     if (Victim != ~0u) {
-      Work.dropCheapestParallelEdge(Victim);
-      ++Out.ParallelEdgesDropped;
+      Out.ParallelEdgesDropped += Work.dropCheapestParallelEdges(Victim);
       continue;
     }
 

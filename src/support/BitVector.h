@@ -165,6 +165,15 @@ public:
     }
   }
 
+  /// Calls \p Fn(Idx) for every set bit in ascending order, clearing one
+  /// bit of a word copy per step rather than re-seeking like findNext.
+  /// \p Fn must not modify this vector.
+  template <typename FnT> void forEachSetBit(FnT &&Fn) const {
+    for (size_t I = 0, E = Words.size(); I != E; ++I)
+      for (uint64_t Word = Words[I]; Word != 0; Word &= Word - 1)
+        Fn(static_cast<unsigned>(I * WordBits + __builtin_ctzll(Word)));
+  }
+
   bool operator==(const BitVector &RHS) const {
     return NumBits == RHS.NumBits && Words == RHS.Words;
   }

@@ -445,6 +445,66 @@ TEST(TournamentTest, ReportCarriesSchemaAndCorpusEcho) {
   EXPECT_EQ(Names->elements().front().asString(), "oracle");
 }
 
+namespace {
+
+/// One strategy's row of the tournament summary, as `pirac --tournament`
+/// prints it: optimal, suboptimal, spilled (functions), cycle+, spill+
+/// (spilled webs) and fdep+.
+struct AggregateRow {
+  const char *Strategy;
+  int64_t Optimal, Suboptimal, Spilled, CycleGap, SpillGap, FalseDepGap;
+};
+
+/// Runs the generated tournament corpus of \p Insts instructions per
+/// block (200 functions, seed 7, pirac's defaults) on \p M and requires
+/// its aggregate rows to equal \p Expected, in order.
+void expectAggregateRows(const MachineModel &M, unsigned Insts,
+                         const std::vector<AggregateRow> &Expected) {
+  TournamentOptions Opts;
+  std::vector<BatchItem> Corpus = makeTournamentCorpus(200, Insts, 7, Opts);
+  json::Value Report = runTournament(Corpus, M, Opts);
+  EXPECT_EQ(Report.find("oracle")->find("solved")->asInt(), 200);
+  const json::Value *Aggregate = Report.find("aggregate");
+  ASSERT_NE(Aggregate, nullptr);
+  ASSERT_EQ(Aggregate->size(), Expected.size());
+  for (size_t I = 0; I != Expected.size(); ++I) {
+    const json::Value &Row = Aggregate->elements()[I];
+    const AggregateRow &E = Expected[I];
+    ASSERT_EQ(Row.find("strategy")->asString(), E.Strategy);
+    EXPECT_EQ(Row.find("compared")->asInt(), 200) << E.Strategy;
+    EXPECT_EQ(Row.find("optimal")->asInt(), E.Optimal) << E.Strategy;
+    EXPECT_EQ(Row.find("suboptimal")->asInt(), E.Suboptimal) << E.Strategy;
+    EXPECT_EQ(Row.find("spilled")->asInt(), E.Spilled) << E.Strategy;
+    EXPECT_EQ(Row.find("beats_oracle")->asInt(), 0) << E.Strategy;
+    EXPECT_EQ(Row.find("cycle_gap")->asInt(), E.CycleGap) << E.Strategy;
+    EXPECT_EQ(Row.find("spill_gap")->asInt(), E.SpillGap) << E.Strategy;
+    EXPECT_EQ(Row.find("false_dep_gap")->asInt(), E.FalseDepGap)
+        << E.Strategy;
+  }
+}
+
+} // namespace
+
+// EXPERIMENTS.md S5's two tables. Each runs `combined` on 200 functions,
+// so they also pin the Section 4 allocator's decisions end to end.
+TEST(TournamentTest, PaperTwoUnitTableReproduces) {
+  expectAggregateRows(MachineModel::paperTwoUnit(), 12,
+                      {{"combined", 191, 9, 0, 9, 0, -192},
+                       {"goodman-hsu-ips", 114, 86, 0, 100, 0, 205},
+                       {"sched-first", 112, 88, 0, 102, 0, 206},
+                       {"alloc-first", 44, 156, 0, 260, 0, 205},
+                       {"spill-all", 0, 200, 200, 0, 2091, 0}});
+}
+
+TEST(TournamentTest, Rs6000TableReproduces) {
+  expectAggregateRows(MachineModel::rs6000(), 14,
+                      {{"combined", 190, 10, 0, 10, 0, -254},
+                       {"goodman-hsu-ips", 104, 96, 0, 120, 0, 249},
+                       {"sched-first", 104, 96, 0, 120, 0, 249},
+                       {"alloc-first", 26, 174, 0, 386, 0, 274},
+                       {"spill-all", 0, 200, 200, 0, 2466, 0}});
+}
+
 //===----------------------------------------------------------------------===//
 // Negative paths: blowups degrade down the ladder
 //===----------------------------------------------------------------------===//

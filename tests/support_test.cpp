@@ -78,6 +78,19 @@ TEST(BitVectorTest, FindFirstAndNextIterateAscending) {
   EXPECT_EQ(Seen, Expected);
 }
 
+TEST(BitVectorTest, ForEachSetBitVisitsAscending) {
+  BitVector V(200);
+  const std::vector<unsigned> Expected = {0, 3, 63, 64, 65, 127, 128, 199};
+  for (unsigned B : Expected)
+    V.set(B);
+  std::vector<unsigned> Seen;
+  V.forEachSetBit([&](unsigned I) { Seen.push_back(I); });
+  EXPECT_EQ(Seen, Expected);
+  Seen.clear();
+  BitVector(130).forEachSetBit([&](unsigned I) { Seen.push_back(I); });
+  EXPECT_TRUE(Seen.empty());
+}
+
 TEST(BitVectorTest, FindNextPastEndReturnsMinusOne) {
   BitVector V(64);
   V.set(63);

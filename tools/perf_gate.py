@@ -56,6 +56,10 @@ SCALING_GATES = [
      "BM_PinterColor/1024", "BM_PinterColor/256"),
     ("combined_scaling",
      "BM_CombinedPipeline/512", "BM_CombinedPipeline/128"),
+    ("combined_scaling_1024",
+     "BM_CombinedPipeline/1024", "BM_CombinedPipeline/256"),
+    ("pig_spilled_scaling",
+     "BM_PigConstructionSpilled/1024", "BM_PigConstructionSpilled/256"),
     ("depgraph_scaling",
      "BM_DependenceGraph/4096", "BM_DependenceGraph/1024"),
     ("depgraph_allocated_scaling",
@@ -69,12 +73,14 @@ SCALING_GATES = [
 # Hard ceilings on the fresh scaling ratios, the counterpart of
 # RATIO_FLOORS. Per 4x of block size a linear layer reads about 4, a
 # quadratic one about 16 and a cubic one about 64; each ceiling keeps at
-# least 25% headroom over the measured runs (EXPERIMENTS.md P1e, P1f).
+# least 25% headroom over the measured runs (EXPERIMENTS.md P1e–P1g).
 # Symbolic Gs cannot read 4: its memory edges grow quadratically with
 # the block (one 32-element array), and its adjacency matrix is N^2 bits.
 SCALING_CEILINGS = {
     "pinter_color_scaling": 24.0,
     "combined_scaling": 33.0,
+    "combined_scaling_1024": 17.0,
+    "pig_spilled_scaling": 16.5,
     "depgraph_scaling": 11.5,
     "depgraph_allocated_scaling": 8.5,
     "list_scheduler_allocated_scaling": 8.5,
