@@ -6,7 +6,8 @@
 // google-benchmark timings of the framework's building blocks against
 // block size: schedule-graph construction, transitive closure, false
 // dependence graph, PIG construction, the two coloring procedures, the
-// list scheduler, the EP pre-scheduler, and the full combined pipeline.
+// list scheduler, the EP pre-scheduler, the Theorem 1 false-dependence
+// check, and the full combined pipeline.
 // The layer benches sit beside the whole combined compile so a layer's
 // cost can be read as a share of it: at 512-instruction blocks the
 // closure is well under 1% of BM_CombinedPipeline, while the PIG build
@@ -18,14 +19,18 @@
 // stores of one spill array. That is the code the Theorem 1
 // false-dependence check and every phased strategy's final scheduling
 // see, and the shape on which a pairwise memory scan or a rescanning
-// scheduler grows quadratically. Likewise BM_PigConstructionSpilled
-// builds the PIG of block 0 after one combined color/spill round on
-// rs6000(12): the code, roughly three times the input, on which rounds
-// 2 and 3 of a combined compile rebuild the PIG. tools/perf_gate.py
-// gates how the time of the coloring, the combined pipeline (512/128
-// and 1024/256), the post-spill PIG build, the schedule graph (symbolic
-// and allocated), the allocated-code list scheduler and the
-// pre-scheduler grows with block size.
+// scheduler grows quadratically. BM_FalseDepCheck runs both entry points
+// of that check on the same compile's output and symbolic twin; it
+// builds two schedule graphs per block, so it is gated in units of
+// BM_DependenceGraphAllocated rather than against itself at 256.
+// Likewise BM_PigConstructionSpilled builds the PIG of block 0 after one
+// combined color/spill round on rs6000(12): the code, roughly three
+// times the input, on which rounds 2 and 3 of a combined compile rebuild
+// the PIG. tools/perf_gate.py gates how the time of the coloring, the
+// combined pipeline (512/128 and 1024/256), the post-spill PIG build,
+// the schedule graph (symbolic and allocated), the allocated-code list
+// scheduler and the pre-scheduler grows with block size, and the check's
+// time over one allocated-code schedule-graph build at 1024.
 //
 // A custom main wraps the console reporter so every run also lands in
 // BENCH_perf_algorithms.json ("pira.bench" schema) with the
@@ -38,6 +43,7 @@
 
 #include "analysis/DependenceGraph.h"
 #include "analysis/Webs.h"
+#include "core/FalseDepChecker.h"
 #include "core/FalseDependenceGraph.h"
 #include "core/ParallelInterferenceGraph.h"
 #include "core/PinterAllocator.h"
@@ -75,15 +81,14 @@ Function makeBlock(unsigned Instructions) {
   return generateRandomProgram(Opts);
 }
 
-/// makeBlock(Instructions) after alloc-first on rs6000(12): spill
+/// alloc-first on rs6000(12) of makeBlock(Instructions): spill
 /// everywhere adds a store after each spilled def and a load before each
-/// use, so block 0 grows to about three times the input, mostly memory
-/// ops on the one spill array.
-Function makeAllocatedBlock(unsigned Instructions) {
-  PipelineResult R = runStrategy(StrategyKind::AllocFirst,
-                                 makeBlock(Instructions),
-                                 MachineModel::rs6000(12));
-  return R.Final;
+/// use, so block 0 of Final grows to about three times the input, mostly
+/// memory ops on the one spill array. SymbolicTwin is the same code
+/// before register assignment.
+PipelineResult allocFirstBlock(unsigned Instructions) {
+  return runStrategy(StrategyKind::AllocFirst, makeBlock(Instructions),
+                     MachineModel::rs6000(12));
 }
 
 /// makeBlock(Instructions) after the first color/spill round of the
@@ -118,7 +123,7 @@ BENCHMARK(BM_DependenceGraph)
 void BM_DependenceGraphAllocated(benchmark::State &State) {
   // Spill-everywhere code, where most instructions are memory ops on one
   // array: the shape the Theorem 1 false-dependence check rebuilds Gs on.
-  Function F = makeAllocatedBlock(static_cast<unsigned>(State.range(0)));
+  Function F = allocFirstBlock(static_cast<unsigned>(State.range(0))).Final;
   MachineModel M = MachineModel::rs6000(12);
   for (auto _ : State) {
     DependenceGraph G(F, 0, M);
@@ -126,6 +131,20 @@ void BM_DependenceGraphAllocated(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_DependenceGraphAllocated)->Arg(256)->Arg(1024);
+
+void BM_FalseDepCheck(benchmark::State &State) {
+  // The Theorem 1 check as every compile ends with it: both entry points
+  // on the alloc-first output, against its symbolic twin.
+  PipelineResult R = allocFirstBlock(static_cast<unsigned>(State.range(0)));
+  MachineModel M = MachineModel::rs6000(12);
+  for (auto _ : State) {
+    benchmark::DoNotOptimize(
+        findFalseDependences(R.SymbolicTwin, R.Final, M).size());
+    benchmark::DoNotOptimize(
+        countAntiOrderingLosses(R.SymbolicTwin, R.Final, M));
+  }
+}
+BENCHMARK(BM_FalseDepCheck)->Arg(256)->Arg(1024);
 
 void BM_TransitiveClosure(benchmark::State &State) {
   // The production path: pre-closure DAG reduction (sink peel, component
@@ -161,12 +180,16 @@ BENCHMARK(BM_TransitiveClosureParallel)->Arg(1024)->Arg(4096)->UseRealTime();
 void BM_TransitiveClosureUnreduced(benchmark::State &State) {
   // Word-parallel Warshall straight over the adjacency matrix — the
   // pre-reduction production path, kept as the ratio denominator for the
-  // closure_reduction_speedup gate.
+  // closure_reduction_speedup gate. The matrix is built from edges() once;
+  // each iteration copies it and closes the copy.
   Function F = makeBlock(static_cast<unsigned>(State.range(0)));
   MachineModel M = MachineModel::rs6000(32);
   DependenceGraph G(F, 0, M);
+  BitMatrix Edges(G.size());
+  for (const DepEdge &E : G.edges())
+    Edges.set(E.From, E.To);
   for (auto _ : State) {
-    BitMatrix R = G.adjacency();
+    BitMatrix R = Edges;
     R.transitiveClosure();
     benchmark::DoNotOptimize(R.count());
   }
@@ -267,7 +290,7 @@ BENCHMARK(BM_ListScheduler)->Arg(32)->Arg(128)->Arg(512)->Arg(2048);
 void BM_ListSchedulerAllocated(benchmark::State &State) {
   // scheduleFunction on the final code of alloc-first, as every phased
   // strategy's last step runs it.
-  Function F = makeAllocatedBlock(static_cast<unsigned>(State.range(0)));
+  Function F = allocFirstBlock(static_cast<unsigned>(State.range(0))).Final;
   MachineModel M = MachineModel::rs6000(12);
   for (auto _ : State) {
     FunctionSchedule S = scheduleFunction(F, M);

@@ -46,7 +46,6 @@ const char *pira::depKindName(DepKind Kind) {
 }
 
 namespace {
-constexpr unsigned NoEdge = ~0u;
 constexpr unsigned NoNode = ~0u;
 } // namespace
 
@@ -54,24 +53,21 @@ void DependenceGraph::addEdge(unsigned From, unsigned To, DepKind Kind,
                               unsigned Latency) {
   assert(From < NumNodes && To < NumNodes && From < To &&
          "bad dependence edge; node order must stay topological");
-  if (Adjacent.test(From, To)) {
-    // Keep the strongest (largest latency) constraint for duplicates. The
-    // per-From chain makes this a walk over From's edges only.
-    for (unsigned EI = FirstFrom[From]; EI != NoEdge; EI = NextFrom[EI]) {
-      DepEdge &E = Edges[EI];
-      if (E.To == To) {
-        if (E.Latency < Latency)
-          E.Latency = Latency;
-        return;
-      }
-    }
-    assert(false && "adjacency bit set without a matching edge");
+  // Every edge into To is added in one contiguous run: during To's own
+  // iteration and, for the terminator, by the control-edge loop right
+  // after it. So a duplicate (From, To) is always the last edge From
+  // added. The first kind wins; the strongest (largest latency)
+  // constraint is kept.
+  assert((Edges.empty() || Edges.back().To <= To) &&
+         "edges into one node must be added in one run");
+  if (LastTo[From] == To) {
+    DepEdge &E = Edges[LastEdge[From]];
+    if (E.Latency < Latency)
+      E.Latency = Latency;
     return;
   }
-  Adjacent.set(From, To);
-  unsigned EI = static_cast<unsigned>(Edges.size());
-  NextFrom.push_back(FirstFrom[From]);
-  FirstFrom[From] = EI;
+  LastTo[From] = To;
+  LastEdge[From] = static_cast<unsigned>(Edges.size());
   Edges.push_back({From, To, Kind, Latency});
 }
 
@@ -103,8 +99,8 @@ void DependenceGraph::buildCsr() {
   SuccIdx = SIdx;
   PredOff = POff;
   PredIdx = PIdx;
-  FirstFrom = {};
-  NextFrom = {};
+  LastTo = {};
+  LastEdge = {};
 }
 
 /// Returns the index register of memory instruction \p I, or NoReg for a
@@ -258,8 +254,8 @@ DependenceGraph::DependenceGraph(const Function &F, unsigned BlockIdx,
                                  const MachineModel &Machine) {
   const BasicBlock &BB = F.block(BlockIdx);
   NumNodes = BB.size();
-  FirstFrom.assign(NumNodes, NoEdge);
-  Adjacent = BitMatrix(NumNodes);
+  LastTo.assign(NumNodes, NoNode);
+  LastEdge.assign(NumNodes, 0);
 
   // LastDef[R] / readers since that def, for register dependences. These
   // track *positions*, so the same construction serves symbolic code (no
@@ -389,6 +385,13 @@ BitMatrix DependenceGraph::reachability(ThreadPool *Pool) const {
   NumClosureEdgesStripped += RS.StrippedEdges;
   NumClosureSinksPeeled += RS.PeeledSink ? 1 : 0;
   return M;
+}
+
+bool DependenceGraph::hasEdge(unsigned From, unsigned To) const {
+  for (unsigned EI : succEdges(From))
+    if (Edges[EI].To == To)
+      return true;
+  return false;
 }
 
 bool DependenceGraph::hasPath(unsigned From, unsigned To) const {

@@ -16,11 +16,12 @@
 ///
 /// Every edge satisfies From < To: dependences always point from an earlier
 /// instruction to a later one, so node order is a topological order. The
-/// reduction pipeline behind reachability() relies on this invariant.
+/// reduction pipeline behind reachability() and the Theorem 1 check's
+/// bounded backward walks rely on this invariant.
 ///
 /// Adjacency is stored in CSR form (flat offset/index arrays in an arena,
 /// returned as spans): one contiguous allocation instead of one vector per
-/// node, built once after construction.
+/// node, built once after construction. Nothing of size N^2 is kept.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -107,21 +108,17 @@ public:
     return {PredIdx + PredOff[Node], PredOff[Node + 1] - PredOff[Node]};
   }
 
-  /// Returns true when an edge (\p From, \p To) of any kind exists.
-  bool hasEdge(unsigned From, unsigned To) const {
-    return Adjacent.test(From, To);
-  }
-
-  /// Returns the direct-edge adjacency matrix (no closure).
-  const BitMatrix &adjacency() const { return Adjacent; }
+  /// Returns true when an edge (\p From, \p To) of any kind exists. A
+  /// scan of \p From's edges.
+  bool hasEdge(unsigned From, unsigned To) const;
 
   /// Returns directed reachability (the transitive closure of the edge
   /// relation). Entry (u, v) is set iff a nonempty path u -> v exists.
   ///
   /// Computed through the pre-closure DAG reduction (component split,
-  /// chain collapse, transitive-edge strip); bit-identical to closing the
-  /// adjacency matrix directly. \p Pool, when non-null, closes independent
-  /// components in parallel with no effect on the result.
+  /// chain collapse, transitive-edge strip); bit-identical to closing a
+  /// matrix of edges() directly. \p Pool, when non-null, closes
+  /// independent components in parallel with no effect on the result.
   BitMatrix reachability(ThreadPool *Pool = nullptr) const;
 
   /// Returns true when a nonempty directed path \p From -> \p To exists.
@@ -136,7 +133,6 @@ private:
 
   unsigned NumNodes = 0;
   std::vector<DepEdge> Edges;
-  BitMatrix Adjacent;
 
   /// CSR adjacency over edge indices, arena-backed.
   Arena Storage;
@@ -145,10 +141,10 @@ private:
   const unsigned *PredOff = nullptr;
   const unsigned *PredIdx = nullptr;
 
-  /// Construction-only intrusive per-From edge chains for duplicate
-  /// detection (freed by buildCsr).
-  std::vector<unsigned> FirstFrom;
-  std::vector<unsigned> NextFrom;
+  /// Construction-only duplicate detection (freed by buildCsr): the
+  /// target and the index of the last edge each node added.
+  std::vector<unsigned> LastTo;
+  std::vector<unsigned> LastEdge;
 };
 
 } // namespace pira

@@ -165,6 +165,140 @@ TEST(DependenceGraphTest, LoadsCommute) {
   EXPECT_FALSE(G.hasEdge(1, 2));
 }
 
+//===----------------------------------------------------------------------===//
+// DependenceGraph: one edge per (From, To). The first kind wins and the
+// largest latency is kept. The Theorem 1 check's kind filter rests on it.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// An allocated one-block function over registers r0..r3, with array a.
+Function allocatedBlock() {
+  Function F("t");
+  F.setNumRegs(4);
+  F.setAllocated(true);
+  F.addBlock("e");
+  F.declareArray("a", 4);
+  return F;
+}
+
+Instruction memoryOp(Opcode Op, Reg Def, UseList Uses,
+                     int64_t Offset) {
+  Instruction I(Op, Def, std::move(Uses), Offset);
+  I.setArraySymbol("a");
+  return I;
+}
+
+/// Returns the edges of \p G from \p From to \p To.
+std::vector<DepEdge> edgesBetween(const DependenceGraph &G, unsigned From,
+                                  unsigned To) {
+  std::vector<DepEdge> Found;
+  for (const DepEdge &E : G.edges())
+    if (E.From == From && E.To == To)
+      Found.push_back(E);
+  return Found;
+}
+
+} // namespace
+
+TEST(DependenceGraphTest, FlowBeatsOutput) {
+  // r0 = li 1; r1 = li 2; r1 = r1 + r0 — instruction 2 reads and rewrites
+  // r1, so the flow edge (1, 2) comes first and the output edge merges in.
+  Function F = allocatedBlock();
+  F.block(0).append(Instruction(Opcode::LoadImm, 0, {}, 1));
+  F.block(0).append(Instruction(Opcode::LoadImm, 1, {}, 2));
+  F.block(0).append(Instruction(Opcode::Add, 1, {1, 0}));
+  F.block(0).append(Instruction(Opcode::Ret, NoReg, {1}));
+  MachineModel M = MachineModel::rs6000();
+  DependenceGraph G(F, 0, M);
+  std::vector<DepEdge> Found = edgesBetween(G, 1, 2);
+  ASSERT_EQ(Found.size(), 1u);
+  EXPECT_EQ(Found[0].Kind, DepKind::Flow);
+  EXPECT_EQ(Found[0].Latency, M.latency(Opcode::LoadImm));
+  EXPECT_EQ(G.predEdges(2).size(), 2u);
+}
+
+TEST(DependenceGraphTest, FlowBeatsAnti) {
+  // r0 = li 1; r2 = li 3; r3 = r2 + r0; r2 = r3 * r0 — instruction 3
+  // rewrites r2, which instruction 2 read, and reads r3, which it wrote.
+  Function F = allocatedBlock();
+  F.block(0).append(Instruction(Opcode::LoadImm, 0, {}, 1));
+  F.block(0).append(Instruction(Opcode::LoadImm, 2, {}, 3));
+  F.block(0).append(Instruction(Opcode::Add, 3, {2, 0}));
+  F.block(0).append(Instruction(Opcode::Mul, 2, {3, 0}));
+  F.block(0).append(Instruction(Opcode::Ret, NoReg, {2}));
+  MachineModel M = MachineModel::rs6000();
+  DependenceGraph G(F, 0, M);
+  std::vector<DepEdge> Found = edgesBetween(G, 2, 3);
+  ASSERT_EQ(Found.size(), 1u);
+  EXPECT_EQ(Found[0].Kind, DepKind::Flow);
+  EXPECT_EQ(Found[0].Latency, M.latency(Opcode::Add));
+  EXPECT_TRUE(hasEdgeOfKind(G, 1, 3, DepKind::Output));
+  for (const DepEdge &E : G.edges())
+    EXPECT_NE(E.Kind, DepKind::Anti) << E.From << " -> " << E.To;
+}
+
+TEST(DependenceGraphTest, MemoryDuplicateKeepsRegisterKind) {
+  // r1 = li 7; a[0] = r1; r1 = a[0]; a[1] = r1. The load rewrites the r1
+  // the first store read: an anti edge, whose zero latency the memory
+  // edge on the same pair raises to the store's. The second store reads
+  // the loaded r1: a flow edge, which its equal-latency memory twin
+  // leaves alone.
+  Function F = allocatedBlock();
+  F.block(0).append(Instruction(Opcode::LoadImm, 1, {}, 7));
+  F.block(0).append(memoryOp(Opcode::Store, NoReg, {1}, 0));
+  F.block(0).append(memoryOp(Opcode::Load, 1, {}, 0));
+  F.block(0).append(memoryOp(Opcode::Store, NoReg, {1}, 0));
+  F.block(0).append(Instruction(Opcode::Ret, NoReg, {}));
+  MachineModel M = MachineModel::rs6000();
+  M.setLatency(Opcode::Store, 3);
+  DependenceGraph G(F, 0, M);
+
+  std::vector<DepEdge> Anti = edgesBetween(G, 1, 2);
+  ASSERT_EQ(Anti.size(), 1u);
+  EXPECT_EQ(Anti[0].Kind, DepKind::Anti);
+  EXPECT_EQ(Anti[0].Latency, 3u);
+
+  std::vector<DepEdge> Flow = edgesBetween(G, 2, 3);
+  ASSERT_EQ(Flow.size(), 1u);
+  EXPECT_EQ(Flow[0].Kind, DepKind::Flow);
+  EXPECT_EQ(Flow[0].Latency, M.latency(Opcode::Load));
+
+  // The two stores to a[0] keep their plain memory edge.
+  std::vector<DepEdge> Stores = edgesBetween(G, 1, 3);
+  ASSERT_EQ(Stores.size(), 1u);
+  EXPECT_EQ(Stores[0].Kind, DepKind::Memory);
+  EXPECT_EQ(Stores[0].Latency, 3u);
+}
+
+TEST(DependenceGraphTest, ControlEdgesDedupeAgainstTerminatorFlow) {
+  // ret r2: its flow edge from the add comes first, and the control
+  // edges then add only the instructions that have no edge to it yet.
+  Function F = allocatedBlock();
+  F.block(0).append(Instruction(Opcode::LoadImm, 0, {}, 1));
+  F.block(0).append(Instruction(Opcode::LoadImm, 1, {}, 2));
+  F.block(0).append(Instruction(Opcode::Add, 2, {0, 1}));
+  F.block(0).append(Instruction(Opcode::Mul, 3, {0, 1}));
+  F.block(0).append(Instruction(Opcode::Ret, NoReg, {2}));
+  MachineModel M = MachineModel::rs6000();
+  DependenceGraph G(F, 0, M);
+  unsigned Term = F.block(0).size() - 1;
+  ASSERT_TRUE(F.block(0).inst(Term).isTerminator());
+  ASSERT_EQ(G.predEdges(Term).size(), Term);
+  for (unsigned I = 0; I != Term; ++I) {
+    std::vector<DepEdge> Found = edgesBetween(G, I, Term);
+    ASSERT_EQ(Found.size(), 1u) << "inst " << I;
+    bool ReadByBranch = I == 2;
+    EXPECT_EQ(Found[0].Kind, ReadByBranch ? DepKind::Flow : DepKind::Control)
+        << "inst " << I;
+    EXPECT_EQ(Found[0].Latency,
+              ReadByBranch ? M.latency(F.block(0).inst(I).opcode()) : 0u)
+        << "inst " << I;
+  }
+  EXPECT_TRUE(G.hasEdge(3, Term));
+  EXPECT_FALSE(G.hasEdge(3, 2));
+}
+
 TEST(DependenceGraphTest, EverythingPrecedesTerminator) {
   Function F = paperExample2();
   DependenceGraph G(F, 0, MachineModel::paperTwoUnit());

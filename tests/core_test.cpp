@@ -520,24 +520,37 @@ TEST(FalseDepCheckerTest, DetectsForcedOutputFalseDep) {
 }
 
 TEST(FalseDepCheckerTest, ConstrainedReuseIsNotFalse) {
-  // s3 and s4 are both fixed-point ops (single unit): they can never
-  // co-issue, so s4 reusing a register read by s3 is harmless.
+  // Two reuses, each cleared by a different half of Et:
+  //  - s5 takes s2's register. The output edge s2 -> s5 is constrained
+  //    by the path s2 -> s3 -> s5.
+  //  - s6 takes s1's register. The output edge s1 -> s6 joins two loads
+  //    with no path between them, so it is constrained only while the
+  //    machine has one memory unit. Its anti edges s3 -> s6 and s4 -> s6
+  //    join co-issuable pairs.
   Function Symbolic = paperExample2();
   Function F = Symbolic;
   Webs W(F);
   Allocation A;
   A.ColorOfWeb.assign(W.numWebs(), -1);
-  // Give s4 the register of s2 (read by s3): output dep s2->s4? No —
-  // s2's def is a load; s4 redefines its register. {s2,s4}: load vs mul
-  // could co-issue... choose s4 reusing s3's... simplest: the identity
-  // mapping with 9 registers has no reuse at all.
+  int Colors[9] = {0, 1, 2, 3, 1, 0, 6, 7, 8};
   for (unsigned I = 0; I != 9; ++I)
-    A.ColorOfWeb[W.webOfDef(0, I)] = static_cast<int>(I);
+    A.ColorOfWeb[W.webOfDef(0, I)] = Colors[I];
   A.NumColorsUsed = 9;
   applyAllocation(F, W, A);
-  EXPECT_TRUE(findFalseDependences(Symbolic, F,
-                                   MachineModel::paperTwoUnit())
-                  .empty());
+
+  MachineModel OneMemoryUnit = MachineModel::paperTwoUnit();
+  EXPECT_TRUE(findFalseDependences(Symbolic, F, OneMemoryUnit).empty());
+  EXPECT_EQ(countAntiOrderingLosses(Symbolic, F, OneMemoryUnit), 2u);
+
+  auto False = findFalseDependences(Symbolic, F, MachineModel::vliw4());
+  ASSERT_EQ(False.size(), 1u) << "two memory units let the loads co-issue";
+  EXPECT_EQ(False[0].From, 0u);
+  EXPECT_EQ(False[0].To, 5u);
+  EXPECT_EQ(False[0].Kind, DepKind::Output);
+
+  MachineModel SingleIssue = MachineModel::scalar();
+  EXPECT_TRUE(findFalseDependences(Symbolic, F, SingleIssue).empty());
+  EXPECT_EQ(countAntiOrderingLosses(Symbolic, F, SingleIssue), 0u);
 }
 
 TEST(FalseDepCheckerTest, AntiOrderingLossesCounted) {

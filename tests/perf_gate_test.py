@@ -4,10 +4,10 @@
 Usage: perf_gate_test.py PATH/TO/perf_gate.py
 
 Cases by exit code: a fresh report equal to the baseline passes (0); a
-scaling ratio over its hard ceiling fails (1) even though it is within
-the threshold of the baseline's, once for BM_PinterColor and once for
-each schedule-layer and PIG-layer gate; a report missing a scaling row
-is unusable (2).
+scaling or layer ratio over its hard ceiling fails (1) even though it is
+within the threshold of the baseline's, once for BM_PinterColor and once
+for each schedule-layer, PIG-layer and Theorem 1 check gate; a report
+missing a gated row is unusable (2).
 """
 
 import json
@@ -42,12 +42,14 @@ BASE_TIMES = {
     "BM_ListSchedulerAllocated/1024": 2520000.0,
     "BM_PreSchedule/256": 1200000.0,
     "BM_PreSchedule/1024": 20400000.0,
+    "BM_FalseDepCheck/1024": 13500000.0,
 }
 
-# One fresh ratio per schedule-layer and PIG-layer scaling gate, over the
+# One fresh ratio per schedule-layer, PIG-layer and check gate, over the
 # gate's hard ceiling but within the threshold of the baseline ratio
-# above (9.6, 7.2, 7.2, 17, 14 and 14, whose limits are 12, 9, 9, 21.25,
-# 17.5 and 17.5): (gate label, larger bench, smaller bench, fresh ratio).
+# above (9.6, 7.2, 7.2, 17, 14, 14 and 15, whose limits are 12, 9, 9,
+# 21.25, 17.5, 17.5 and 18.75): (gate label, numerator bench,
+# denominator bench, fresh ratio).
 OVER_CEILING = [
     ("depgraph_scaling",
      "BM_DependenceGraph/4096", "BM_DependenceGraph/1024", 11.8),
@@ -63,6 +65,9 @@ OVER_CEILING = [
     ("pig_spilled_scaling",
      "BM_PigConstructionSpilled/1024", "BM_PigConstructionSpilled/256",
      16.8),
+    ("false_dep_check_over_depgraph",
+     "BM_FalseDepCheck/1024", "BM_DependenceGraphAllocated/1024",
+     18.4),
 ]
 
 
@@ -117,7 +122,9 @@ def main():
         for label, num in (("combined_scaling", "BM_CombinedPipeline/512"),
                            ("preschedule_scaling", "BM_PreSchedule/1024"),
                            ("pig_spilled_scaling",
-                            "BM_PigConstructionSpilled/256")):
+                            "BM_PigConstructionSpilled/256"),
+                           ("false_dep_check_over_depgraph",
+                            "BM_FalseDepCheck/1024")):
             missing = dict(BASE_TIMES)
             del missing[num]
             code, out = run_gate(gate, tmp, missing)
@@ -129,7 +136,7 @@ def main():
         print("FAIL: " + f, file=sys.stderr)
     if not failures:
         print("perf_gate_test: %d cases pass"
-              % (5 + len(OVER_CEILING)))
+              % (6 + len(OVER_CEILING)))
     return 1 if failures else 0
 
 

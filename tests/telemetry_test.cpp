@@ -440,6 +440,52 @@ TEST_F(TelemetryTest, StatsReportRoundTripsThroughParser) {
   EXPECT_TRUE(SawList);
 }
 
+TEST_F(TelemetryTest, OnlyStrategiesThatBuildAPigChargePigTelemetry) {
+  // The Theorem 1 check ends every compile but builds no false-dependence
+  // graph and no closure, so a strategy with no PIG records none of their
+  // timers or counters.
+  const char *PigCounters[] = {
+      "NumFdgParallelPairs",     "NumFdgMachineConstraintPairs",
+      "NumClosureComponents",    "NumClosureChainsCollapsed",
+      "NumClosureEdgesStripped", "NumClosureSinksPeeled"};
+  auto counterValue = [](const std::string &Name) -> uint64_t {
+    for (const telemetry::Counter *C : telemetry::counters())
+      if (C->name() == Name)
+        return C->value();
+    ADD_FAILURE() << "no counter " << Name;
+    return 0;
+  };
+  Function F = dotProduct(4);
+  MachineModel M = MachineModel::rs6000(8);
+  for (StrategyKind Kind : {StrategyKind::AllocFirst, StrategyKind::SchedFirst,
+                            StrategyKind::IntegratedPrepass}) {
+    telemetry::reset();
+    PipelineResult R = runAndMeasure(Kind, F, M);
+    ASSERT_TRUE(R.Success) << strategyName(Kind) << ": " << R.Error;
+    bool SawCheck = false;
+    for (const telemetry::TimerAggregate &T : telemetry::timerAggregates()) {
+      EXPECT_EQ(T.Path.find("pig/"), std::string::npos)
+          << strategyName(Kind) << ": " << T.Path;
+      SawCheck |= T.Path.find("analysis/falsedeps") != std::string::npos;
+    }
+    EXPECT_TRUE(SawCheck) << strategyName(Kind);
+    for (const char *Name : PigCounters)
+      EXPECT_EQ(counterValue(Name), 0u) << strategyName(Kind) << " " << Name;
+  }
+
+  telemetry::reset();
+  PipelineResult R = runAndMeasure(StrategyKind::Combined, F, M);
+  ASSERT_TRUE(R.Success) << R.Error;
+  bool SawPigClosure = false;
+  for (const telemetry::TimerAggregate &T : telemetry::timerAggregates()) {
+    size_t Pinter = T.Path.find("alloc/pinter");
+    SawPigClosure |= Pinter != std::string::npos &&
+                     T.Path.find("pig/closure", Pinter) != std::string::npos;
+  }
+  EXPECT_TRUE(SawPigClosure);
+  EXPECT_GT(counterValue("NumFdgParallelPairs"), 0u);
+}
+
 TEST_F(TelemetryTest, PipelineFailureReasonsAreNeverSilent) {
   // A function whose only block loops forever: the reference interpreter
   // cannot complete, so runAndMeasure must fail with a populated error.

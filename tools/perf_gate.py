@@ -15,6 +15,12 @@ time at a smaller one. Lower is better: the ratio exposes the growth
 order of a layer (4x the size at quadratic cost reads 16), so an
 accidentally cubic coloring or pipeline fails them on any host.
 
+Layer gates divide one layer's time by another's on the same input.
+Lower is better too: the Theorem 1 check builds two schedule graphs per
+block, so timing it in schedule-graph builds separates a check that
+does no N^2 work from one that closes the graph, which a size ratio
+cannot (both are bounded by their Gs builds).
+
 Absolute wall-clock gates (--absolute) are also available for
 same-machine comparisons, e.g. a developer re-running the suite before
 and after a change on one box.
@@ -50,7 +56,7 @@ RATIO_FLOORS = {
 
 # (label, larger-size benchmark, smaller-size benchmark). Lower is
 # better: the fresh ratio must stay within the threshold above the
-# baseline's and under its hard ceiling in SCALING_CEILINGS.
+# baseline's and under its hard ceiling in CEILINGS.
 SCALING_GATES = [
     ("pinter_color_scaling",
      "BM_PinterColor/1024", "BM_PinterColor/256"),
@@ -70,13 +76,20 @@ SCALING_GATES = [
      "BM_PreSchedule/1024", "BM_PreSchedule/256"),
 ]
 
-# Hard ceilings on the fresh scaling ratios, the counterpart of
+# (label, layer benchmark, schedule-graph benchmark on the same code).
+# Lower is better, gated like the scaling gates.
+LAYER_GATES = [
+    ("false_dep_check_over_depgraph",
+     "BM_FalseDepCheck/1024", "BM_DependenceGraphAllocated/1024"),
+]
+
+# Hard ceilings on the fresh scaling and layer ratios, the counterpart of
 # RATIO_FLOORS. Per 4x of block size a linear layer reads about 4, a
 # quadratic one about 16 and a cubic one about 64; each ceiling keeps at
-# least 25% headroom over the measured runs (EXPERIMENTS.md P1e–P1g).
+# least 25% headroom over the measured runs (EXPERIMENTS.md P1e–P1h).
 # Symbolic Gs cannot read 4: its memory edges grow quadratically with
-# the block (one 32-element array), and its adjacency matrix is N^2 bits.
-SCALING_CEILINGS = {
+# the block (one 32-element array).
+CEILINGS = {
     "pinter_color_scaling": 24.0,
     "combined_scaling": 33.0,
     "combined_scaling_1024": 17.0,
@@ -85,6 +98,7 @@ SCALING_CEILINGS = {
     "depgraph_allocated_scaling": 8.5,
     "list_scheduler_allocated_scaling": 8.5,
     "preschedule_scaling": 20.0,
+    "false_dep_check_over_depgraph": 18.0,
 }
 
 
@@ -191,9 +205,9 @@ def main():
         record(label, base_ratio, fresh_ratio, floor,
                fresh_ratio >= floor)
 
-    for label, num, den in SCALING_GATES:
+    for label, num, den in SCALING_GATES + LAYER_GATES:
         base_ratio, fresh_ratio = ratios(label, num, den)
-        ceil = min(base_ratio * (1.0 + slack), SCALING_CEILINGS[label])
+        ceil = min(base_ratio * (1.0 + slack), CEILINGS[label])
         record(label, base_ratio, fresh_ratio, ceil, fresh_ratio <= ceil)
 
     if args.absolute:
