@@ -6,8 +6,8 @@
 // google-benchmark timings of the framework's building blocks against
 // block size: schedule-graph construction, transitive closure, false
 // dependence graph, PIG construction, the two coloring procedures, the
-// list scheduler, the EP pre-scheduler, the Theorem 1 false-dependence
-// check, and the full combined pipeline.
+// list scheduler, the EP pre-scheduler, the Goodman-Hsu IPS prepass, the
+// Theorem 1 false-dependence check, and the full combined pipeline.
 // The layer benches sit beside the whole combined compile so a layer's
 // cost can be read as a share of it: at 512-instruction blocks the
 // closure is well under 1% of BM_CombinedPipeline, while the PIG build
@@ -26,11 +26,17 @@
 // Likewise BM_PigConstructionSpilled builds the PIG of block 0 after one
 // combined color/spill round on rs6000(12): the code, roughly three
 // times the input, on which rounds 2 and 3 of a combined compile rebuild
-// the PIG. tools/perf_gate.py gates how the time of the coloring, the
-// combined pipeline (512/128 and 1024/256), the post-spill PIG build,
-// the schedule graph (symbolic and allocated), the allocated-code list
-// scheduler and the pre-scheduler grows with block size, and the check's
-// time over one allocated-code schedule-graph build at 1024.
+// the PIG. tools/perf_gate.py gates how the time of the Section 4
+// coloring, the combined pipeline (512/128 and 1024/256), the post-spill
+// PIG build, the schedule graph (symbolic and allocated), the
+// allocated-code list scheduler, the pre-scheduler and the IPS prepass
+// grows with block size. Two layer gates divide one layer by another on
+// the same input at 1024: the check's time by one allocated-code
+// schedule-graph build, and Chaitin's coloring by Section 4's. Both
+// colorings run one engine on the same block at r = 16, and Chaitin's is
+// Section 4 without the parallel family, so it does a subset of the
+// work; a size ratio of Chaitin's alone would not tell a rescanning form
+// from the engine, because round 1's dense graphs make both quadratic.
 //
 // A custom main wraps the console reporter so every run also lands in
 // BENCH_perf_algorithms.json ("pira.bench" schema) with the
@@ -56,6 +62,7 @@
 #include "regalloc/InterferenceGraph.h"
 #include "regalloc/SpillCost.h"
 #include "regalloc/SpillInserter.h"
+#include "sched/IntegratedPrepass.h"
 #include "sched/ListScheduler.h"
 #include "sched/PreScheduler.h"
 #include "support/ThreadPool.h"
@@ -260,7 +267,8 @@ void BM_ChaitinColor(benchmark::State &State) {
     benchmark::DoNotOptimize(A.NumColorsUsed);
   }
 }
-BENCHMARK(BM_ChaitinColor)->Arg(32)->Arg(128)->Arg(512);
+BENCHMARK(BM_ChaitinColor)
+    ->Arg(32)->Arg(128)->Arg(256)->Arg(512)->Arg(1024);
 
 void BM_PinterColor(benchmark::State &State) {
   Function F = makeBlock(static_cast<unsigned>(State.range(0)));
@@ -310,6 +318,20 @@ void BM_PreSchedule(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_PreSchedule)->Arg(256)->Arg(1024);
+
+void BM_Ips(benchmark::State &State) {
+  // The Goodman-Hsu prepass of the symbolic input, as goodman-hsu-ips
+  // runs it, on a fresh copy each iteration (the copy is timed too; it is
+  // a small share).
+  Function Input = makeBlock(static_cast<unsigned>(State.range(0)));
+  MachineModel M = MachineModel::rs6000(12);
+  for (auto _ : State) {
+    Function F = Input;
+    IpsStats S = integratedPrepassSchedule(F, M, M.numPhysRegs());
+    benchmark::DoNotOptimize(S.CsrDecisions);
+  }
+}
+BENCHMARK(BM_Ips)->Arg(256)->Arg(1024);
 
 void BM_CombinedPipeline(benchmark::State &State) {
   Function F = makeBlock(static_cast<unsigned>(State.range(0)));

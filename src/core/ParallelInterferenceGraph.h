@@ -24,6 +24,7 @@
 #ifndef PIRA_CORE_PARALLELINTERFERENCEGRAPH_H
 #define PIRA_CORE_PARALLELINTERFERENCEGRAPH_H
 
+#include "regalloc/ColoringEngine.h"
 #include "support/UndirectedGraph.h"
 
 #include <vector>
@@ -36,14 +37,6 @@ class MachineModel;
 class ThreadPool;
 class Webs;
 
-/// One parallel edge {A, B} (A < B) of the PIG with its scheduling
-/// benefit.
-struct ParallelEdge {
-  unsigned A;
-  unsigned B;
-  double Benefit;
-};
-
 /// The PIG over webs, keeping the two edge families separate so the
 /// Section-4 heuristics can weigh them differently (Lemmas 2 and 3).
 ///
@@ -55,7 +48,7 @@ struct ParallelEdge {
 class ParallelInterferenceGraph {
 public:
   /// defHeight() of a web with several defining instructions, or none.
-  static constexpr unsigned NoHeight = ~0u;
+  static constexpr unsigned NoHeight = ParallelFamily::NoHeight;
 
   /// Builds the PIG of \p F. \p IG must be the interference graph of the
   /// same function/web partition. When \p UseRegions is true, parallel
@@ -90,6 +83,9 @@ public:
   /// Critical-path height, in its block's schedule graph, of \p Web's
   /// only defining instruction; NoHeight for any other web.
   unsigned defHeight(unsigned Web) const { return DefHeight[Web]; }
+
+  /// defHeight() of every web, indexed by web.
+  const std::vector<unsigned> &defHeights() const { return DefHeight; }
 
   /// The parallel edges whose benefit is not the defHeight() sum of their
   /// ends, sorted by (A, B), each carrying the largest benefit any

@@ -86,9 +86,12 @@ struct PinterStats {
   unsigned HoistedInstructions = 0;
 };
 
-/// One round of the Section 4 coloring procedure on a PIG. Infinite-cost
-/// vertices are never spilled. Dropped-edge count is reported in the
-/// returned Allocation::ParallelEdgesDropped.
+/// One round of the Section 4 coloring procedure on a PIG, run by the
+/// coloring engine (regalloc/ColoringEngine.h). A vertex of infinite cost
+/// is spilled only once every surviving vertex's cost is infinite; their
+/// h* values then tie, and the lowest index goes first. \p NumRegs must
+/// be at least 1. Dropped-edge count is reported in the returned
+/// Allocation::ParallelEdgesDropped.
 Allocation pinterColor(const ParallelInterferenceGraph &PIG,
                        const std::vector<double> &Costs, unsigned NumRegs,
                        const PinterOptions &Opts = {});

@@ -121,8 +121,10 @@ std::optional<MachineModel> pira::parseMachineModel(std::string_view Text,
           Width == 0)
         return Fail("expected 'width <positive integer>'");
     } else if (Directive == "regs") {
-      if (Words.size() != 2 || !parseUnsigned(Words[1], Regs))
-        return Fail("expected 'regs <integer>'");
+      // A register file of 0 can hold no value: every allocator would
+      // spill forever, and IPS asserts a positive limit.
+      if (Words.size() != 2 || !parseUnsigned(Words[1], Regs) || Regs == 0)
+        return Fail("expected 'regs <positive integer>'");
     } else if (Directive == "units") {
       for (size_t I = 1; I != Words.size(); ++I) {
         KeyValue KV;

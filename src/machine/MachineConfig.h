@@ -19,7 +19,8 @@
 ///
 /// Lines may appear in any order after `machine`; omitted unit classes
 /// default to one unit, omitted latencies to the opcode defaults, and
-/// '#' starts a comment.
+/// '#' starts a comment. Widths, register counts, unit counts and
+/// latencies must be positive.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -9,6 +9,7 @@
 
 #include "analysis/Webs.h"
 #include "ir/Function.h"
+#include "regalloc/ColoringEngine.h"
 #include "regalloc/InterferenceGraph.h"
 #include "regalloc/SpillCost.h"
 #include "regalloc/SpillInserter.h"
@@ -16,7 +17,7 @@
 #include "support/ThreadPool.h"
 #include "support/UndirectedGraph.h"
 
-#include <cassert>
+#include <algorithm>
 #include <limits>
 #include <set>
 
@@ -28,113 +29,15 @@ PIRA_STAT(NumChaitinSpilledWebs, "Webs the Chaitin allocator sent to memory");
 Allocation pira::chaitinColor(const UndirectedGraph &G,
                               const std::vector<double> &Costs,
                               unsigned NumRegs) {
-  unsigned N = G.numVertices();
-  assert(Costs.size() == N && "cost vector size mismatch");
-  Allocation Out;
-  Out.ColorOfWeb.assign(N, -1);
-
-  UndirectedGraph Work = G;
-  std::vector<bool> Removed(N, false);
-  std::vector<unsigned> Stack;
-  unsigned Remaining = N;
-
-  auto RemoveVertex = [&](unsigned V) {
-    for (unsigned Neigh : Work.neighborList(V))
-      Work.removeEdge(V, Neigh);
-    Removed[V] = true;
-    --Remaining;
-  };
-
-  while (Remaining != 0) {
-    // Simplify: peel vertices with degree below the register budget.
-    bool Progress = true;
-    while (Progress) {
-      Progress = false;
-      for (unsigned V = 0; V != N; ++V) {
-        if (Removed[V] || Work.degree(V) >= NumRegs)
-          continue;
-        Stack.push_back(V);
-        RemoveVertex(V);
-        Progress = true;
-      }
-    }
-    if (Remaining == 0)
-      break;
-
-    // Stuck: every survivor has degree >= r. Place the cheapest
-    // cost/degree vertex on the spill list (the paper's h function).
-    unsigned Victim = ~0u;
-    double BestH = std::numeric_limits<double>::infinity();
-    for (unsigned V = 0; V != N; ++V) {
-      if (Removed[V])
-        continue;
-      double H = Costs[V] / static_cast<double>(Work.degree(V));
-      // The first survivor seeds the choice so a round of all-infinite
-      // costs still makes progress.
-      if (Victim == ~0u || H < BestH) {
-        BestH = H;
-        Victim = V;
-      }
-    }
-    assert(Victim != ~0u && "no spill candidate among survivors");
-    Out.SpilledWebs.push_back(Victim);
-    RemoveVertex(Victim);
-  }
-
-  if (Out.SpilledWebs.empty())
-    assignColorsGreedy(G, Stack, Out);
-  return Out;
+  return colorGraph(G, Costs, NumRegs);
 }
 
 Allocation pira::briggsColor(const UndirectedGraph &G,
                              const std::vector<double> &Costs,
                              unsigned NumRegs) {
-  unsigned N = G.numVertices();
-  assert(Costs.size() == N && "cost vector size mismatch");
   Allocation Out;
-  Out.ColorOfWeb.assign(N, -1);
-
-  UndirectedGraph Work = G;
-  std::vector<bool> Removed(N, false);
-  std::vector<unsigned> Stack;
-  unsigned Remaining = N;
-  auto RemoveVertex = [&](unsigned V) {
-    for (unsigned Neigh : Work.neighborList(V))
-      Work.removeEdge(V, Neigh);
-    Removed[V] = true;
-    --Remaining;
-  };
-
-  while (Remaining != 0) {
-    bool Progress = true;
-    while (Progress) {
-      Progress = false;
-      for (unsigned V = 0; V != N; ++V) {
-        if (Removed[V] || Work.degree(V) >= NumRegs)
-          continue;
-        Stack.push_back(V);
-        RemoveVertex(V);
-        Progress = true;
-      }
-    }
-    if (Remaining == 0)
-      break;
-    // Optimistic twist: the would-be spill victim is pushed like any
-    // other vertex; select decides its fate.
-    unsigned Victim = ~0u;
-    double BestH = std::numeric_limits<double>::infinity();
-    for (unsigned V = 0; V != N; ++V) {
-      if (Removed[V])
-        continue;
-      double H = Costs[V] / static_cast<double>(Work.degree(V));
-      if (Victim == ~0u || H < BestH) {
-        BestH = H;
-        Victim = V;
-      }
-    }
-    Stack.push_back(Victim);
-    RemoveVertex(Victim);
-  }
+  Out.ColorOfWeb.assign(G.numVertices(), -1);
+  std::vector<unsigned> Stack = optimisticRemovalOrder(G, Costs, NumRegs);
 
   // Capped select: a vertex whose neighbors exhaust the register file
   // becomes an actual spill.

@@ -28,11 +28,13 @@ namespace pira {
 class Function;
 class UndirectedGraph;
 
-/// One round of Chaitin coloring on an arbitrary conflict graph.
+/// One round of Chaitin coloring on an arbitrary conflict graph: the
+/// coloring engine (regalloc/ColoringEngine.h) with no parallel family.
 ///
-/// Vertices whose cost is infinite are never chosen for spilling.
-/// \p NumRegs is the color budget r. \returns colors per vertex (-1 for
-/// vertices on the spill list).
+/// A vertex of infinite cost goes on the spill list only once every
+/// surviving vertex's cost is infinite; their h values then tie, and the
+/// lowest index goes first. \p NumRegs is the color budget r (at least
+/// 1). \returns colors per vertex (-1 for vertices on the spill list).
 Allocation chaitinColor(const UndirectedGraph &G,
                         const std::vector<double> &Costs, unsigned NumRegs);
 
@@ -42,6 +44,7 @@ Allocation chaitinColor(const UndirectedGraph &G,
 /// taken by its neighbors. Never spills more vertices than the
 /// pessimistic procedure on the same graph; included as the era's
 /// standard improvement (Briggs et al. 1989) for baseline comparisons.
+/// Its pushes follow chaitinColor's spill rule, infinite costs included.
 Allocation briggsColor(const UndirectedGraph &G,
                        const std::vector<double> &Costs, unsigned NumRegs);
 

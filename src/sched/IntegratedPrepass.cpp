@@ -16,9 +16,12 @@
 #include "sched/Schedule.h"
 #include "support/Telemetry.h"
 
+#include <algorithm>
 #include <array>
 #include <cassert>
-#include <map>
+#include <cstdint>
+#include <functional>
+#include <utility>
 
 using namespace pira;
 
@@ -28,55 +31,92 @@ PIRA_STAT(NumIpsMoves, "Instructions repositioned by the IPS prepass");
 
 namespace {
 
-/// Dual-mode list scheduling of one block.
+/// Dual-mode list scheduling of one block over ready heaps.
+///
+/// Each pick is the best ready node whose unit kind has capacity left in
+/// the cycle. In pipeline (CSP) mode that is the greatest height, then
+/// the lowest index; in pressure (CSR) mode the least pressure delta,
+/// then the greatest height, then the lowest index. Each unit kind keeps
+/// its ready nodes in one heap in CSP order and in one heap per delta
+/// value in (height, index) order, so a kind's CSR candidate is the top
+/// of its lowest non-empty delta heap. Issued and re-filed entries are
+/// dropped lazily when they surface. Nodes whose predecessors have all
+/// issued but whose operands are not ready wait in a min-heap on ReadyAt,
+/// and a cycle in which nothing is ready is skipped. See DESIGN.md §5.
 class IpsBlockScheduler {
 public:
   IpsBlockScheduler(const Function &F, unsigned BlockIdx,
                     const MachineModel &Machine, const Liveness &Live,
                     unsigned RegLimit, IpsStats &Stats)
-      : F(F), BB(F.block(BlockIdx)), Machine(Machine),
-        G(F, BlockIdx, Machine), RegLimit(RegLimit), Stats(Stats) {
+      : BB(F.block(BlockIdx)), Machine(Machine), G(F, BlockIdx, Machine),
+        LiveOut(Live.liveOut(BlockIdx)), RegLimit(RegLimit), Stats(Stats) {
     unsigned N = G.size();
     Height = computeHeights(G);
     PredsLeft.assign(N, 0);
     for (unsigned V = 0; V != N; ++V)
       PredsLeft[V] = static_cast<unsigned>(G.predEdges(V).size());
     ReadyAt.assign(N, 0);
-    Issued.assign(N, false);
+    State.assign(N, NotReady);
+    Delta.assign(N, 0);
 
-    // Remaining in-block uses per register, and whether the value
-    // escapes (live-out) — an escaping value never dies here.
+    // Unissued distinct readers per register, and the XOR of their
+    // indices: when one reader is left, the XOR names it.
+    unsigned NumRegs = F.numRegs();
     for (const Instruction &I : BB.instructions())
       for (Reg U : I.uses())
-        ++RemainingUses[U];
-    LiveOut = Live.liveOut(BlockIdx);
+        NumRegs = std::max(NumRegs, U + 1);
+    ReadersLeft.assign(NumRegs, 0);
+    ReaderXor.assign(NumRegs, 0);
+    for (unsigned V = 0; V != N; ++V) {
+      unsigned Operands = 0;
+      forEachOperand(V, [&](Reg R) {
+        ++ReadersLeft[R];
+        ReaderXor[R] ^= V;
+        ++Operands;
+      });
+      MaxOperands = std::max(MaxOperands, Operands);
+    }
+    // Deltas run from -MaxOperands (every operand dies, no def) to +1.
+    for (Kind &K : Kinds)
+      K.ByDelta.resize(MaxOperands + 2);
     // Live on entry to the scheduling region: upward-exposed registers.
-    const BitVector &UpwardExposed = Live.upwardExposed(BlockIdx);
-    LiveCount = UpwardExposed.count();
+    LiveCount = Live.upwardExposed(BlockIdx).count();
   }
 
   BlockSchedule run() {
     unsigned N = G.size();
     BlockSchedule Out;
     Out.CycleOf.assign(N, 0);
+    for (unsigned V = 0; V != N; ++V)
+      if (PredsLeft[V] == 0)
+        makeReady(V);
     unsigned Remaining = N;
     unsigned Cycle = 0;
     while (Remaining != 0) {
+      while (!Pending.empty() && Pending.front().first <= Cycle) {
+        std::pop_heap(Pending.begin(), Pending.end(), std::greater<>());
+        makeReady(Pending.back().second);
+        Pending.pop_back();
+      }
+      if (NumReady == 0) {
+        // Nothing can issue until the next pending node's operands
+        // arrive; the rescan would idle through these cycles.
+        assert(!Pending.empty() && "unissued nodes but none pending");
+        Cycle = Pending.front().first;
+        continue;
+      }
       unsigned SlotsLeft = Machine.issueWidth();
       std::array<unsigned, NumUnitKinds> UnitsLeft{};
       for (unsigned K = 0; K != NumUnitKinds; ++K)
         UnitsLeft[K] = Machine.units(static_cast<UnitKind>(K));
-      bool IssuedAny = true;
-      while (IssuedAny && SlotsLeft != 0) {
-        IssuedAny = false;
-        unsigned Best = pickCandidate(Cycle, UnitsLeft);
+      while (SlotsLeft != 0) {
+        unsigned Best = pickCandidate(UnitsLeft);
         if (Best == ~0u)
           break;
         issue(Best, Cycle, Out);
         --Remaining;
         --SlotsLeft;
-        --UnitsLeft[static_cast<unsigned>(BB.inst(Best).unit())];
-        IssuedAny = true;
+        --UnitsLeft[kindOf(Best)];
       }
       ++Cycle;
     }
@@ -85,52 +125,113 @@ public:
   }
 
 private:
-  /// Net live-value change if \p V issues now: +1 for a def that anyone
-  /// still needs, -1 per operand whose last remaining use this is.
-  int pressureDelta(unsigned V) const {
-    const Instruction &I = BB.inst(V);
-    int Delta = 0;
-    if (I.hasDef())
-      ++Delta;
-    // Count distinct operand registers that would die.
-    std::map<Reg, unsigned> OpCount;
-    for (Reg U : I.uses())
-      ++OpCount[U];
-    for (const auto &[R, Count] : OpCount) {
-      auto It = RemainingUses.find(R);
-      if (It != RemainingUses.end() && It->second == Count &&
-          (R >= LiveOut.size() || !LiveOut.test(R)))
-        --Delta;
-    }
-    return Delta;
+  enum NodeState : uint8_t { NotReady, Ready, Issued };
+
+  /// A unit kind's ready nodes: one heap in CSP order, and one heap per
+  /// pressure delta (index Delta + MaxOperands) in the same order.
+  struct Kind {
+    std::vector<unsigned> Csp;
+    std::vector<std::vector<unsigned>> ByDelta;
+  };
+
+  unsigned kindOf(unsigned V) const {
+    return static_cast<unsigned>(BB.inst(V).unit());
   }
 
-  unsigned pickCandidate(unsigned Cycle,
-                         const std::array<unsigned, NumUnitKinds> &Units) {
+  bool escapes(Reg R) const { return R < LiveOut.size() && LiveOut.test(R); }
+
+  /// Calls \p Fn once per distinct register \p V reads.
+  template <typename FnT> void forEachOperand(unsigned V, FnT &&Fn) const {
+    const UseList &Uses = BB.inst(V).uses();
+    for (unsigned I = 0, E = static_cast<unsigned>(Uses.size()); I != E;
+         ++I)
+      if (std::find(Uses.begin(), Uses.begin() + I, Uses[I]) ==
+          Uses.begin() + I)
+        Fn(Uses[I]);
+  }
+
+  /// Net change in the live-value count if unissued \p V issues now: +1
+  /// for every def, whether or not anyone reads it, and -1 per distinct
+  /// operand register that does not escape the block and whose remaining
+  /// in-block uses are all V's.
+  int pressureDelta(unsigned V) const {
+    int D = BB.inst(V).hasDef() ? 1 : 0;
+    forEachOperand(V, [&](Reg R) {
+      if (ReadersLeft[R] == 1 && !escapes(R))
+        --D;
+    });
+    return D;
+  }
+
+  /// Greatest height first, then the lowest index.
+  bool before(unsigned A, unsigned B) const {
+    return Height[A] != Height[B] ? Height[A] > Height[B] : A < B;
+  }
+
+  void push(std::vector<unsigned> &Heap, unsigned V) {
+    Heap.push_back(V);
+    std::push_heap(Heap.begin(), Heap.end(),
+                   [&](unsigned A, unsigned B) { return before(B, A); });
+  }
+
+  /// Pops stale entries off \p Heap: issued nodes, and, for the delta
+  /// heap of \p D, nodes re-filed under another delta. \returns the top,
+  /// or ~0u when the heap is empty.
+  unsigned top(std::vector<unsigned> &Heap, int D, bool IsDeltaHeap) {
+    auto HeapLess = [&](unsigned A, unsigned B) { return before(B, A); };
+    while (!Heap.empty()) {
+      unsigned V = Heap.front();
+      if (State[V] != Issued && (!IsDeltaHeap || Delta[V] == D))
+        return V;
+      std::pop_heap(Heap.begin(), Heap.end(), HeapLess);
+      Heap.pop_back();
+    }
+    return ~0u;
+  }
+
+  /// Files \p V in its kind's delta heap under its current delta.
+  void fileDelta(unsigned V) {
+    Delta[V] = pressureDelta(V);
+    push(Kinds[kindOf(V)].ByDelta[static_cast<unsigned>(
+             Delta[V] + static_cast<int>(MaxOperands))],
+         V);
+  }
+
+  void makeReady(unsigned V) {
+    State[V] = Ready;
+    ++NumReady;
+    push(Kinds[kindOf(V)].Csp, V);
+    fileDelta(V);
+  }
+
+  unsigned pickCandidate(const std::array<unsigned, NumUnitKinds> &Units) {
     bool PressureMode = LiveCount >= RegLimit;
     unsigned Best = ~0u;
     int BestDelta = 0;
-    for (unsigned V = 0; V != G.size(); ++V) {
-      if (Issued[V] || PredsLeft[V] != 0 || ReadyAt[V] > Cycle)
+    for (unsigned K = 0; K != NumUnitKinds; ++K) {
+      if (Units[K] == 0)
         continue;
-      if (Units[static_cast<unsigned>(BB.inst(V).unit())] == 0)
-        continue;
-      if (Best == ~0u) {
-        Best = V;
-        BestDelta = pressureDelta(V);
+      Kind &Ready = Kinds[K];
+      if (!PressureMode) {
+        // CSP: critical path height.
+        unsigned V = top(Ready.Csp, 0, /*IsDeltaHeap=*/false);
+        if (V != ~0u && (Best == ~0u || before(V, Best)))
+          Best = V;
         continue;
       }
-      if (PressureMode) {
-        // CSR: smallest pressure delta first; ties by height.
-        int Delta = pressureDelta(V);
-        if (Delta < BestDelta ||
-            (Delta == BestDelta && Height[V] > Height[Best])) {
+      // CSR: smallest pressure delta first; ties by height.
+      for (unsigned I = 0, E = static_cast<unsigned>(Ready.ByDelta.size());
+           I != E; ++I) {
+        int D = static_cast<int>(I) - static_cast<int>(MaxOperands);
+        unsigned V = top(Ready.ByDelta[I], D, /*IsDeltaHeap=*/true);
+        if (V == ~0u)
+          continue;
+        if (Best == ~0u || D < BestDelta ||
+            (D == BestDelta && before(V, Best))) {
           Best = V;
-          BestDelta = Delta;
+          BestDelta = D;
         }
-      } else if (Height[V] > Height[Best]) {
-        // CSP: critical path height.
-        Best = V;
+        break;
       }
     }
     if (Best != ~0u) {
@@ -143,42 +244,59 @@ private:
   }
 
   void issue(unsigned V, unsigned Cycle, BlockSchedule &Out) {
-    Issued[V] = true;
+    State[V] = Issued;
+    --NumReady;
     Out.CycleOf[V] = Cycle;
-    const Instruction &I = BB.inst(V);
-    std::map<Reg, unsigned> OpCount;
-    for (Reg U : I.uses())
-      ++OpCount[U];
-    for (const auto &[R, Count] : OpCount) {
-      unsigned &Left = RemainingUses[R];
-      assert(Left >= Count && "use accounting out of sync");
-      Left -= Count;
-      if (Left == 0 && (R >= LiveOut.size() || !LiveOut.test(R)) &&
-          LiveCount > 0)
+    forEachOperand(V, [&](Reg R) {
+      --ReadersLeft[R];
+      ReaderXor[R] ^= V;
+      if (ReadersLeft[R] == 0 && !escapes(R) && LiveCount > 0)
         --LiveCount;
-    }
-    if (I.hasDef())
+    });
+    if (BB.inst(V).hasDef())
       ++LiveCount;
+    // A waiting node's delta only falls, and only when its operand R
+    // starts to die: issuing V left it the one unissued reader of R.
+    forEachOperand(V, [&](Reg R) {
+      if (ReadersLeft[R] != 1 || escapes(R))
+        return;
+      unsigned U = ReaderXor[R];
+      if (State[U] == Ready && pressureDelta(U) != Delta[U])
+        fileDelta(U);
+    });
     for (unsigned EI : G.succEdges(V)) {
       const DepEdge &E = G.edges()[EI];
       ReadyAt[E.To] = std::max(ReadyAt[E.To], Cycle + E.Latency);
-      --PredsLeft[E.To];
+      if (--PredsLeft[E.To] != 0)
+        continue;
+      if (ReadyAt[E.To] <= Cycle) {
+        makeReady(E.To);
+      } else {
+        Pending.push_back({ReadyAt[E.To], E.To});
+        std::push_heap(Pending.begin(), Pending.end(), std::greater<>());
+      }
     }
   }
 
-  const Function &F;
   const BasicBlock &BB;
   const MachineModel &Machine;
   DependenceGraph G;
+  const BitVector &LiveOut;
   unsigned RegLimit;
   IpsStats &Stats;
 
   std::vector<unsigned> Height;
   std::vector<unsigned> PredsLeft;
   std::vector<unsigned> ReadyAt;
-  std::vector<bool> Issued;
-  std::map<Reg, unsigned> RemainingUses;
-  BitVector LiveOut;
+  std::vector<NodeState> State;
+  std::vector<int> Delta;
+  std::vector<unsigned> ReadersLeft;
+  std::vector<unsigned> ReaderXor;
+  unsigned MaxOperands = 0;
+  std::array<Kind, NumUnitKinds> Kinds;
+  /// (ReadyAt, node) of nodes waiting only for their operands.
+  std::vector<std::pair<unsigned, unsigned>> Pending;
+  unsigned NumReady = 0;
   unsigned LiveCount = 0;
 };
 

@@ -427,6 +427,20 @@ TEST(MachineConfigTest, RejectsBadUnitSpec) {
   EXPECT_FALSE(parseMachineModel("units fixed\n", Err).has_value());
 }
 
+TEST(MachineConfigTest, RejectsZeroRegisters) {
+  // A zero register file would send every allocator into an endless
+  // spill loop; the error names the offending line, as for width 0.
+  std::string Err;
+  EXPECT_FALSE(
+      parseMachineModel("machine zero\nwidth 2\nregs 0\n", Err).has_value());
+  EXPECT_EQ(Err, "line 3: expected 'regs <positive integer>'");
+  EXPECT_FALSE(parseMachineModel("width 0\n", Err).has_value());
+  EXPECT_EQ(Err, "line 1: expected 'width <positive integer>'");
+  std::optional<MachineModel> One = parseMachineModel("regs 1\n", Err);
+  ASSERT_TRUE(One.has_value()) << Err;
+  EXPECT_EQ(One->numPhysRegs(), 1u);
+}
+
 TEST(MachineConfigTest, RejectsBadLatency) {
   std::string Err;
   EXPECT_FALSE(parseMachineModel("latency frobnicate=2\n", Err).has_value());

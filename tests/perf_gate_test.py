@@ -6,8 +6,8 @@ Usage: perf_gate_test.py PATH/TO/perf_gate.py
 Cases by exit code: a fresh report equal to the baseline passes (0); a
 scaling or layer ratio over its hard ceiling fails (1) even though it is
 within the threshold of the baseline's, once for BM_PinterColor and once
-for each schedule-layer, PIG-layer and Theorem 1 check gate; a report
-missing a gated row is unusable (2).
+for each schedule-layer, PIG-layer, Theorem 1 check, IPS and Chaitin
+coloring gate; a report missing a gated row is unusable (2).
 """
 
 import json
@@ -43,13 +43,16 @@ BASE_TIMES = {
     "BM_PreSchedule/256": 1200000.0,
     "BM_PreSchedule/1024": 20400000.0,
     "BM_FalseDepCheck/1024": 13500000.0,
+    "BM_ChaitinColor/1024": 17600000.0,
+    "BM_Ips/256": 350000.0,
+    "BM_Ips/1024": 2100000.0,
 }
 
-# One fresh ratio per schedule-layer, PIG-layer and check gate, over the
-# gate's hard ceiling but within the threshold of the baseline ratio
-# above (9.6, 7.2, 7.2, 17, 14, 14 and 15, whose limits are 12, 9, 9,
-# 21.25, 17.5, 17.5 and 18.75): (gate label, numerator bench,
-# denominator bench, fresh ratio).
+# One fresh ratio per schedule-layer, PIG-layer, check and coloring gate,
+# over the gate's hard ceiling but within the threshold of the baseline
+# ratio above (9.6, 7.2, 7.2, 17, 14, 14, 15, 6.0 and 0.8, whose limits
+# are 12, 9, 9, 21.25, 17.5, 17.5, 18.75, 7.5 and 1.0): (gate label,
+# numerator bench, denominator bench, fresh ratio).
 OVER_CEILING = [
     ("depgraph_scaling",
      "BM_DependenceGraph/4096", "BM_DependenceGraph/1024", 11.8),
@@ -68,6 +71,20 @@ OVER_CEILING = [
     ("false_dep_check_over_depgraph",
      "BM_FalseDepCheck/1024", "BM_DependenceGraphAllocated/1024",
      18.4),
+    ("ips_scaling", "BM_Ips/1024", "BM_Ips/256", 7.2),
+    ("chaitin_over_pinter_color_1024",
+     "BM_ChaitinColor/1024", "BM_PinterColor/1024", 0.95),
+]
+
+# (gate label, a benchmark it reads): dropping the row from the fresh
+# report makes it unusable.
+MISSING_ROW = [
+    ("combined_scaling", "BM_CombinedPipeline/512"),
+    ("preschedule_scaling", "BM_PreSchedule/1024"),
+    ("pig_spilled_scaling", "BM_PigConstructionSpilled/256"),
+    ("false_dep_check_over_depgraph", "BM_FalseDepCheck/1024"),
+    ("ips_scaling", "BM_Ips/256"),
+    ("chaitin_over_pinter_color_1024", "BM_ChaitinColor/1024"),
 ]
 
 
@@ -119,12 +136,7 @@ def main():
                 failures.append("%s over ceiling: exit %d\n%s"
                                 % (label, code, out))
 
-        for label, num in (("combined_scaling", "BM_CombinedPipeline/512"),
-                           ("preschedule_scaling", "BM_PreSchedule/1024"),
-                           ("pig_spilled_scaling",
-                            "BM_PigConstructionSpilled/256"),
-                           ("false_dep_check_over_depgraph",
-                            "BM_FalseDepCheck/1024")):
+        for label, num in MISSING_ROW:
             missing = dict(BASE_TIMES)
             del missing[num]
             code, out = run_gate(gate, tmp, missing)
@@ -136,7 +148,7 @@ def main():
         print("FAIL: " + f, file=sys.stderr)
     if not failures:
         print("perf_gate_test: %d cases pass"
-              % (6 + len(OVER_CEILING)))
+              % (2 + len(OVER_CEILING) + len(MISSING_ROW)))
     return 1 if failures else 0
 
 

@@ -141,6 +141,21 @@ expect 2 "client cannot journal"        -- "$PIRAC" --client \
                                              --socket d.sock --journal j.jsonl good.pir
 expect 2 "daemon-stats needs an address" -- "$PIRAC" --daemon-stats
 
+# A machine file with no registers is a usage error that names its line,
+# raised before anything compiles (no stats report is written).
+printf 'machine zero\nwidth 2\nregs 0\n' > zero.mach
+err=$("$PIRAC" good.pir --machine-file zero.mach --stats-out zero.json 2>&1 \
+      > /dev/null)
+got=$?
+if [ "$got" -eq 2 ] && printf '%s' "$err" | grep -q 'line 3' \
+   && [ ! -e zero.json ]; then
+  echo "ok: regs 0 machine file (exit 2, line named, nothing compiled)"
+else
+  echo "FAIL: regs 0 machine file: exit $got, stats file" \
+       "$([ -e zero.json ] && echo written || echo absent): $err" >&2
+  FAILURES=$((FAILURES + 1))
+fi
+
 # --- exit 3: internal errors ------------------------------------------------
 # A journal written under one configuration refuses to resume another.
 "$PIRAC" good.pir good.pir --journal j3.jsonl > /dev/null 2>&1

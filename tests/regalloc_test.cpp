@@ -11,6 +11,7 @@
 #include "ir/Verifier.h"
 #include "regalloc/Allocation.h"
 #include "regalloc/ChaitinAllocator.h"
+#include "regalloc/ColoringEngine.h"
 #include "regalloc/InterferenceGraph.h"
 #include "regalloc/SpillCost.h"
 #include "regalloc/SpillInserter.h"
@@ -183,6 +184,44 @@ TEST(ChaitinColorTest, InfiniteCostNeverSpilled) {
   // K4 with two colors needs two spills; the finite-cost vertex must be
   // chosen first, before the procedure is forced onto infinite ones.
   EXPECT_EQ(A.SpilledWebs.front(), 3u);
+}
+
+TEST(ChaitinColorTest, InfiniteCostsSpillOnceEverySurvivorIsInfinite) {
+  // K4 at r = 2 must give up two vertices. An infinite cost defers a
+  // vertex until every survivor's cost is infinite; the survivors' h then
+  // tie, and the lowest index goes first. Briggs pushes the same choices
+  // and lets its capped select spill.
+  UndirectedGraph G(4);
+  for (unsigned I = 0; I != 4; ++I)
+    for (unsigned J = I + 1; J != 4; ++J)
+      G.addEdge(I, J);
+  constexpr double Inf = std::numeric_limits<double>::infinity();
+  std::vector<double> Mixed = {Inf, Inf, Inf, 5.0};
+  std::vector<double> AllInf(4, Inf);
+  using Spills = std::vector<unsigned>;
+  EXPECT_EQ(chaitinColor(G, Mixed, 2).SpilledWebs, (Spills{3, 0}));
+  EXPECT_EQ(chaitinColor(G, AllInf, 2).SpilledWebs, (Spills{0, 1}));
+  EXPECT_EQ(briggsColor(G, Mixed, 2).SpilledWebs, (Spills{0, 3}));
+  EXPECT_EQ(briggsColor(G, AllInf, 2).SpilledWebs, (Spills{1, 0}));
+}
+
+TEST(ColoringEngineTest, OverflowingWeightSumKeepsTheFirstSurvivor) {
+  // A weight near DBL_MAX overflows Σw to +inf once a vertex has two
+  // neighbours, so an infinite cost reads h* = inf / inf = NaN and a
+  // finite one reads 0. Neither may stop the coloring: a NaN h* never
+  // beats the running choice, and the first survivor seeds it.
+  UndirectedGraph G(4);
+  for (unsigned I = 0; I != 4; ++I)
+    for (unsigned J = I + 1; J != 4; ++J)
+      G.addEdge(I, J);
+  constexpr double Inf = std::numeric_limits<double>::infinity();
+  using Spills = std::vector<unsigned>;
+  EXPECT_EQ(colorGraph(G, std::vector<double>(4, Inf), 2, nullptr, 1e308)
+                .SpilledWebs,
+            (Spills{0, 1}));
+  EXPECT_EQ(colorGraph(G, {4.0, 3.0, 2.0, 1.0}, 2, nullptr, 1e308)
+                .SpilledWebs,
+            (Spills{0, 1}));
 }
 
 TEST(ChaitinColorTest, EmptyGraphColorsTrivially) {

@@ -14,17 +14,26 @@
 // as given and as the final and symbolic-twin code of all four
 // heuristics (spill code included), plus hand-built memory corner cases.
 //
+// The Goodman-Hsu IPS scheduler on ready heaps is checked the same way
+// against its rescanning form with std::map use counts: the reordered
+// code and all three IpsStats counts, over the kernels and random
+// programs of every shape on four machines at every register limit from
+// 1 to 16, plus hand-built blocks for its tie and pressure cases.
+//
 //===----------------------------------------------------------------------===//
 
 #include "analysis/DependenceGraph.h"
+#include "analysis/Liveness.h"
 #include "ir/Function.h"
 #include "ir/Parser.h"
 #include "ir/Printer.h"
 #include "machine/MachineModel.h"
 #include "pipeline/Strategies.h"
 #include "sched/EPTimes.h"
+#include "sched/IntegratedPrepass.h"
 #include "sched/ListScheduler.h"
 #include "sched/PreScheduler.h"
+#include "sched/Schedule.h"
 #include "support/BitMatrix.h"
 #include "workloads/Kernels.h"
 #include "workloads/RandomProgram.h"
@@ -565,4 +574,405 @@ block e:
        {MachineModel::scalar(8), MachineModel::paperTwoUnit(8),
         MachineModel::rs6000(8), MachineModel::vliw4(8)})
     expectMatchesReference(*F, M, std::string("terminator on ") + M.name());
+}
+
+//===----------------------------------------------------------------------===//
+// Reference IPS: a rescan of every node, with std::map use counts, before
+// each issue.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Dual-mode list scheduling of one block.
+class IpsBlockScheduler {
+public:
+  IpsBlockScheduler(const Function &F, unsigned BlockIdx,
+                    const MachineModel &Machine, const Liveness &Live,
+                    unsigned RegLimit, IpsStats &Stats)
+      : F(F), BB(F.block(BlockIdx)), Machine(Machine),
+        G(F, BlockIdx, Machine), RegLimit(RegLimit), Stats(Stats) {
+    unsigned N = G.size();
+    Height = computeHeights(G);
+    PredsLeft.assign(N, 0);
+    for (unsigned V = 0; V != N; ++V)
+      PredsLeft[V] = static_cast<unsigned>(G.predEdges(V).size());
+    ReadyAt.assign(N, 0);
+    Issued.assign(N, false);
+
+    // Remaining in-block uses per register, and whether the value
+    // escapes (live-out) — an escaping value never dies here.
+    for (const Instruction &I : BB.instructions())
+      for (Reg U : I.uses())
+        ++RemainingUses[U];
+    LiveOut = Live.liveOut(BlockIdx);
+    // Live on entry to the scheduling region: upward-exposed registers.
+    const BitVector &UpwardExposed = Live.upwardExposed(BlockIdx);
+    LiveCount = UpwardExposed.count();
+  }
+
+  BlockSchedule run() {
+    unsigned N = G.size();
+    BlockSchedule Out;
+    Out.CycleOf.assign(N, 0);
+    unsigned Remaining = N;
+    unsigned Cycle = 0;
+    while (Remaining != 0) {
+      unsigned SlotsLeft = Machine.issueWidth();
+      std::array<unsigned, NumUnitKinds> UnitsLeft{};
+      for (unsigned K = 0; K != NumUnitKinds; ++K)
+        UnitsLeft[K] = Machine.units(static_cast<UnitKind>(K));
+      bool IssuedAny = true;
+      while (IssuedAny && SlotsLeft != 0) {
+        IssuedAny = false;
+        unsigned Best = pickCandidate(Cycle, UnitsLeft);
+        if (Best == ~0u)
+          break;
+        issue(Best, Cycle, Out);
+        --Remaining;
+        --SlotsLeft;
+        --UnitsLeft[static_cast<unsigned>(BB.inst(Best).unit())];
+        IssuedAny = true;
+      }
+      ++Cycle;
+    }
+    Out.Makespan = Cycle;
+    return Out;
+  }
+
+private:
+  /// Net live-value change if \p V issues now: +1 for a def that anyone
+  /// still needs, -1 per operand whose last remaining use this is.
+  int pressureDelta(unsigned V) const {
+    const Instruction &I = BB.inst(V);
+    int Delta = 0;
+    if (I.hasDef())
+      ++Delta;
+    // Count distinct operand registers that would die.
+    std::map<Reg, unsigned> OpCount;
+    for (Reg U : I.uses())
+      ++OpCount[U];
+    for (const auto &[R, Count] : OpCount) {
+      auto It = RemainingUses.find(R);
+      if (It != RemainingUses.end() && It->second == Count &&
+          (R >= LiveOut.size() || !LiveOut.test(R)))
+        --Delta;
+    }
+    return Delta;
+  }
+
+  unsigned pickCandidate(unsigned Cycle,
+                         const std::array<unsigned, NumUnitKinds> &Units) {
+    bool PressureMode = LiveCount >= RegLimit;
+    unsigned Best = ~0u;
+    int BestDelta = 0;
+    for (unsigned V = 0; V != G.size(); ++V) {
+      if (Issued[V] || PredsLeft[V] != 0 || ReadyAt[V] > Cycle)
+        continue;
+      if (Units[static_cast<unsigned>(BB.inst(V).unit())] == 0)
+        continue;
+      if (Best == ~0u) {
+        Best = V;
+        BestDelta = pressureDelta(V);
+        continue;
+      }
+      if (PressureMode) {
+        // CSR: smallest pressure delta first; ties by height.
+        int Delta = pressureDelta(V);
+        if (Delta < BestDelta ||
+            (Delta == BestDelta && Height[V] > Height[Best])) {
+          Best = V;
+          BestDelta = Delta;
+        }
+      } else if (Height[V] > Height[Best]) {
+        // CSP: critical path height.
+        Best = V;
+      }
+    }
+    if (Best != ~0u) {
+      if (PressureMode)
+        ++Stats.CsrDecisions;
+      else
+        ++Stats.CspDecisions;
+    }
+    return Best;
+  }
+
+  void issue(unsigned V, unsigned Cycle, BlockSchedule &Out) {
+    Issued[V] = true;
+    Out.CycleOf[V] = Cycle;
+    const Instruction &I = BB.inst(V);
+    std::map<Reg, unsigned> OpCount;
+    for (Reg U : I.uses())
+      ++OpCount[U];
+    for (const auto &[R, Count] : OpCount) {
+      unsigned &Left = RemainingUses[R];
+      assert(Left >= Count && "use accounting out of sync");
+      Left -= Count;
+      if (Left == 0 && (R >= LiveOut.size() || !LiveOut.test(R)) &&
+          LiveCount > 0)
+        --LiveCount;
+    }
+    if (I.hasDef())
+      ++LiveCount;
+    for (unsigned EI : G.succEdges(V)) {
+      const DepEdge &E = G.edges()[EI];
+      ReadyAt[E.To] = std::max(ReadyAt[E.To], Cycle + E.Latency);
+      --PredsLeft[E.To];
+    }
+  }
+
+  const Function &F;
+  const BasicBlock &BB;
+  const MachineModel &Machine;
+  DependenceGraph G;
+  unsigned RegLimit;
+  IpsStats &Stats;
+
+  std::vector<unsigned> Height;
+  std::vector<unsigned> PredsLeft;
+  std::vector<unsigned> ReadyAt;
+  std::vector<bool> Issued;
+  std::map<Reg, unsigned> RemainingUses;
+  BitVector LiveOut;
+  unsigned LiveCount = 0;
+};
+
+/// integratedPrepassSchedule over the reference block scheduler.
+IpsStats integratedPrepassScheduleReference(Function &F,
+                                            const MachineModel &Machine,
+                                            unsigned RegLimit) {
+  IpsStats Stats;
+  Liveness Live(F);
+  for (unsigned B = 0, NB = F.numBlocks(); B != NB; ++B) {
+    if (F.block(B).size() < 2)
+      continue;
+    IpsBlockScheduler Scheduler(F, B, Machine, Live, RegLimit, Stats);
+    BlockSchedule S = Scheduler.run();
+    std::vector<unsigned> Perm = reorderBlockBySchedule(F, B, S);
+    for (unsigned Pos = 0; Pos != Perm.size(); ++Pos)
+      if (Perm[Pos] != Pos)
+        ++Stats.Moved;
+  }
+  return Stats;
+}
+
+/// Runs both IPS forms on copies of \p Input and requires the same code
+/// and the same counts. \returns the library's counts.
+IpsStats expectIpsMatchesReference(const Function &Input,
+                                   const MachineModel &M, unsigned RegLimit,
+                                   const std::string &Tag) {
+  Function Lib = Input;
+  Function Ref = Input;
+  IpsStats S = integratedPrepassSchedule(Lib, M, RegLimit);
+  IpsStats SRef = integratedPrepassScheduleReference(Ref, M, RegLimit);
+  EXPECT_EQ(functionToString(Lib), functionToString(Ref)) << Tag;
+  EXPECT_EQ(S.CspDecisions, SRef.CspDecisions) << Tag;
+  EXPECT_EQ(S.CsrDecisions, SRef.CsrDecisions) << Tag;
+  EXPECT_EQ(S.Moved, SRef.Moved) << Tag;
+  return S;
+}
+
+MachineModel ipsMachine(unsigned I, unsigned Regs) {
+  switch (I) {
+  case 0:
+    return MachineModel::scalar(Regs);
+  case 1:
+    return MachineModel::paperTwoUnit(Regs);
+  case 2:
+    return MachineModel::rs6000(Regs);
+  default:
+    return MachineModel::vliw4(Regs);
+  }
+}
+
+/// The sweep's inputs for source \p Source: the 16 kernels (source 0),
+/// or 36 random programs of CFG shape Source - 1 (12 seeds × 3 sizes).
+std::vector<std::pair<std::string, Function>> ipsInputs(unsigned Source) {
+  if (Source == 0)
+    return standardKernelSuite();
+  std::vector<std::pair<std::string, Function>> Inputs;
+  for (uint64_t Seed = 1; Seed <= 12; ++Seed)
+    for (unsigned Size : {6u, 16u, 40u}) {
+      RandomProgramOptions Gen;
+      Gen.Shape = static_cast<CfgShape>(Source - 1);
+      Gen.Seed = Seed * 7919 + Source;
+      Gen.InstructionsPerBlock = Size;
+      Gen.FloatPercent = 20 + 5 * static_cast<unsigned>(Seed % 5);
+      Gen.MemoryPercent = 15 + 5 * static_cast<unsigned>(Seed % 4);
+      Inputs.emplace_back("shape " + std::to_string(Source - 1) + " seed " +
+                              std::to_string(Seed) + " size " +
+                              std::to_string(Size),
+                          generateRandomProgram(Gen));
+    }
+  return Inputs;
+}
+
+/// (input source, machine) pairs: kernels and every CFG shape on every
+/// machine.
+class IpsReferenceSweep
+    : public testing::TestWithParam<std::tuple<unsigned, unsigned>> {};
+
+} // namespace
+
+TEST_P(IpsReferenceSweep, MatchesReferenceAtEveryRegisterLimit) {
+  auto [Source, MachineIdx] = GetParam();
+  unsigned Csr = 0, Csp = 0;
+  for (const auto &[Name, Input] : ipsInputs(Source))
+    for (unsigned R = 1; R <= 16; ++R) {
+      MachineModel M = ipsMachine(MachineIdx, R);
+      IpsStats S = expectIpsMatchesReference(
+          Input, M, R, Name + " on " + M.name() + " r=" + std::to_string(R));
+      Csr += S.CsrDecisions;
+      Csp += S.CspDecisions;
+    }
+  // Both modes must actually pick.
+  EXPECT_GT(Csr, 0u);
+  EXPECT_GT(Csp, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SourcesAndMachines, IpsReferenceSweep,
+    testing::Combine(testing::Range(0u, 6u), testing::Range(0u, 4u)));
+
+TEST(IpsReferenceTest, SpillCodeMatchesReference) {
+  // The symbolic twin of a spill-heavy alloc-first compile: mostly loads
+  // and stores of one spill array, and many short reload temporaries.
+  RandomProgramOptions Opts;
+  Opts.InstructionsPerBlock = 120;
+  Opts.MemoryPercent = 25;
+  Opts.Seed = 4242;
+  Function F = generateRandomProgram(Opts);
+  PipelineResult R =
+      runStrategy(StrategyKind::AllocFirst, F, MachineModel::rs6000(8));
+  ASSERT_TRUE(R.Success) << R.Error;
+  for (unsigned Limit : {4u, 8u, 12u})
+    for (unsigned MachineIdx = 0; MachineIdx != 4; ++MachineIdx) {
+      MachineModel M = ipsMachine(MachineIdx, Limit);
+      expectIpsMatchesReference(R.SymbolicTwin, M, Limit,
+                                "twin on " + M.name() + " r=" +
+                                    std::to_string(Limit));
+    }
+}
+
+namespace {
+
+/// Hand-built blocks for IPS's tie and pressure cases, each scheduled on
+/// every machine at several register limits.
+const char *const IpsCorners[] = {
+    // CSR ties on delta and on height: four immediates feed chains of
+    // different lengths, so in pressure mode several +1 candidates tie on
+    // delta with different heights, and two pairs tie on both.
+    R"(func @ties regs 12 {
+block e:
+  %s0 = li 1
+  %s1 = li 2
+  %s2 = li 3
+  %s3 = li 4
+  %s4 = add %s0, %s1
+  %s5 = mul %s4, %s4
+  %s6 = add %s2, %s3
+  %s7 = add %s5, %s6
+  %s8 = li 5
+  %s9 = li 6
+  %s10 = add %s8, %s9
+  %s11 = add %s7, %s10
+  ret %s11
+}
+)",
+    // An operand that starts to die while its reader waits. Block b
+    // opens in pressure mode with four values live. %s4 (delta 0, %s1
+    // dies) and %s7 (delta 0, %s3 dies) tie, and %s4 issues first; that
+    // leaves %s5 the last reader of %s0, so its delta falls from +1 to
+    // 0 and it now beats %s7 on index.
+    R"(func @dies regs 12 {
+block e:
+  %s0 = li 1
+  %s1 = li 2
+  %s2 = li 3
+  %s3 = li 4
+  br b
+block b:
+  %s4 = add %s0, %s1
+  %s5 = neg %s0
+  %s6 = neg %s2
+  %s7 = add %s2, %s3
+  %s8 = add %s4, %s5
+  %s9 = add %s6, %s7
+  %s10 = add %s8, %s9
+  ret %s10
+}
+)",
+    // Repeated operands: `add %s1, %s1` and `fma %s2, %s2, %s2` kill their
+    // register once, not once per read.
+    R"(func @repeats regs 12 {
+block e:
+  %s0 = li 1
+  %s1 = li 2
+  %s2 = li 3
+  %s3 = add %s1, %s1
+  %s4 = fma %s2, %s2, %s2
+  %s5 = add %s0, %s3
+  %s6 = fadd %s4, %s4
+  %s7 = add %s5, %s5
+  %s8 = fadd %s6, %s6
+  store a[0], %s8
+  ret %s7
+}
+)",
+    // A live-out operand never dies in its block: %s0 and %s3 are read
+    // again after the branch.
+    R"(func @liveout regs 12 {
+block e:
+  %s0 = li 1
+  %s1 = li 2
+  %s2 = add %s0, %s1
+  %s3 = add %s0, %s2
+  %s4 = mul %s1, %s2
+  %s5 = add %s4, %s4
+  br x
+block x:
+  %s6 = add %s0, %s3
+  %s7 = add %s6, %s5
+  ret %s7
+}
+)",
+    // Zero-latency successors: a loop-carried redefinition after its
+    // reader (an anti edge) and the terminator may issue in the cycle of
+    // their last predecessor.
+    R"(func @zero regs 12 {
+block e:
+  %s0 = li 1
+  %s1 = li 2
+  %s2 = li 3
+  br l
+block l:
+  %s3 = mul %s0, %s1
+  %s0 = add %s0, %s2
+  %s1 = add %s1, %s2
+  %s4 = add %s3, %s0
+  %s5 = cmplt %s4, %s1
+  cbr %s5, l, d
+block d:
+  ret %s0
+}
+)",
+};
+
+} // namespace
+
+TEST(IpsReferenceTest, HandBuiltCornerCasesMatchReference) {
+  unsigned Csr = 0;
+  for (const char *Text : IpsCorners) {
+    Expected<Function> F = parseFunctionEx(Text, "corner");
+    ASSERT_TRUE(F.ok()) << F.status().message();
+    for (unsigned MachineIdx = 0; MachineIdx != 4; ++MachineIdx)
+      for (unsigned Limit = 1; Limit <= 6; ++Limit) {
+        MachineModel M = ipsMachine(MachineIdx, Limit);
+        Csr += expectIpsMatchesReference(*F, M, Limit,
+                                         F->name() + " on " + M.name() +
+                                             " r=" + std::to_string(Limit))
+                   .CsrDecisions;
+      }
+  }
+  EXPECT_GT(Csr, 0u);
 }

@@ -19,7 +19,11 @@ Layer gates divide one layer's time by another's on the same input.
 Lower is better too: the Theorem 1 check builds two schedule graphs per
 block, so timing it in schedule-graph builds separates a check that
 does no N^2 work from one that closes the graph, which a size ratio
-cannot (both are bounded by their Gs builds).
+cannot (both are bounded by their Gs builds). Likewise Chaitin's
+coloring is Section 4's with no parallel family, so timing it in
+Section 4 colorings of the same block separates the worklist engine
+from a rescanning loop, which a size ratio cannot (round 1's dense
+graphs make both quadratic).
 
 Absolute wall-clock gates (--absolute) are also available for
 same-machine comparisons, e.g. a developer re-running the suite before
@@ -74,19 +78,25 @@ SCALING_GATES = [
      "BM_ListSchedulerAllocated/1024", "BM_ListSchedulerAllocated/256"),
     ("preschedule_scaling",
      "BM_PreSchedule/1024", "BM_PreSchedule/256"),
+    ("ips_scaling",
+     "BM_Ips/1024", "BM_Ips/256"),
 ]
 
-# (label, layer benchmark, schedule-graph benchmark on the same code).
-# Lower is better, gated like the scaling gates.
+# (label, layer benchmark, reference-layer benchmark on the same code).
+# Lower is better, gated like the scaling gates. The Theorem 1 check is
+# timed in schedule-graph builds; Chaitin's coloring, which is Section 4
+# with no parallel family, in Section 4 colorings of the same block.
 LAYER_GATES = [
     ("false_dep_check_over_depgraph",
      "BM_FalseDepCheck/1024", "BM_DependenceGraphAllocated/1024"),
+    ("chaitin_over_pinter_color_1024",
+     "BM_ChaitinColor/1024", "BM_PinterColor/1024"),
 ]
 
 # Hard ceilings on the fresh scaling and layer ratios, the counterpart of
 # RATIO_FLOORS. Per 4x of block size a linear layer reads about 4, a
 # quadratic one about 16 and a cubic one about 64; each ceiling keeps at
-# least 25% headroom over the measured runs (EXPERIMENTS.md P1e–P1h).
+# least 25% headroom over the measured runs (EXPERIMENTS.md P1e–P1i).
 # Symbolic Gs cannot read 4: its memory edges grow quadratically with
 # the block (one 32-element array).
 CEILINGS = {
@@ -99,6 +109,8 @@ CEILINGS = {
     "list_scheduler_allocated_scaling": 8.5,
     "preschedule_scaling": 20.0,
     "false_dep_check_over_depgraph": 18.0,
+    "ips_scaling": 7.0,
+    "chaitin_over_pinter_color_1024": 0.90,
 }
 
 
