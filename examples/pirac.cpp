@@ -12,7 +12,8 @@
 // With several input files, or with --jobs, pirac switches to the batch
 // driver: every function is compiled through compileBatch() over the
 // work-stealing pool (worker count from --jobs, else PIRA_JOBS, else the
-// hardware), a per-function summary table is printed in input order, and
+// hardware; at most ThreadPool::MaxWorkers, and --jobs above it is a
+// usage error), a per-function summary table is printed in input order, and
 // --stats-out emits the batch-shaped "pira.stats" report. Batch results
 // and reports are byte-identical for any --jobs value; only the "timers"
 // section varies (see DESIGN.md).
@@ -34,13 +35,10 @@
 //          [--tournament] [--corpus-count N] [--corpus-insts N]
 //          [--corpus-seed N]
 //          [--no-degrade] [--fault-inject site:n[,site:n...]]
-//          [--cache off|on|verify] [--cache-dir DIR]
-//          [--cache-remote PORT|SOCKET] [--cache-max-mb N]
+//          [--cache off|on|verify] [--cache-dir DIR] [--cache-max-mb N]
 //          [--isolate] [--retries N] [--retry-backoff-ms N]
 //          [--child-timeout-ms N] [--child-mem-mb N]
 //          [--journal FILE] [--resume]
-//          [--client] [--socket PATH] [--tcp PORT] [--client-retries N]
-//          [--client-backoff-ms N] [--client-verbose] [--daemon-stats]
 //          [--dump-graphs]
 //          [--trace-out trace.json] [--stats-out stats.json]
 //          [--metrics-out metrics.prom] [--progress]
@@ -81,16 +79,6 @@
 // memory-only. --cache verify recompiles hits anyway and cross-checks
 // byte identity; any mismatch makes the run exit nonzero. Caching
 // applies in batch mode (several inputs, or --jobs).
-//
-// --cache-remote TARGET (a loopback TCP port if all digits, else a unix
-// socket path) chains a shared remote tier in front of the local ones:
-// lookups ask a `pirac serve --cache-serve` daemon first and fall back
-// to disk, memory, and recompilation; inserts publish back best-effort.
-// Every fetched entry is digest-verified and fully decoded before use —
-// anything suspect is quarantined and recompiled — and every remote
-// failure (dead daemon, timeout, tripped breaker) silently degrades to
-// the local tiers, so reports stay byte-identical with or without the
-// remote (DESIGN.md §13). Implies --cache on like --cache-dir does.
 // --cache-max-mb N bounds the on-disk tier (requires --cache-dir),
 // trimming oldest entries first; entries written by the current run are
 // never trimmed.
@@ -109,24 +97,6 @@
 // positions instead of recompiling, so a batch killed partway — even
 // with kill -9 — reproduces the uninterrupted run's report (modulo
 // "timers"/"counters") on the second invocation.
-//
-// `pirac serve --socket PATH [--tcp PORT]` runs the crash-tolerant
-// compile daemon (service/Server.h): concurrent clients, a permanently
-// warm compilation cache, bounded-queue admission with structured
-// overload shedding, per-client budgets, server-enforced deadlines,
-// SIGTERM graceful drain (exit 0) vs SIGINT fast abort (exit 130).
-// With --cache-serve the daemon also answers the shared-cache protocol
-// (lookup/store against its warm cache) for --cache-remote clients;
-// --cache-remote TARGET chains its own misses to an upstream daemon,
-// and --cache-max-mb bounds its disk tier.
-// `pirac --client --socket PATH file.pir ...` runs a batch against the
-// daemon instead of in-process; the client reconnects with bounded
-// doubling backoff, so killing and restarting the daemon mid-batch is
-// invisible. The remote report is byte-identical to the in-process one
-// (modulo the usual volatile sections). --daemon-stats prints the
-// daemon's pira.serve-stats document and exits. --client rejects
-// --isolate/--journal/--cache/--fault-inject: those are daemon-side
-// (or process-global) concerns.
 //
 // Exit codes are a stable contract: 0 = everything compiled and
 // verified clean; 1 = at least one input or compile/verify failure
@@ -155,16 +125,13 @@
 #include "pipeline/Strategies.h"
 #include "pipeline/Tournament.h"
 #include "pipeline/Worker.h"
-#include "service/CacheClient.h"
-#include "service/Client.h"
-#include "service/Server.h"
 #include "support/FaultInjection.h"
 #include "support/Io.h"
 #include "support/Subprocess.h"
 #include "support/Telemetry.h"
+#include "support/ThreadPool.h"
 
 #include <charconv>
-#include <csignal>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -231,155 +198,9 @@ static bool parseCliCount(const std::string &Flag, const std::string &Text,
   return true;
 }
 
-//===----------------------------------------------------------------------===//
-// pirac serve
-//===----------------------------------------------------------------------===//
-
-// The signal handlers may only touch async-signal-safe state; both
-// Server entry points are one self-pipe write.
-static service::Server *ActiveServer = nullptr;
-static void onSigterm(int) {
-  if (ActiveServer != nullptr)
-    ActiveServer->requestDrain();
-}
-static void onSigint(int) {
-  if (ActiveServer != nullptr)
-    ActiveServer->requestAbort();
-}
-
-/// `pirac serve --socket PATH [--tcp PORT] ...`: the compile daemon.
-/// SIGTERM drains gracefully (exit 0), SIGINT aborts fast (exit 130);
-/// --stats-out flushes the pira.serve-stats document on the way out.
-static int runServeMode(int argc, char **argv) {
-  service::ServerOptions Opts;
-  std::string StatsOut;
-  for (int I = 2; I < argc; ++I) {
-    std::string Arg = argv[I];
-    auto NextValue = [&](std::string &Out) -> bool {
-      if (I + 1 >= argc) {
-        std::cerr << "pirac serve: missing value for " << Arg << '\n';
-        return false;
-      }
-      Out = argv[++I];
-      return true;
-    };
-    std::string V;
-    uint64_t N = 0;
-    if (Arg == "--socket") {
-      if (!NextValue(Opts.SocketPath))
-        return 2;
-    } else if (Arg == "--tcp") {
-      // 0 stays meaningful: "let the kernel pick" (announced on stderr).
-      if (!NextValue(V) || !parseCliCount(Arg, V, 0, 65535, N))
-        return 2;
-      Opts.TcpPort = static_cast<int>(N);
-    } else if (Arg == "--threads") {
-      if (!NextValue(V) || !parseCliCount(Arg, V, 0, 4096, N))
-        return 2;
-      Opts.Threads = static_cast<unsigned>(N);
-    } else if (Arg == "--queue-depth") {
-      if (!NextValue(V) || !parseCliCount(Arg, V, 1, 1 << 20, N))
-        return 2;
-      Opts.QueueDepth = static_cast<size_t>(N);
-    } else if (Arg == "--max-clients") {
-      if (!NextValue(V) || !parseCliCount(Arg, V, 1, 1 << 16, N))
-        return 2;
-      Opts.MaxClients = static_cast<size_t>(N);
-    } else if (Arg == "--client-budget") {
-      if (!NextValue(V) || !parseCliCount(Arg, V, 1, 1 << 20, N))
-        return 2;
-      Opts.PerClientBudget = N;
-    } else if (Arg == "--max-frame-bytes") {
-      // Floor of 64: the cap must at least admit a minimal envelope.
-      if (!NextValue(V) || !parseCliCount(Arg, V, 64, 1u << 30, N))
-        return 2;
-      Opts.MaxFrameBytes = static_cast<uint32_t>(N);
-    } else if (Arg == "--idle-timeout-ms") {
-      // 0 stays meaningful: "no inactivity timeout".
-      if (!NextValue(V) || !parseCliCount(Arg, V, 0, 86400000, N))
-        return 2;
-      Opts.IdleTimeoutMs = static_cast<int>(N);
-    } else if (Arg == "--drain-timeout-ms") {
-      if (!NextValue(V) || !parseCliCount(Arg, V, 0, 86400000, N))
-        return 2;
-      Opts.DrainTimeoutMs = static_cast<int>(N);
-    } else if (Arg == "--cache-dir") {
-      if (!NextValue(Opts.CacheDir))
-        return 2;
-    } else if (Arg == "--cache-serve") {
-      Opts.CacheServe = true;
-    } else if (Arg == "--cache-remote") {
-      if (!NextValue(Opts.CacheRemote))
-        return 2;
-    } else if (Arg == "--cache-max-mb") {
-      if (!NextValue(V) || !parseCliCount(Arg, V, 1, 1 << 20, N))
-        return 2;
-      Opts.CacheMaxBytes = N << 20;
-    } else if (Arg == "--stats-out") {
-      if (!NextValue(StatsOut))
-        return 2;
-    } else if (Arg == "--verbose") {
-      Opts.Verbose = true;
-    } else {
-      std::cerr << "pirac serve: unknown option '" << Arg << "'\n";
-      return 2;
-    }
-  }
-  if (Opts.SocketPath.empty() && Opts.TcpPort < 0) {
-    std::cerr << "pirac serve: need --socket PATH and/or --tcp PORT\n";
-    return 2;
-  }
-  if (Opts.CacheMaxBytes != 0 && Opts.CacheDir.empty()) {
-    std::cerr << "pirac serve: --cache-max-mb requires --cache-dir DIR\n";
-    return 2;
-  }
-
-  service::Server Server(Opts);
-  Status B = Server.bind();
-  if (!B.ok()) {
-    std::cerr << "pirac serve: " << B.toString() << '\n';
-    return 3;
-  }
-
-  ActiveServer = &Server;
-  std::signal(SIGTERM, onSigterm);
-  std::signal(SIGINT, onSigint);
-
-  // The readiness line doubles as the address announcement: with
-  // --tcp 0 this is the only place the kernel-assigned port appears.
-  std::cerr << "pirac serve: ready";
-  if (!Opts.SocketPath.empty())
-    std::cerr << " on " << Opts.SocketPath;
-  if (Opts.TcpPort >= 0)
-    std::cerr << (Opts.SocketPath.empty() ? " on" : " and")
-              << " 127.0.0.1:" << Server.tcpPort();
-  std::cerr << std::endl;
-
-  int Rc = Server.run();
-
-  std::signal(SIGTERM, SIG_DFL);
-  std::signal(SIGINT, SIG_DFL);
-  ActiveServer = nullptr;
-
-  json::Value Stats = Server.statsToJson();
-  if (!StatsOut.empty()) {
-    std::string Error;
-    if (!writeJsonFile(Stats, StatsOut, Error)) {
-      std::cerr << "pirac serve: stats-out: " << Error << '\n';
-      return 3;
-    }
-  }
-  const json::Value *Req = Stats.find("requests");
-  std::cerr << "pirac serve: " << (Rc == 0 ? "drained" : "aborted") << " ("
-            << Req->find("total")->asInt() << " request(s), "
-            << Req->find("compiles")->asInt() << " compile(s), "
-            << Req->find("shed")->asInt() << " shed)\n";
-  return Rc;
-}
-
 int main(int argc, char **argv) {
-  // Process-wide, before any descriptor work: a report sink or socket
-  // peer that vanishes must surface as EPIPE on the write (a structured
+  // Process-wide, before any descriptor work: a report sink or pipe
+  // reader that vanishes must surface as EPIPE on the write (a structured
   // diagnostic and exit 3), never as silent SIGPIPE death (141).
   io::ignoreSigpipe();
 
@@ -388,10 +209,6 @@ int main(int argc, char **argv) {
   // on the command line applies.
   if (argc >= 2 && std::string(argv[1]) == "--worker")
     return runWorkerMode(std::cin, std::cout, std::cerr);
-
-  // The compile daemon is a subcommand with its own flag set.
-  if (argc >= 2 && std::string(argv[1]) == "serve")
-    return runServeMode(argc, argv);
 
   // (name, source) per input; empty after flag parsing means the sample.
   std::vector<std::pair<std::string, std::string>> Inputs;
@@ -411,7 +228,6 @@ int main(int argc, char **argv) {
   CacheMode CacheModeFlag = CacheMode::Off;
   bool CacheFlagSeen = false;
   std::string CacheDir;
-  std::string CacheRemote;
   uint64_t CacheMaxMB = 0;
   bool Isolate = false;
   uint64_t Retries = 0;
@@ -420,9 +236,6 @@ int main(int argc, char **argv) {
   uint64_t ChildMemMB = 0;
   std::string JournalPath;
   bool Resume = false;
-  bool UseClient = false;
-  bool DaemonStats = false;
-  service::ClientOptions ClientOpts;
   OracleOptions OracleOpts;
   bool Tournament = false;
   uint64_t CorpusCount = 200;
@@ -507,8 +320,7 @@ int main(int argc, char **argv) {
       std::string V;
       uint64_t N = 0;
       // 0 stays meaningful: "use the default worker count".
-      if (!NextValue(V) ||
-          !parseCliCount(Arg, V, 0, std::numeric_limits<unsigned>::max(), N))
+      if (!NextValue(V) || !parseCliCount(Arg, V, 0, ThreadPool::MaxWorkers, N))
         return 2;
       Jobs = static_cast<unsigned>(N);
       BatchMode = true;
@@ -540,9 +352,6 @@ int main(int argc, char **argv) {
       CacheFlagSeen = true;
     } else if (Arg == "--cache-dir") {
       if (!NextValue(CacheDir))
-        return 2;
-    } else if (Arg == "--cache-remote") {
-      if (!NextValue(CacheRemote))
         return 2;
     } else if (Arg == "--cache-max-mb") {
       std::string V;
@@ -578,36 +387,6 @@ int main(int argc, char **argv) {
       BatchMode = true;
     } else if (Arg == "--resume") {
       Resume = true;
-    } else if (Arg == "--client") {
-      UseClient = true;
-      BatchMode = true;
-    } else if (Arg == "--socket") {
-      if (!NextValue(ClientOpts.SocketPath))
-        return 2;
-    } else if (Arg == "--tcp") {
-      std::string V;
-      uint64_t N = 0;
-      if (!NextValue(V) || !parseCliCount(Arg, V, 1, 65535, N))
-        return 2;
-      ClientOpts.TcpPort = static_cast<int>(N);
-    } else if (Arg == "--client-retries") {
-      std::string V;
-      uint64_t N = 0;
-      // Total attempts per request; 1 disables retrying entirely (the
-      // overload CI shard relies on that to surface shed requests).
-      if (!NextValue(V) || !parseCliCount(Arg, V, 1, 1000, N))
-        return 2;
-      ClientOpts.MaxAttempts = static_cast<unsigned>(N);
-    } else if (Arg == "--client-backoff-ms") {
-      std::string V;
-      uint64_t N = 0;
-      if (!NextValue(V) || !parseCliCount(Arg, V, 0, 60000, N))
-        return 2;
-      ClientOpts.RetryBackoffMs = static_cast<unsigned>(N);
-    } else if (Arg == "--client-verbose") {
-      ClientOpts.Verbose = true;
-    } else if (Arg == "--daemon-stats") {
-      DaemonStats = true;
     } else if (Arg == "--oracle-max-insts") {
       std::string V;
       uint64_t N = 0;
@@ -702,7 +481,7 @@ int main(int argc, char **argv) {
   }
   if (Regs != 0)
     Machine.setNumPhysRegs(Regs);
-  if ((!CacheDir.empty() || !CacheRemote.empty()) && !CacheFlagSeen)
+  if (!CacheDir.empty() && !CacheFlagSeen)
     CacheModeFlag = CacheMode::On;
   if (CacheMaxMB != 0 && CacheDir.empty()) {
     std::cerr << "pirac: --cache-max-mb requires --cache-dir DIR\n";
@@ -711,36 +490,6 @@ int main(int argc, char **argv) {
   if (Resume && JournalPath.empty()) {
     std::cerr << "pirac: --resume requires --journal FILE\n";
     return 2;
-  }
-  if ((UseClient || DaemonStats) && ClientOpts.SocketPath.empty() &&
-      ClientOpts.TcpPort < 0) {
-    std::cerr << "pirac: --client/--daemon-stats need --socket PATH or "
-                 "--tcp PORT\n";
-    return 2;
-  }
-  if (UseClient &&
-      (Isolate || !JournalPath.empty() || Resume || CacheFlagSeen ||
-       !CacheDir.empty() || !CacheRemote.empty() ||
-       !faultinject::currentSpec().empty())) {
-    // The daemon owns isolation, journaling, caching, and (because it
-    // is process-global state) fault injection; a client asking for
-    // them locally would silently change what the daemon computes.
-    std::cerr << "pirac: --client cannot be combined with --isolate, "
-                 "--journal/--resume, --cache/--cache-dir/--cache-remote, "
-                 "or --fault-inject\n";
-    return 2;
-  }
-  if (DaemonStats) {
-    service::ServiceClient Client(ClientOpts);
-    Expected<json::Value> S = Client.stats();
-    if (!S) {
-      std::cerr << "pirac: daemon stats: " << S.status().toString() << '\n';
-      return 3;
-    }
-    S->write(std::cout, 0);
-    std::cout << '\n';
-    std::cout.flush();
-    return std::cout ? 0 : 3;
   }
   // At most one machine-readable sink may own stdout; the others must go
   // to real files or the streams would interleave into garbage.
@@ -846,8 +595,6 @@ int main(int argc, char **argv) {
       Cache.emplace(CacheModeFlag, CacheDir);
       if (CacheMaxMB != 0)
         Cache->setDiskLimitBytes(CacheMaxMB << 20);
-      if (!CacheRemote.empty())
-        Cache->attachRemote(service::makeCacheBackendForTarget(CacheRemote));
     }
     BatchOptions Opts;
     Opts.Strategy = Strategy;
@@ -885,9 +632,7 @@ int main(int argc, char **argv) {
       Opts.Journal = &Journal;
     }
 
-    BatchResult BR = UseClient ? service::compileBatchRemote(Batch, Machine,
-                                                             Opts, ClientOpts)
-                               : compileBatch(Batch, Machine, Opts);
+    BatchResult BR = compileBatch(Batch, Machine, Opts);
     Hum << "; batch of " << Batch.size() << " function(s), "
         << strategyName(Strategy) << " for " << Machine.name() << " ("
         << Machine.numPhysRegs() << " regs), " << BR.JobsUsed
@@ -930,12 +675,9 @@ int main(int argc, char **argv) {
     if (Cache) {
       CompilationCache::Stats CS = Cache->stats();
       Hum << "; cache (" << cacheModeName(Cache->mode()) << "): "
-          << (CS.MemoryHits + CS.DiskHits + CS.RemoteHits) << " hit(s) ("
-          << CS.MemoryHits << " memory, " << CS.DiskHits << " disk";
-      if (Cache->remote() != nullptr)
-        Hum << ", " << CS.RemoteHits << " remote";
-      Hum << "), " << CS.Misses << " miss(es), " << CS.Inserts
-          << " insert(s)";
+          << (CS.MemoryHits + CS.DiskHits) << " hit(s) (" << CS.MemoryHits
+          << " memory, " << CS.DiskHits << " disk), " << CS.Misses
+          << " miss(es), " << CS.Inserts << " insert(s)";
       if (CS.CorruptEntries != 0)
         Hum << ", " << CS.CorruptEntries << " corrupt";
       if (CS.WriteFailures != 0)
@@ -945,21 +687,6 @@ int main(int argc, char **argv) {
       if (CS.VerifyMismatches != 0)
         Hum << ", " << CS.VerifyMismatches << " VERIFY MISMATCH(ES)";
       Hum << '\n';
-      if (RemoteCacheTier *Tier = Cache->remote()) {
-        RemoteCacheTier::Stats RS = Tier->stats();
-        Hum << "; remote cache: " << RS.Lookups << " lookup(s), " << RS.Hits
-            << " hit(s), " << RS.Stores << " store(s), breaker "
-            << RemoteCacheTier::breakerName(RS.State);
-        if (RS.BreakerTrips != 0)
-          Hum << " (" << RS.BreakerTrips << " trip(s))";
-        if (RS.TransportFailures != 0)
-          Hum << ", " << RS.TransportFailures << " transport failure(s)";
-        if (RS.Collapsed != 0)
-          Hum << ", " << RS.Collapsed << " collapsed";
-        if (RS.Quarantined != 0)
-          Hum << ", " << RS.Quarantined << " QUARANTINED";
-        Hum << '\n';
-      }
     }
 
     bool ReportsOk = true;

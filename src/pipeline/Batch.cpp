@@ -551,6 +551,42 @@ std::string pira::formatProgressLine(const ProgressSnapshot &S) {
   return Line;
 }
 
+/// Recomputes every aggregate field of \p R (Succeeded, Failed,
+/// Degraded, isolation tallies, the Total* sums) from Results and
+/// Outcomes, walking them in input order.
+static void finalizeBatchAggregates(BatchResult &R) {
+  R.Succeeded = R.Failed = R.Degraded = 0;
+  R.Isolated = R.Crashes = R.Timeouts = R.Retries = R.Resumed = 0;
+  R.TotalRegistersUsed = R.TotalSpilledWebs = R.TotalSpillInstructions = 0;
+  R.TotalFalseDeps = R.TotalStaticCycles = 0;
+  R.TotalDynCycles = R.TotalDynInstructions = 0;
+  for (size_t I = 0; I != R.Results.size(); ++I) {
+    const PipelineResult &P = R.Results[I];
+    const IsolationOutcome &Iso = R.Outcomes[I].Isolation;
+    if (Iso.Isolated)
+      ++R.Isolated;
+    R.Crashes += Iso.Crashes;
+    R.Timeouts += Iso.Timeouts;
+    R.Retries += Iso.Retries;
+    if (R.Outcomes[I].Resumed)
+      ++R.Resumed;
+    if (!P.Success) {
+      ++R.Failed;
+      continue;
+    }
+    ++R.Succeeded;
+    if (R.Outcomes[I].Degraded)
+      ++R.Degraded;
+    R.TotalRegistersUsed = std::max(R.TotalRegistersUsed, P.RegistersUsed);
+    R.TotalSpilledWebs += P.SpilledWebs;
+    R.TotalSpillInstructions += P.SpillInstructions;
+    R.TotalFalseDeps += P.FalseDeps;
+    R.TotalStaticCycles += P.StaticCycles;
+    R.TotalDynCycles += P.DynCycles;
+    R.TotalDynInstructions += P.DynInstructions;
+  }
+}
+
 BatchResult pira::compileBatch(const std::vector<BatchItem> &Batch,
                                const MachineModel &Machine,
                                const BatchOptions &OptsIn) {
@@ -744,39 +780,6 @@ BatchResult pira::compileBatch(const std::vector<BatchItem> &Batch,
   // scheduling.
   finalizeBatchAggregates(R);
   return R;
-}
-
-void pira::finalizeBatchAggregates(BatchResult &R) {
-  R.Succeeded = R.Failed = R.Degraded = 0;
-  R.Isolated = R.Crashes = R.Timeouts = R.Retries = R.Resumed = 0;
-  R.TotalRegistersUsed = R.TotalSpilledWebs = R.TotalSpillInstructions = 0;
-  R.TotalFalseDeps = R.TotalStaticCycles = 0;
-  R.TotalDynCycles = R.TotalDynInstructions = 0;
-  for (size_t I = 0; I != R.Results.size(); ++I) {
-    const PipelineResult &P = R.Results[I];
-    const IsolationOutcome &Iso = R.Outcomes[I].Isolation;
-    if (Iso.Isolated)
-      ++R.Isolated;
-    R.Crashes += Iso.Crashes;
-    R.Timeouts += Iso.Timeouts;
-    R.Retries += Iso.Retries;
-    if (R.Outcomes[I].Resumed)
-      ++R.Resumed;
-    if (!P.Success) {
-      ++R.Failed;
-      continue;
-    }
-    ++R.Succeeded;
-    if (R.Outcomes[I].Degraded)
-      ++R.Degraded;
-    R.TotalRegistersUsed = std::max(R.TotalRegistersUsed, P.RegistersUsed);
-    R.TotalSpilledWebs += P.SpilledWebs;
-    R.TotalSpillInstructions += P.SpillInstructions;
-    R.TotalFalseDeps += P.FalseDeps;
-    R.TotalStaticCycles += P.StaticCycles;
-    R.TotalDynCycles += P.DynCycles;
-    R.TotalDynInstructions += P.DynInstructions;
-  }
 }
 
 /// Serializes one ladder record ({"requested", "used", "rung",

@@ -246,15 +246,6 @@ struct BatchResult {
   uint64_t TotalDynInstructions = 0;
 };
 
-/// Recomputes every aggregate field of \p R (Succeeded, Failed,
-/// Degraded, isolation tallies, the Total* sums) from Results and
-/// Outcomes, walking them in input order. compileBatch calls this at
-/// the end of every run; the service client (service/Client.h) calls it
-/// after assembling a BatchResult from daemon responses, so both paths
-/// aggregate identically — that identity is what makes a remote batch
-/// report byte-compare clean against an in-process one.
-void finalizeBatchAggregates(BatchResult &R);
-
 /// Compiles every item of \p Batch with \p Opts.Strategy for \p Machine.
 /// \p Machine is shared read-only across workers and must outlive the
 /// call. Items compile independently; a failure in one does not stop the

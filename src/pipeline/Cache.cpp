@@ -14,18 +14,16 @@
 #include "pipeline/Report.h"
 #include "support/FaultInjection.h"
 #include "support/Hash.h"
+#include "support/Io.h"
 #include "support/Telemetry.h"
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <charconv>
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
-#include <thread>
 #include <vector>
 
 #include <fcntl.h>
@@ -42,12 +40,6 @@ PIRA_STAT(NumCacheCorruptEntries,
 PIRA_STAT(NumCacheWriteFailures, "Cache entries that failed to land on disk");
 PIRA_STAT(NumCacheVerifyMismatches,
           "Verify-mode recompiles that did not match the cached entry");
-PIRA_STAT(NumCacheRemoteHits,
-          "Cache hits served (and verified) from the remote tier");
-PIRA_STAT(NumCacheRemoteQuarantined,
-          "Remote cache entries quarantined by integrity checks");
-PIRA_STAT(NumCacheRemoteBreakerTrips,
-          "Remote cache circuit-breaker transitions to open");
 PIRA_STAT(NumCacheTrimmedEntries,
           "On-disk cache entries evicted by the size bound");
 
@@ -273,280 +265,11 @@ Expected<PipelineResult> pira::decodeCacheEntry(const json::Value &Entry) {
 }
 
 //===----------------------------------------------------------------------===//
-// RemoteCacheTier
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// splitmix64 finalizer: a cheap, well-mixed hash for the backoff
-/// jitter. Deterministic in its inputs, so two runs with the same seed
-/// back off identically — and two clients with different seeds do not.
-uint64_t mix64(uint64_t X) {
-  X += 0x9e3779b97f4a7c15ull;
-  X = (X ^ (X >> 30)) * 0xbf58476d1ce4e9b9ull;
-  X = (X ^ (X >> 27)) * 0x94d049bb133111ebull;
-  return X ^ (X >> 31);
-}
-
-/// Jittered backoff before attempt \p Attempt (2-based): uniform in
-/// [base/2, base] where base = min(BackoffMs << (Attempt-2), cap).
-/// Half the window is kept as a floor so a retry is never immediate.
-unsigned jitteredBackoffMs(const RemoteCacheOptions &Opts, unsigned Attempt,
-                           uint64_t Salt) {
-  unsigned Shift = Attempt >= 2 ? Attempt - 2 : 0;
-  uint64_t Base = Shift >= 32 ? Opts.BackoffCapMs
-                              : std::min<uint64_t>(
-                                    static_cast<uint64_t>(Opts.BackoffMs)
-                                        << Shift,
-                                    Opts.BackoffCapMs);
-  if (Base == 0)
-    return 0;
-  uint64_t Span = Base - Base / 2;
-  uint64_t R = mix64(Opts.JitterSeed ^ mix64(Salt ^ Attempt));
-  return static_cast<unsigned>(Base / 2 + (Span == 0 ? 0 : R % (Span + 1)));
-}
-
-} // namespace
-
-RemoteCacheTier::RemoteCacheTier(std::unique_ptr<RemoteCacheBackend> Backend,
-                                 RemoteCacheOptions Opts)
-    : Backend(std::move(Backend)), Opts(Opts) {}
-
-const char *RemoteCacheTier::breakerName(Breaker B) {
-  switch (B) {
-  case Breaker::Closed:
-    return "closed";
-  case Breaker::Open:
-    return "open";
-  case Breaker::HalfOpen:
-    return "half-open";
-  }
-  return "unknown";
-}
-
-bool RemoteCacheTier::admitLocked(uint64_t NowNs) {
-  switch (Tally.State) {
-  case Breaker::Closed:
-    return true;
-  case Breaker::Open: {
-    uint64_t CooldownNs =
-        static_cast<uint64_t>(Opts.BreakerCooldownMs) * 1000000ull;
-    if (NowNs - OpenedAtNs < CooldownNs)
-      return false;
-    // Cooldown over: this operation becomes the half-open probe.
-    Tally.State = Breaker::HalfOpen;
-    ProbeInFlight = true;
-    return true;
-  }
-  case Breaker::HalfOpen:
-    if (ProbeInFlight)
-      return false;
-    ProbeInFlight = true;
-    return true;
-  }
-  return false;
-}
-
-void RemoteCacheTier::recordSuccess() {
-  std::lock_guard<std::mutex> Lock(StateMutex);
-  ConsecutiveFailures = 0;
-  ProbeInFlight = false;
-  Tally.State = Breaker::Closed;
-}
-
-void RemoteCacheTier::recordFailure() {
-  std::lock_guard<std::mutex> Lock(StateMutex);
-  ++ConsecutiveFailures;
-  bool Trip = false;
-  if (Tally.State == Breaker::HalfOpen) {
-    // The probe failed: straight back to open, cooldown restarts.
-    ProbeInFlight = false;
-    Trip = true;
-  } else if (Tally.State == Breaker::Closed &&
-             ConsecutiveFailures >= Opts.BreakerThreshold) {
-    Trip = true;
-  }
-  if (Trip) {
-    Tally.State = Breaker::Open;
-    OpenedAtNs = telemetry::monotonicNowNs();
-    ++Tally.BreakerTrips;
-    ++NumCacheRemoteBreakerTrips;
-  }
-}
-
-template <typename OpFn>
-bool RemoteCacheTier::runOp(const std::string &Key, OpFn &&Op) {
-  {
-    std::lock_guard<std::mutex> Lock(StateMutex);
-    if (!admitLocked(telemetry::monotonicNowNs())) {
-      ++Tally.BreakerSkipped;
-      return false;
-    }
-  }
-  bool Succeeded = false;
-  for (unsigned Attempt = 1;
-       Attempt <= std::max(1u, Opts.MaxAttempts) && !Succeeded; ++Attempt) {
-    if (Attempt > 1) {
-      unsigned Ms = jitteredBackoffMs(Opts, Attempt, Key.size());
-      if (Ms != 0)
-        std::this_thread::sleep_for(std::chrono::milliseconds(Ms));
-    }
-    {
-      std::lock_guard<std::mutex> Lock(BackendMutex);
-      Succeeded = Op();
-    }
-    if (!Succeeded) {
-      std::lock_guard<std::mutex> Lock(StateMutex);
-      ++Tally.TransportFailures;
-    }
-  }
-  if (Succeeded)
-    recordSuccess();
-  else
-    recordFailure();
-  return Succeeded;
-}
-
-std::shared_ptr<const json::Value>
-RemoteCacheTier::lookup(const std::string &Key, std::string *TextOut) {
-  PIRA_TIME_SCOPE("cache/remote-lookup");
-  // Single-flight: the first thread in becomes the leader; every
-  // concurrent identical lookup waits on its flight instead of sending
-  // a duplicate request down one serialized connection.
-  std::shared_ptr<Flight> F;
-  {
-    std::unique_lock<std::mutex> Lock(FlightMutex);
-    auto It = Flights.find(Key);
-    if (It != Flights.end()) {
-      F = It->second;
-      {
-        std::lock_guard<std::mutex> SLock(StateMutex);
-        ++Tally.Lookups;
-        ++Tally.Collapsed;
-      }
-      FlightCv.wait(Lock, [&] { return F->Done; });
-      if (TextOut != nullptr && F->Entry)
-        *TextOut = F->Text;
-      return F->Entry;
-    }
-    F = std::make_shared<Flight>();
-    Flights.emplace(Key, F);
-  }
-  {
-    std::lock_guard<std::mutex> Lock(StateMutex);
-    ++Tally.Lookups;
-  }
-
-  RemoteCacheHit Hit;
-  bool Transported = runOp(Key, [&] {
-    Expected<RemoteCacheHit> R = Backend->lookup(Key, Opts.OpDeadlineMs);
-    if (!R)
-      return false;
-    Hit = R.take();
-    return true;
-  });
-
-  std::shared_ptr<const json::Value> Result;
-  std::string Text;
-  if (Transported && Hit.Found) {
-    // Integrity gauntlet: digest over the exact received bytes, then a
-    // structural parse, then a full decode, then the self-identifying
-    // key. Anything short of all four is quarantine — counted, never
-    // used, and indistinguishable from a miss to the caller.
-    bool Verified = false;
-    if (hash::Sha256::hashHex(Hit.EntryText) == Hit.Digest) {
-      json::Value Parsed;
-      std::string Error;
-      if (json::parse(Hit.EntryText, Parsed, Error)) {
-        auto Entry = std::make_shared<const json::Value>(std::move(Parsed));
-        const json::Value *K = Entry->find("key");
-        if (K != nullptr && K->isString() && K->asString() == Key &&
-            decodeCacheEntry(*Entry).ok()) {
-          Result = std::move(Entry);
-          Text = Hit.EntryText;
-          Verified = true;
-        }
-      }
-    }
-    std::lock_guard<std::mutex> Lock(StateMutex);
-    if (Verified) {
-      ++Tally.Hits;
-      ++NumCacheRemoteHits;
-    } else {
-      ++Tally.Quarantined;
-      ++NumCacheRemoteQuarantined;
-    }
-  } else if (Transported) {
-    std::lock_guard<std::mutex> Lock(StateMutex);
-    ++Tally.Misses;
-  }
-
-  {
-    std::lock_guard<std::mutex> Lock(FlightMutex);
-    F->Entry = Result;
-    F->Text = Text;
-    F->Done = true;
-    Flights.erase(Key);
-  }
-  FlightCv.notify_all();
-  if (TextOut != nullptr && Result)
-    *TextOut = Text;
-  return Result;
-}
-
-void RemoteCacheTier::store(const std::string &Key,
-                            const std::string &EntryText) {
-  PIRA_TIME_SCOPE("cache/remote-store");
-  std::string Digest = hash::Sha256::hashHex(EntryText);
-  bool Acked = false;
-  bool Transported = runOp(Key, [&] {
-    Status S = Backend->store(Key, EntryText, Digest, Opts.OpDeadlineMs);
-    if (!S.ok())
-      return false;
-    Acked = true;
-    return true;
-  });
-  std::lock_guard<std::mutex> Lock(StateMutex);
-  if (Transported && Acked)
-    ++Tally.Stores;
-  else
-    ++Tally.StoreFailures;
-}
-
-RemoteCacheTier::Stats RemoteCacheTier::stats() const {
-  std::lock_guard<std::mutex> Lock(StateMutex);
-  return Tally;
-}
-
-json::Value RemoteCacheTier::statsToJson() const {
-  Stats S = stats();
-  json::Value Out = json::Value::object();
-  Out.set("backend", Backend->describe());
-  Out.set("lookups", S.Lookups);
-  Out.set("hits", S.Hits);
-  Out.set("misses", S.Misses);
-  Out.set("stores", S.Stores);
-  Out.set("store_failures", S.StoreFailures);
-  Out.set("transport_failures", S.TransportFailures);
-  Out.set("quarantined", S.Quarantined);
-  Out.set("breaker", breakerName(S.State));
-  Out.set("breaker_trips", S.BreakerTrips);
-  Out.set("breaker_skipped", S.BreakerSkipped);
-  Out.set("collapsed", S.Collapsed);
-  return Out;
-}
-
-//===----------------------------------------------------------------------===//
 // CompilationCache
 //===----------------------------------------------------------------------===//
 
 CompilationCache::CompilationCache(CacheMode Mode, std::string DiskDir)
     : Mode(Mode), DiskDir(std::move(DiskDir)) {}
-
-void CompilationCache::attachRemote(std::unique_ptr<RemoteCacheBackend> Backend,
-                                    RemoteCacheOptions RemoteOpts) {
-  Remote = std::make_unique<RemoteCacheTier>(std::move(Backend), RemoteOpts);
-}
 
 std::string CompilationCache::filePathFor(const std::string &Key) const {
   if (DiskDir.empty())
@@ -559,16 +282,7 @@ CompilationCache::lookup(const std::string &Key, std::string *SerializedOut) {
   PIRA_TIME_SCOPE("cache/lookup");
   telemetry::HistTimer Latency(CacheLookupLatency);
   std::shared_ptr<const json::Value> Entry;
-  bool FromRemote = false;
-  if (Remote != nullptr) {
-    // Remote first: the daemon is the shared source of truth, and every
-    // one of its failure modes (dead, slow, tripped breaker, garbage)
-    // reads as "no entry" here — the top rung of the degradation
-    // ladder. The tier already verified digest, decode, and key.
-    Entry = Remote->lookup(Key);
-    FromRemote = Entry != nullptr;
-  }
-  if (!Entry) {
+  {
     std::lock_guard<std::mutex> Lock(Mutex);
     auto It = Memory.find(Key);
     if (It != Memory.end())
@@ -608,7 +322,7 @@ CompilationCache::lookup(const std::string &Key, std::string *SerializedOut) {
     if (FromDisk) {
       ++Tally.CorruptEntries;
       ++NumCacheCorruptEntries;
-    } else if (!FromRemote) {
+    } else {
       Memory.erase(Key);
     }
     ++Tally.Misses;
@@ -620,12 +334,7 @@ CompilationCache::lookup(const std::string &Key, std::string *SerializedOut) {
     *SerializedOut = Entry->toString(-1);
   {
     std::lock_guard<std::mutex> Lock(Mutex);
-    if (FromRemote) {
-      // Promote to the memory tier only; the disk tier stays what local
-      // compiles wrote, so a flaky remote cannot churn it.
-      Memory.emplace(Key, Entry);
-      ++Tally.RemoteHits;
-    } else if (FromDisk) {
+    if (FromDisk) {
       Memory.emplace(Key, Entry);
       ++Tally.DiskHits;
       ++NumCacheDiskHits;
@@ -649,12 +358,8 @@ void CompilationCache::insert(const std::string &Key,
     ++NumCacheInserts;
   }
   std::string Path = filePathFor(Key);
-  if (Path.empty()) {
-    // Memory-only locally, but still publish to the shared tier.
-    if (Remote != nullptr)
-      Remote->store(Key, Entry->toString(-1));
+  if (Path.empty())
     return;
-  }
 
   // One file per key, written to a unique temp name in the same
   // directory, fsync'd, and renamed into place: readers see either no
@@ -675,18 +380,7 @@ void CompilationCache::insert(const std::string &Key,
   bool Ok = false;
   int Fd = ::open(Temp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (Fd >= 0) {
-    size_t Off = 0;
-    Ok = true;
-    while (Off < Payload.size()) {
-      ssize_t N = ::write(Fd, Payload.data() + Off, Payload.size() - Off);
-      if (N < 0) {
-        if (errno == EINTR)
-          continue;
-        Ok = false;
-        break;
-      }
-      Off += static_cast<size_t>(N);
-    }
+    Ok = io::writeFull(Fd, Payload.data(), Payload.size());
     Ok = Ok && ::fsync(Fd) == 0;
     Ok = (::close(Fd) == 0) && Ok;
   }
@@ -709,12 +403,6 @@ void CompilationCache::insert(const std::string &Key,
     ++Tally.WriteFailures;
     ++NumCacheWriteFailures;
   }
-
-  // Best-effort publication to the shared tier, after the local tiers
-  // are safe: a store that never lands only costs other clients a
-  // recompile, never this one.
-  if (Remote != nullptr)
-    Remote->store(Key, Entry->toString(-1));
 }
 
 void CompilationCache::trimDiskLocked() {
@@ -796,19 +484,16 @@ json::Value CompilationCache::statsToJson() const {
   Out.set("disk", !DiskDir.empty());
   Out.set("memory_hits", S.MemoryHits);
   Out.set("disk_hits", S.DiskHits);
-  Out.set("remote_hits", S.RemoteHits);
   Out.set("misses", S.Misses);
   Out.set("inserts", S.Inserts);
   Out.set("corrupt_entries", S.CorruptEntries);
   Out.set("write_failures", S.WriteFailures);
   Out.set("verify_mismatches", S.VerifyMismatches);
   Out.set("trimmed_entries", S.TrimmedEntries);
-  uint64_t Hits = S.MemoryHits + S.DiskHits + S.RemoteHits;
+  uint64_t Hits = S.MemoryHits + S.DiskHits;
   uint64_t Lookups = Hits + S.Misses;
   Out.set("hit_rate", Lookups == 0 ? 0.0
                                    : static_cast<double>(Hits) /
                                          static_cast<double>(Lookups));
-  if (Remote != nullptr)
-    Out.set("remote", Remote->statsToJson());
   return Out;
 }

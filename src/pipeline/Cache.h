@@ -41,23 +41,6 @@
 /// degraded or failed function must re-walk the ladder every time, so a
 /// transient failure cause (or a fixed one) is never fossilized.
 ///
-/// A third, optional tier is *remote*: a `pirac serve --cache-serve`
-/// daemon answering lookup/store over the framed cache protocol
-/// (service/Framing.h). The RemoteCacheTier here is the hostile-network
-/// envelope around any RemoteCacheBackend transport: per-operation
-/// deadlines, bounded exponential backoff with deterministic jitter, a
-/// circuit breaker (consecutive failures trip the tier open; periodic
-/// half-open probes let a recovered daemon back in), single-flight
-/// collapsing of concurrent identical lookups, and end-to-end integrity
-/// verification — every fetched entry is re-hashed against the digest
-/// its producer computed, fully decoded, and checked against the key it
-/// claims to be, and anything that fails is quarantined (counted, never
-/// used, never a crash). Every remote failure mode degrades silently
-/// down the ladder remote → local disk/memory → compile, so batch
-/// reports stay byte-identical (modulo the volatile timer/counter
-/// sections) whether the daemon is healthy, slow, dead, flapping, or
-/// returning garbage. DESIGN.md §13 specifies the protocol and rules.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef PIRA_PIPELINE_CACHE_H
@@ -65,7 +48,6 @@
 
 #include "pipeline/Batch.h"
 
-#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -112,145 +94,6 @@ json::Value encodeCacheEntry(const PipelineResult &R, const std::string &Key);
 /// that as a cache miss.
 Expected<PipelineResult> decodeCacheEntry(const json::Value &Entry);
 
-//===----------------------------------------------------------------------===//
-// Remote tier
-//===----------------------------------------------------------------------===//
-
-/// What a remote lookup brought back. \p Found false is a clean miss;
-/// when true, \p EntryText is the compact entry serialization and
-/// \p Digest the producer-side SHA-256 hex of exactly those bytes.
-struct RemoteCacheHit {
-  bool Found = false;
-  std::string EntryText;
-  std::string Digest;
-};
-
-/// The transport under RemoteCacheTier. Implementations do one
-/// best-effort network operation per call — no retries, no policy;
-/// the tier owns deadlines, backoff, and the breaker. Calls are
-/// serialized by the tier, so implementations need not be thread-safe.
-/// The socket-backed implementation lives in service/CacheClient.h;
-/// tests substitute mocks.
-class RemoteCacheBackend {
-public:
-  virtual ~RemoteCacheBackend() = default;
-
-  /// Fetches \p Key. A transport or protocol failure is an error
-  /// Status; "the daemon has no such entry" is a Found=false success.
-  /// \p DeadlineMs bounds the whole operation (0 = no bound).
-  virtual Expected<RemoteCacheHit> lookup(const std::string &Key,
-                                          int DeadlineMs) = 0;
-
-  /// Publishes \p EntryText under \p Key with its \p Digest.
-  virtual Status store(const std::string &Key, const std::string &EntryText,
-                       const std::string &Digest, int DeadlineMs) = 0;
-
-  /// Human-readable endpoint for diagnostics.
-  virtual std::string describe() const = 0;
-};
-
-/// Robustness knobs of the remote tier. The defaults suit a loopback
-/// daemon; tests shrink every window to keep failure paths fast.
-struct RemoteCacheOptions {
-  /// Per-operation deadline, ms (0 = unbounded — not recommended).
-  int OpDeadlineMs = 2000;
-  /// Attempts per operation; 1 disables in-tier retry.
-  unsigned MaxAttempts = 2;
-  /// Backoff before attempt N: jittered min(BackoffMs << (N-2), cap).
-  unsigned BackoffMs = 10;
-  unsigned BackoffCapMs = 200;
-  /// Consecutive failed operations that trip the breaker open.
-  unsigned BreakerThreshold = 3;
-  /// How long the breaker stays open before a half-open probe, ms.
-  int BreakerCooldownMs = 1000;
-  /// Seed for the deterministic backoff jitter.
-  uint64_t JitterSeed = 0;
-};
-
-/// The hostile-network envelope (see the file comment). Thread-safe;
-/// never throws, never blocks longer than deadlines + backoff, and
-/// reports every failure as a miss — the caller cannot tell a dead
-/// daemon from a cold one, which is exactly the degradation contract.
-class RemoteCacheTier {
-public:
-  enum class Breaker {
-    Closed,   ///< Healthy: operations flow.
-    Open,     ///< Tripped: operations fail instantly, no network.
-    HalfOpen, ///< Cooldown expired: one probe in flight decides.
-  };
-
-  struct Stats {
-    uint64_t Lookups = 0;           ///< Lookup operations requested.
-    uint64_t Hits = 0;              ///< Verified remote entries served.
-    uint64_t Misses = 0;            ///< Clean remote misses.
-    uint64_t Stores = 0;            ///< Stores acknowledged by the peer.
-    uint64_t StoreFailures = 0;     ///< Stores that never landed.
-    uint64_t TransportFailures = 0; ///< Failed attempts (all causes).
-    uint64_t Quarantined = 0;       ///< Fetched entries that failed
-                                    ///< integrity checks (never used).
-    uint64_t BreakerTrips = 0;      ///< Transitions to Open.
-    uint64_t BreakerSkipped = 0;    ///< Operations refused while Open.
-    uint64_t Collapsed = 0;         ///< Lookups served by another
-                                    ///< in-flight identical lookup.
-    Breaker State = Breaker::Closed;
-  };
-
-  RemoteCacheTier(std::unique_ptr<RemoteCacheBackend> Backend,
-                  RemoteCacheOptions Opts);
-
-  /// Fetches and *verifies* \p Key. Returns the parsed entry (shared so
-  /// callers can decode outside any lock) plus its exact serialized
-  /// text via \p TextOut; nullptr on miss, quarantine, breaker-open, or
-  /// any transport failure — all indistinguishable by design.
-  std::shared_ptr<const json::Value> lookup(const std::string &Key,
-                                            std::string *TextOut = nullptr);
-
-  /// Publishes an entry best-effort: failures are counted and dropped.
-  void store(const std::string &Key, const std::string &EntryText);
-
-  Stats stats() const;
-
-  /// Stable name of a breaker state ("closed", "open", "half-open").
-  static const char *breakerName(Breaker B);
-
-  /// The "remote" sub-block of the cache stats report.
-  json::Value statsToJson() const;
-
-private:
-  /// True when the breaker admits an operation now (may move Open →
-  /// HalfOpen). Called under StateMutex.
-  bool admitLocked(uint64_t NowNs);
-  void recordSuccess();
-  void recordFailure();
-
-  /// One backend operation with deadline, attempts, backoff + jitter,
-  /// and breaker accounting. \p Op runs under BackendMutex.
-  template <typename OpFn> bool runOp(const std::string &Key, OpFn &&Op);
-
-  std::unique_ptr<RemoteCacheBackend> Backend;
-  RemoteCacheOptions Opts;
-
-  /// Serializes backend use (the transport holds one connection).
-  std::mutex BackendMutex;
-
-  mutable std::mutex StateMutex;
-  Stats Tally;
-  unsigned ConsecutiveFailures = 0;
-  uint64_t OpenedAtNs = 0;
-  bool ProbeInFlight = false;
-
-  /// Single-flight table: key -> the flight every concurrent identical
-  /// lookup waits on.
-  struct Flight {
-    bool Done = false;
-    std::shared_ptr<const json::Value> Entry;
-    std::string Text;
-  };
-  std::mutex FlightMutex;
-  std::condition_variable FlightCv;
-  std::map<std::string, std::shared_ptr<Flight>> Flights;
-};
-
 /// The two-tier cache. Thread-safe: compileBatch workers look up and
 /// insert concurrently. One instance per logical cache — pirac makes one
 /// per process; tests make one per scenario.
@@ -263,8 +106,6 @@ public:
   struct Stats {
     uint64_t MemoryHits = 0;       ///< Served from the in-memory tier.
     uint64_t DiskHits = 0;         ///< Served (and promoted) from disk.
-    uint64_t RemoteHits = 0;       ///< Served (verified) from the remote
-                                   ///< tier and promoted to memory.
     uint64_t Misses = 0;           ///< No usable entry anywhere.
     uint64_t Inserts = 0;          ///< Entries written.
     uint64_t CorruptEntries = 0;   ///< Disk entries that failed to decode.
@@ -282,31 +123,21 @@ public:
   CacheMode mode() const { return Mode; }
   const std::string &diskDir() const { return DiskDir; }
 
-  /// Chains a remote tier in front of the local ones. Call before any
-  /// lookup/insert traffic (pirac wires it right after construction).
-  void attachRemote(std::unique_ptr<RemoteCacheBackend> Backend,
-                    RemoteCacheOptions RemoteOpts = {});
-
-  /// The attached remote tier, nullptr when local-only.
-  RemoteCacheTier *remote() { return Remote.get(); }
-
   /// Bounds the on-disk tier to \p Bytes (0 = unbounded). When an
   /// insert pushes the directory over the bound, the oldest entries are
   /// unlinked first — except entries this instance wrote, which the
   /// current batch may still be counting on.
   void setDiskLimitBytes(uint64_t Bytes) { DiskLimitBytes = Bytes; }
 
-  /// Looks \p Key up remote-first, then memory, then disk. On a hit
-  /// returns the decoded result and, when \p SerializedOut is non-null,
-  /// the canonical compact serialization of the stored entry (what
-  /// Verify compares against). Corrupt entries count and read as
-  /// misses; so does every remote failure (the degradation ladder).
+  /// Looks \p Key up in memory, then on disk. On a hit returns the
+  /// decoded result and, when \p SerializedOut is non-null, the
+  /// canonical compact serialization of the stored entry (what Verify
+  /// compares against). Corrupt entries count and read as misses.
   std::optional<PipelineResult> lookup(const std::string &Key,
                                        std::string *SerializedOut = nullptr);
 
-  /// Inserts \p R under \p Key into every tier (remote best-effort).
-  /// The caller enforces the only-clean-non-degraded rule; insert
-  /// serializes and stores.
+  /// Inserts \p R under \p Key into both tiers. The caller enforces the
+  /// only-clean-non-degraded rule; insert serializes and stores.
   void insert(const std::string &Key, const PipelineResult &R);
 
   /// Records one Verify-mode byte-identity failure.
@@ -332,7 +163,6 @@ private:
   CacheMode Mode;
   std::string DiskDir;
   uint64_t DiskLimitBytes = 0;
-  std::unique_ptr<RemoteCacheTier> Remote;
 
   mutable std::mutex Mutex;
   /// Key -> serialized entry. shared_ptr so lookups can decode outside

@@ -36,7 +36,7 @@
 /// when a compilation cache was live — a "cache" block: {"mode",
 /// "disk", "memory_hits", "disk_hits", "misses", "inserts",
 /// "corrupt_entries", "write_failures", "verify_mismatches",
-/// "hit_rate"} (pipeline/Cache.h).
+/// "trimmed_entries", "hit_rate"} (pipeline/Cache.h).
 /// Version history: v2 added "diagnostic" per result and the batch
 /// "failures"/"degradations" sections and "failed"/"degraded"
 /// aggregates; v3 added the batch "cache" block; v4 added the

@@ -223,7 +223,22 @@ Expected<GuardedResult> pira::decodeWorkerResult(const json::Value &Doc) {
   return G;
 }
 
-Expected<WorkerJob> pira::decodeWorkerJob(const json::Value &Doc) {
+namespace {
+
+/// A decoded pira.job document: everything runWorkerJob needs.
+struct WorkerJob {
+  std::string IRText;      ///< Canonical textual IR of the function.
+  std::string MachineText; ///< Canonical machine description.
+  BatchOptions Opts;       ///< Strategy and every result-affecting knob.
+  std::string FaultSpec;   ///< Fault-injection spec ("" disarmed).
+  uint64_t FaultKey = 0;   ///< Fault key for this compilation.
+  bool WantTelemetry = false; ///< Parent records trace scopes (v2).
+};
+
+/// Decodes and validates a pira.job document. Errors are ProtocolError
+/// diagnostics naming the malformed piece; the worker maps them to
+/// exit 3.
+Expected<WorkerJob> decodeWorkerJob(const json::Value &Doc) {
   auto Bad = [](const std::string &What) {
     return Status::error(ErrorCode::ProtocolError, "worker",
                          "malformed job document: " + What);
@@ -280,11 +295,15 @@ Expected<WorkerJob> pira::decodeWorkerJob(const json::Value &Doc) {
   return Job;
 }
 
-GuardedResult pira::runWorkerJob(const WorkerJob &Job,
-                                 CompilationCache *Cache) {
+/// Executes one decoded job through the ordinary guarded pipeline:
+/// parse the machine and IR, then run compileFunctionGuarded. Parse
+/// failures travel inside the result like any compile failure. Does
+/// NOT touch the process-global fault-injection config; the caller
+/// adopts the job's FaultSpec.
+GuardedResult runWorkerJob(const WorkerJob &Job) {
   faultinject::ScopedKey Key(Job.FaultKey);
-  GuardedResult G;
   auto Fail = [&](Status S) {
+    GuardedResult G;
     G.Outcome.Requested = strategyName(Job.Opts.Strategy);
     G.Result.Success = false;
     G.Result.Diag = std::move(S);
@@ -304,24 +323,10 @@ GuardedResult pira::runWorkerJob(const WorkerJob &Job,
     S.addContext("worker job IR");
     return Fail(std::move(S));
   }
-
-  // The daemon's warm tier: same key discipline and same
-  // only-clean-non-degraded insert rule as compileBatch.
-  std::string CacheKey;
-  if (Cache != nullptr) {
-    CacheKey = computeCacheKey(*F, *Machine, Job.Opts);
-    if (std::optional<PipelineResult> Hit = Cache->lookup(CacheKey)) {
-      G.Result = std::move(*Hit);
-      G.Outcome.Requested = strategyName(Job.Opts.Strategy);
-      G.Outcome.Used = G.Outcome.Requested;
-      return G;
-    }
-  }
-  G = compileFunctionGuarded(*F, *Machine, Job.Opts);
-  if (Cache != nullptr && G.Result.Success && !G.Outcome.Degraded)
-    Cache->insert(CacheKey, G.Result);
-  return G;
+  return compileFunctionGuarded(*F, *Machine, Job.Opts);
 }
+
+} // namespace
 
 int pira::runWorkerMode(std::istream &In, std::ostream &Out,
                         std::ostream &Err) {
@@ -341,9 +346,7 @@ int pira::runWorkerMode(std::istream &In, std::ostream &Out,
   }
 
   // Configure explicitly even when empty: the child must mirror the
-  // parent's harness, not adopt PIRA_FAULT on its own. The server never
-  // takes this path — fault state is process-global and a multi-tenant
-  // daemon must not let one request rearm it for everyone.
+  // parent's harness, not adopt PIRA_FAULT on its own.
   if (!faultinject::configure(Job->FaultSpec, Error)) {
     Err << "pirac --worker: bad fault spec: " << Error << '\n';
     return 3;

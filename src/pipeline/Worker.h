@@ -68,35 +68,6 @@ json::Value encodeWorkerJob(const std::string &IRText,
                             const BatchOptions &Opts,
                             const std::string &FaultSpec, uint64_t FaultKey);
 
-/// A decoded pira.job document: everything runWorkerJob needs. This is
-/// the shared currency between the two consumers of the protocol — the
-/// sandboxed `pirac --worker` child and the `pirac serve` daemon — so a
-/// job means exactly the same thing whichever door it arrives through.
-struct WorkerJob {
-  std::string IRText;      ///< Canonical textual IR of the function.
-  std::string MachineText; ///< Canonical machine description.
-  BatchOptions Opts;       ///< Strategy and every result-affecting knob.
-  std::string FaultSpec;   ///< Fault-injection spec ("" disarmed).
-  uint64_t FaultKey = 0;   ///< Fault key for this compilation.
-  bool WantTelemetry = false; ///< Parent records trace scopes (v2).
-};
-
-/// Decodes and validates a pira.job document. Errors are ProtocolError
-/// diagnostics naming the malformed piece; the worker maps them to exit
-/// 3, the server to a `protocol-error` response.
-Expected<WorkerJob> decodeWorkerJob(const json::Value &Doc);
-
-/// Executes one decoded job through the ordinary guarded pipeline:
-/// parse the machine and IR, consult \p Cache (when non-null — the
-/// daemon's permanently warm tier; null for one-shot workers), run
-/// compileFunctionGuarded, insert clean non-degraded successes back.
-/// Parse failures travel inside the result like any compile failure.
-/// Does NOT touch the process-global fault-injection config; the caller
-/// decides whether the job's FaultSpec may be adopted (the single-job
-/// worker does, the multi-tenant server refuses).
-GuardedResult runWorkerJob(const WorkerJob &Job,
-                           CompilationCache *Cache = nullptr);
-
 /// The child's answer: the ladder record plus the full pipeline result
 /// (successes carry the allocated code, schedule, and symbolic twin so
 /// the parent's BatchResult is as complete as an in-process compile).

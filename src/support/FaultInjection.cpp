@@ -115,13 +115,11 @@ void adoptEnvOnce(HarnessState &S) {
 
 const std::vector<const char *> &pira::faultinject::knownSites() {
   static const std::vector<const char *> Sites = {
-      "parse.enter",    "strategy.entry", "alloc.pinter",
-      "alloc.chaitin",  "alloc.spillall", "verify.final",
-      "sched.final",    "sim.measure",    "budget.instructions",
-      "budget.deadline", "net.write.short", "net.frame.torn",
-      "net.read.stall", "net.reset",      "net.payload.corrupt",
-      "crash.segv",     "crash.abort",    "crash.oom",
-      "crash.hang",
+      "parse.enter",     "strategy.entry", "alloc.pinter",
+      "alloc.chaitin",   "alloc.spillall", "verify.final",
+      "sched.final",     "sim.measure",    "budget.instructions",
+      "budget.deadline", "crash.segv",     "crash.abort",
+      "crash.oom",       "crash.hang",
   };
   return Sites;
 }

@@ -35,23 +35,6 @@
 ///   budget.instructions the guard treats the instruction budget as blown
 ///   budget.deadline     deadline::expired() reports an overrun
 ///
-/// Network sites (threaded through service/Framing) model a hostile or
-/// dying transport under the remote cache tier and the service client.
-/// They fire on the *calling* side of the framing helpers, so arming
-/// them in a client process leaves a separate daemon process untouched:
-///
-///   net.write.short     writeFrame puts half the frame on the wire,
-///                       then fails (the peer sees a torn frame)
-///   net.frame.torn      readFrame reports a mid-frame disconnect after
-///                       the payload arrived
-///   net.read.stall      readFrame reports the inactivity timeout
-///                       without waiting (a stalled peer)
-///   net.reset           readFrame reports ECONNRESET
-///   net.payload.corrupt readFrame succeeds but the payload is
-///                       corrupted in transit (one trailing digit
-///                       mutated), exercising end-to-end integrity
-///                       checks rather than transport error paths
-///
 /// Hard-fault sites (maybeHardFault, checked at the compile guard's
 /// entry) do not throw — they take the process down the way a genuinely
 /// poisoned input would, so they are only survivable under the batch

@@ -105,13 +105,6 @@ public:
     return Out;
   }
 
-  /// One-shot convenience: the hex digest of \p Data.
-  static std::string hashHex(std::string_view Data) {
-    Sha256 H;
-    H.update(Data);
-    return H.hexDigest();
-  }
-
 private:
   static uint32_t rotr(uint32_t X, unsigned N) {
     return (X >> N) | (X << (32 - N));

@@ -47,11 +47,6 @@ bool io::writeFull(int Fd, const void *Buf, size_t Size) {
   return true;
 }
 
-bool io::isDisconnectError(int Err) {
-  return Err == EPIPE || Err == ECONNRESET || Err == ECONNABORTED ||
-         Err == ENOTCONN;
-}
-
 void io::ignoreSigpipe() {
   static std::once_flag Once;
   std::call_once(Once, [] { ::signal(SIGPIPE, SIG_IGN); });

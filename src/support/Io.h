@@ -10,14 +10,11 @@
 /// ::read/::write may transfer fewer bytes than asked (pipes, sockets,
 /// signal interruption), and sprinkling ad-hoc retry loops over every
 /// caller is how torn journal records and half-written frames happen.
-/// pipeline/Journal, support/Subprocess, and the service framing layer
-/// (service/Framing) all route their descriptor I/O through these
-/// helpers so the retry discipline cannot drift between them.
+/// pipeline/Journal, pipeline/Cache and support/Subprocess all route
+/// their descriptor I/O through these helpers so the retry discipline
+/// cannot drift between them.
 ///
-/// All helpers expect blocking descriptors. Timeout-aware service I/O
-/// combines them with poll() (see service/Framing); SO_SNDTIMEO-armed
-/// sockets surface their expiry here as EAGAIN, which the write loop
-/// reports as a failure instead of spinning.
+/// All helpers expect blocking descriptors.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,26 +29,18 @@ namespace io {
 
 /// Reads exactly \p Size bytes into \p Buf, retrying EINTR and short
 /// reads. Returns the number of bytes read: \p Size on success, less on
-/// end-of-file, and -1 on a real error (errno preserved). A timeout on
-/// an SO_RCVTIMEO-armed descriptor surfaces as -1/EAGAIN.
+/// end-of-file, and -1 on a real error (errno preserved).
 ssize_t readFull(int Fd, void *Buf, size_t Size);
 
 /// Writes all \p Size bytes of \p Buf, retrying EINTR and short writes.
 /// Returns true when everything landed; false on a real error (errno
-/// preserved — EPIPE/ECONNRESET mean the peer is gone, EAGAIN means an
-/// armed send timeout expired).
+/// preserved — EPIPE means the reader is gone).
 bool writeFull(int Fd, const void *Buf, size_t Size);
 
-/// True when \p Err is one of the "peer disappeared" errnos (EPIPE,
-/// ECONNRESET, ECONNABORTED, ENOTCONN). Report sinks and service
-/// sockets treat these as structured diagnostics, never process death.
-bool isDisconnectError(int Err);
-
-/// Ignores SIGPIPE process-wide, once. A peer (pipe reader, socket
-/// client) that goes away must surface as an EPIPE from the write that
-/// noticed — a structured, attributable failure — not as an
-/// asynchronous process kill. Safe to call from any thread, any number
-/// of times.
+/// Ignores SIGPIPE process-wide, once. A pipe reader that goes away
+/// must surface as an EPIPE from the write that noticed — a structured,
+/// attributable failure — not as an asynchronous process kill. Safe to
+/// call from any thread, any number of times.
 void ignoreSigpipe();
 
 } // namespace io

@@ -39,8 +39,6 @@ const char *pira::errorCodeName(ErrorCode Code) {
     return "child-timeout";
   case ErrorCode::SearchExhausted:
     return "search-exhausted";
-  case ErrorCode::ServerOverloaded:
-    return "server-overloaded";
   case ErrorCode::ProtocolError:
     return "protocol-error";
   case ErrorCode::Internal:
@@ -58,8 +56,7 @@ ErrorCode pira::errorCodeFromName(std::string_view Name) {
       ErrorCode::DeadlineExceeded,  ErrorCode::FaultInjected,
       ErrorCode::ChildCrashed, ErrorCode::ChildKilled,
       ErrorCode::ChildTimeout, ErrorCode::SearchExhausted,
-      ErrorCode::ServerOverloaded, ErrorCode::ProtocolError,
-      ErrorCode::Internal,
+      ErrorCode::ProtocolError, ErrorCode::Internal,
   };
   for (ErrorCode C : All)
     if (Name == errorCodeName(C))

@@ -59,11 +59,8 @@ enum class ErrorCode {
                      ///< ResourceExhausted this is *not* fatal to the
                      ///< degradation ladder — a heuristic rung may still
                      ///< succeed where exhaustive search cannot finish.
-  ServerOverloaded,  ///< The compile service shed the request (queue
-                     ///< full, per-client budget, or draining); safe to
-                     ///< retry with backoff.
-  ProtocolError,     ///< A service frame or document violated the wire
-                     ///< protocol (malformed, oversized, wrong schema).
+  ProtocolError,     ///< A worker job document violated the wire
+                     ///< protocol (malformed, wrong schema).
   Internal,          ///< Unexpected exception or invariant violation.
 };
 

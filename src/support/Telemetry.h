@@ -49,7 +49,7 @@
 ///
 ///   * Prometheus/OpenMetrics export (writePrometheus) — the counter
 ///     registry and every histogram in the text exposition format, the
-///     payload a future `pirac serve --metrics` endpoint would serve.
+///     data behind `pirac --metrics-out`.
 ///
 /// Thread-safety: counters and histograms are always safe; scope
 /// recording takes one mutex per *finished* scope, and the active-scope

@@ -10,6 +10,7 @@
 #include "support/FaultInjection.h"
 #include "support/Telemetry.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -148,16 +149,17 @@ unsigned ThreadPool::defaultJobCount() {
   if (const char *Raw = std::getenv("PIRA_JOBS")) {
     char *End = nullptr;
     long V = std::strtol(Raw, &End, 10);
-    if (End != Raw && *End == '\0' && V > 0)
+    if (End != Raw && *End == '\0' && V > 0 && V <= MaxWorkers)
       return static_cast<unsigned>(V);
   }
   unsigned HW = std::thread::hardware_concurrency();
-  return HW == 0 ? 1 : HW;
+  return HW == 0 ? 1 : std::min(HW, MaxWorkers);
 }
 
 ThreadPool::ThreadPool(unsigned NumWorkers) {
   if (NumWorkers == 0)
     NumWorkers = defaultJobCount();
+  NumWorkers = std::min(NumWorkers, MaxWorkers);
   Queues.reserve(NumWorkers);
   for (unsigned I = 0; I != NumWorkers; ++I)
     Queues.push_back(std::make_unique<WorkQueue>());

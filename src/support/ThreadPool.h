@@ -31,7 +31,8 @@
 /// never kills a thread, it only flips a flag the task must observe.
 ///
 /// Worker-count selection: an explicit count wins, else the PIRA_JOBS
-/// environment variable, else the hardware concurrency.
+/// environment variable, else the hardware concurrency. No pool starts
+/// more than MaxWorkers threads, whatever was asked for.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -91,7 +92,12 @@ void checkpoint();
 /// destruction drains remaining tasks and joins them.
 class ThreadPool {
 public:
-  /// Spawns \p NumWorkers workers; 0 means defaultJobCount().
+  /// The most workers one pool starts. Larger requests are clamped, so
+  /// no --jobs or PIRA_JOBS value can ask for thousands of threads.
+  static constexpr unsigned MaxWorkers = 256;
+
+  /// Spawns \p NumWorkers workers (at most MaxWorkers); 0 means
+  /// defaultJobCount().
   explicit ThreadPool(unsigned NumWorkers = 0);
 
   /// Waits for every submitted task, then joins the workers.
@@ -122,9 +128,9 @@ public:
   /// stop the others; the first exception is rethrown on return.
   void parallelFor(unsigned N, const std::function<void(unsigned)> &Body);
 
-  /// The worker count used when none is given: PIRA_JOBS when set to a
-  /// positive integer, otherwise std::thread::hardware_concurrency()
-  /// (at least 1).
+  /// The worker count used when none is given: PIRA_JOBS when set to an
+  /// integer in [1, MaxWorkers], otherwise std::thread::hardware_concurrency()
+  /// (at least 1, at most MaxWorkers).
   static unsigned defaultJobCount();
 
 private:

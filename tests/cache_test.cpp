@@ -7,8 +7,8 @@
 // sensitivity to every compile-relevant input (and insensitivity to the
 // irrelevant ones), entry encode/decode round trips, both tiers, the
 // corrupt-entry-is-a-miss rule, Verify-mode tamper detection, the
-// never-cache-degraded rule, and warm-run byte identity across worker
-// counts.
+// never-cache-degraded rule, warm-run byte identity across worker
+// counts, and disk-tier trimming under --cache-max-mb.
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,10 +23,12 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace pira;
@@ -550,5 +552,106 @@ TEST(CompilationCacheTest, WarmRunsAreByteIdenticalAcrossWorkerCounts) {
     EXPECT_EQ(S.Misses, 0u) << "jobs=" << Jobs;
   }
   telemetry::reset();
+  std::filesystem::remove_all(Dir);
+}
+
+//===----------------------------------------------------------------------===//
+// Disk-tier trimming (--cache-max-mb)
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A compiled function and the key it is filed under.
+struct Artifact {
+  std::string Key;
+  PipelineResult Result;
+};
+
+Artifact makeArtifact(const std::string &Name) {
+  Artifact A;
+  Function F = smallFunction(Name);
+  MachineModel M = MachineModel::rs6000();
+  BatchOptions Opts;
+  GuardedResult G = compileFunctionGuarded(F, M, Opts);
+  EXPECT_TRUE(G.Result.Success) << G.Result.Error;
+  A.Key = computeCacheKey(F, M, Opts);
+  A.Result = G.Result;
+  return A;
+}
+
+void writeFile(const std::filesystem::path &P, size_t Bytes) {
+  std::ofstream(P) << std::string(Bytes, 'x');
+}
+
+} // namespace
+
+TEST(CacheTrimTest, OldestEntriesGoFirst) {
+  std::filesystem::path Dir = scratchDir("trim_oldest");
+  std::filesystem::create_directories(Dir);
+  // Three settled entries from "previous runs", oldest first; the mtime
+  // spacing makes the eviction order unambiguous.
+  writeFile(Dir / "aa.json", 40000);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  writeFile(Dir / "bb.json", 40000);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  writeFile(Dir / "cc.json", 40000);
+
+  CompilationCache Cache(CacheMode::On, Dir.string());
+  Cache.setDiskLimitBytes(100000);
+  Artifact A = makeArtifact("trim_oldest");
+  Cache.insert(A.Key, A.Result);
+
+  // One eviction suffices, and it takes the oldest file.
+  EXPECT_FALSE(std::filesystem::exists(Dir / "aa.json"));
+  EXPECT_TRUE(std::filesystem::exists(Dir / "bb.json"));
+  EXPECT_TRUE(std::filesystem::exists(Dir / "cc.json"));
+  EXPECT_TRUE(std::filesystem::exists(Dir / (A.Key + ".json")));
+  EXPECT_EQ(Cache.stats().TrimmedEntries, 1u);
+  std::filesystem::remove_all(Dir);
+}
+
+TEST(CacheTrimTest, OwnEntriesAndTempFilesAreNeverEvicted) {
+  std::filesystem::path Dir = scratchDir("trim_own");
+  std::filesystem::create_directories(Dir);
+  writeFile(Dir / "old.json", 100);            // Evictable.
+  writeFile(Dir / "x.json.tmp.3.17", 100);     // In-flight: untouchable.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  CompilationCache Cache(CacheMode::On, Dir.string());
+  Cache.setDiskLimitBytes(1); // Impossible bound: evict all it may.
+  Artifact A = makeArtifact("trim_own");
+  Cache.insert(A.Key, A.Result);
+
+  // The stranger was evicted; this instance's own entry and the temp
+  // file survived even though the directory still exceeds the bound.
+  EXPECT_FALSE(std::filesystem::exists(Dir / "old.json"));
+  EXPECT_TRUE(std::filesystem::exists(Dir / "x.json.tmp.3.17"));
+  EXPECT_TRUE(std::filesystem::exists(Dir / (A.Key + ".json")));
+  EXPECT_EQ(Cache.stats().TrimmedEntries, 1u);
+
+  // The entry it refused to evict still serves.
+  CompilationCache Fresh(CacheMode::On, Dir.string());
+  EXPECT_TRUE(Fresh.lookup(A.Key).has_value());
+  std::filesystem::remove_all(Dir);
+}
+
+TEST(CacheTrimTest, AFreshInstanceMayEvictAPredecessorsEntries) {
+  std::filesystem::path Dir = scratchDir("trim_fresh");
+  Artifact Old = makeArtifact("trim_old");
+  Artifact New = makeArtifact("trim_new");
+  {
+    CompilationCache First(CacheMode::On, Dir.string());
+    First.insert(Old.Key, Old.Result);
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  // The next process run is not bound by the first one's written-keys
+  // protection — exactly how a shared directory shrinks over time.
+  CompilationCache Second(CacheMode::On, Dir.string());
+  Second.setDiskLimitBytes(1);
+  Second.insert(New.Key, New.Result);
+  EXPECT_FALSE(std::filesystem::exists(Dir / (Old.Key + ".json")));
+  EXPECT_TRUE(std::filesystem::exists(Dir / (New.Key + ".json")));
+  EXPECT_EQ(Second.stats().TrimmedEntries, 1u);
   std::filesystem::remove_all(Dir);
 }

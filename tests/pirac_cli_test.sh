@@ -133,13 +133,25 @@ expect 2 "two stdout report sinks"      -- "$PIRAC" good.pir \
                                              --stats-out - --metrics-out -
 expect 2 "stats+trace both on stdout"   -- "$PIRAC" good.pir \
                                              --stats-out - --trace-out -
-expect 2 "serve without a transport"    -- "$PIRAC" serve
-expect 2 "client without an address"    -- "$PIRAC" --client good.pir
-expect 2 "client cannot isolate"        -- "$PIRAC" --client \
-                                             --socket d.sock --isolate good.pir
-expect 2 "client cannot journal"        -- "$PIRAC" --client \
-                                             --socket d.sock --journal j.jsonl good.pir
-expect 2 "daemon-stats needs an address" -- "$PIRAC" --daemon-stats
+# There is no compile daemon: its flags are unknown options, and "serve"
+# is an ordinary input name.
+expect 2 "no --client flag"             -- "$PIRAC" --client good.pir
+expect 2 "no --cache-remote flag"       -- "$PIRAC" --cache-remote 7400 good.pir
+expect 2 "no --daemon-stats flag"       -- "$PIRAC" --daemon-stats
+expect 2 "no serve subcommand"          -- "$PIRAC" serve --socket d.sock
+
+# --jobs above ThreadPool::MaxWorkers (256) is refused before anything
+# compiles (no stats report is written).
+err=$("$PIRAC" good.pir --stats-out jobs.json --jobs 257 2>&1 > /dev/null)
+got=$?
+if [ "$got" -eq 2 ] && printf '%s' "$err" | grep -q 'max 256' \
+   && [ ! -e jobs.json ]; then
+  echo "ok: --jobs 257 (exit 2, nothing compiled)"
+else
+  echo "FAIL: --jobs 257: exit $got, stats file" \
+       "$([ -e jobs.json ] && echo written || echo absent): $err" >&2
+  FAILURES=$((FAILURES + 1))
+fi
 
 # A machine file with no registers is a usage error that names its line,
 # raised before anything compiles (no stats report is written).
@@ -170,41 +182,6 @@ expect 3 "unwritable stats path"        -- "$PIRAC" good.pir \
                                              --stats-out /no/such/dir/s.json
 expect 3 "unwritable metrics path"      -- "$PIRAC" good.pir \
                                              --metrics-out /no/such/dir/m.prom
-# A serve socket whose directory cannot exist never binds.
-expect 3 "unbindable serve socket"      -- "$PIRAC" serve \
-                                             --socket /no/such/dir/d.sock
-
-# --- the daemon round trip ---------------------------------------------------
-# Start a daemon, compile through it, drain it with SIGTERM: exit 0 on
-# both sides. A client pointed at a socket nobody serves exhausts its
-# retries into per-item failures — the ordinary exit-1 taxonomy, not a
-# hang and not a crash.
-expect 1 "client with no daemon"        -- "$PIRAC" --client \
-                                             --socket "$WORK/nobody.sock" \
-                                             --client-retries 1 good.pir
-
-timeout 60 "$PIRAC" serve --socket "$WORK/d.sock" --threads 2 \
-  2> "$WORK/serve.log" &
-SERVE_PID=$!
-for _ in $(seq 1 100); do
-  grep -q ready "$WORK/serve.log" 2> /dev/null && break
-  sleep 0.05
-done
-expect 0 "clean batch via the daemon"   -- "$PIRAC" --client \
-                                             --socket "$WORK/d.sock" \
-                                             good.pir good.pir --jobs 2
-expect 1 "mixed batch via the daemon"   -- "$PIRAC" --client \
-                                             --socket "$WORK/d.sock" \
-                                             good.pir bad.pir
-kill -TERM "$SERVE_PID" 2> /dev/null
-wait "$SERVE_PID"
-got=$?
-if [ "$got" -eq 0 ] && grep -q drained "$WORK/serve.log"; then
-  echo "ok: SIGTERM drains the daemon to exit 0"
-else
-  echo "FAIL: SIGTERM drain: expected exit 0 + drain notice, got $got" >&2
-  FAILURES=$((FAILURES + 1))
-fi
 
 if [ "$FAILURES" -ne 0 ]; then
   echo "$FAILURES taxonomy check(s) failed" >&2

@@ -147,6 +147,9 @@ TEST_F(FaultTest, SpecParsingAcceptsKnownSitesAndRejectsJunk) {
   // Rejections leave the previous configuration armed and untouched.
   EXPECT_FALSE(faultinject::configure("bogus.site:1", Error));
   EXPECT_NE(Error.find("bogus.site"), std::string::npos);
+  // The network sites went with the compile daemon.
+  EXPECT_FALSE(faultinject::configure("net.reset:1", Error));
+  EXPECT_NE(Error.find("net.reset"), std::string::npos);
   EXPECT_FALSE(faultinject::configure("alloc.pinter:0", Error));
   EXPECT_FALSE(faultinject::configure("alloc.pinter", Error));
   EXPECT_FALSE(faultinject::configure("alloc.pinter:x", Error));
@@ -162,7 +165,7 @@ TEST_F(FaultTest, SpecParsingAcceptsKnownSitesAndRejectsJunk) {
 
 TEST_F(FaultTest, EverySiteInTheTableIsConfigurable) {
   const std::vector<const char *> &Sites = faultinject::knownSites();
-  EXPECT_EQ(Sites.size(), 19u);
+  EXPECT_EQ(Sites.size(), 14u);
   std::string Error;
   for (const char *Site : Sites)
     EXPECT_TRUE(faultinject::configure(std::string(Site) + ":2", Error))

@@ -9,16 +9,20 @@
 #include "support/BitMatrix.h"
 #include "support/BitVector.h"
 #include "support/DotWriter.h"
+#include "support/Hash.h"
 #include "support/Json.h"
 #include "support/Rng.h"
 #include "support/SmallVector.h"
 #include "support/StringInterner.h"
+#include "support/ThreadPool.h"
 #include "support/UndirectedGraph.h"
 
 #include <gtest/gtest.h>
 
 #include <clocale>
 #include <cmath>
+#include <cstdlib>
+#include <optional>
 #include <set>
 #include <sstream>
 
@@ -618,6 +622,67 @@ TEST(JsonLocaleTest, DoubleRoundTripUnderCommaDecimalLocale) {
   json::Value Doc = parseOk(R"({"hit_rate": 0.75, "xs": [1.5, 2.25]})");
   EXPECT_EQ(Doc.find("hit_rate")->asDouble(), 0.75);
   EXPECT_EQ(Doc.find("xs")->elements()[1].asDouble(), 2.25);
+}
+
+//===----------------------------------------------------------------------===//
+// SHA-256 (cache keys, journal digests, perfbench check digests)
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+std::string sha256Hex(std::string_view Data) {
+  hash::Sha256 H;
+  H.update(Data);
+  return H.hexDigest();
+}
+
+} // namespace
+
+TEST(HashTest, Sha256KnownAnswers) {
+  // FIPS 180-2 test vectors.
+  EXPECT_EQ(sha256Hex(""),
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  EXPECT_EQ(sha256Hex("abc"),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  EXPECT_EQ(
+      sha256Hex("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
+      "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  EXPECT_EQ(sha256Hex(std::string(1000000, 'a')),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+
+  // Byte-at-a-time updates equal a one-shot hash across the padding
+  // boundaries: 55/56 bytes (the length field just fits / spills into a
+  // second block), 63/64/65 (one block exactly), and their two-block
+  // counterparts.
+  for (unsigned Len : {55u, 56u, 63u, 64u, 65u, 119u, 120u, 128u}) {
+    std::string Msg;
+    for (unsigned I = 0; I != Len; ++I)
+      Msg += static_cast<char>('a' + (I * 7) % 26);
+    hash::Sha256 Bytewise;
+    for (char C : Msg)
+      Bytewise.update(&C, 1);
+    EXPECT_EQ(Bytewise.hexDigest(), sha256Hex(Msg)) << "length " << Len;
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// ThreadPool worker-count bound
+//===----------------------------------------------------------------------===//
+
+TEST(ThreadPoolTest, PiraJobsAboveTheCapIsIgnored) {
+  // Only defaultJobCount() runs here: no pool is built, so no thread is
+  // started whatever the variable says.
+  std::optional<std::string> Saved;
+  if (const char *Old = std::getenv("PIRA_JOBS"))
+    Saved = Old;
+  setenv("PIRA_JOBS", "100000", 1);
+  EXPECT_LE(ThreadPool::defaultJobCount(), ThreadPool::MaxWorkers);
+  setenv("PIRA_JOBS", "256", 1);
+  EXPECT_EQ(ThreadPool::defaultJobCount(), ThreadPool::MaxWorkers);
+  if (Saved)
+    setenv("PIRA_JOBS", Saved->c_str(), 1);
+  else
+    unsetenv("PIRA_JOBS");
 }
 
 //===----------------------------------------------------------------------===//
