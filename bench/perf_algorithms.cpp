@@ -26,11 +26,12 @@
 // Likewise BM_PigConstructionSpilled builds the PIG of block 0 after one
 // combined color/spill round on rs6000(12): the code, roughly three
 // times the input, on which rounds 2 and 3 of a combined compile rebuild
-// the PIG. tools/perf_gate.py gates how the time of the Section 4
-// coloring, the combined pipeline (512/128 and 1024/256), the post-spill
-// PIG build, the schedule graph (symbolic and allocated), the
-// allocated-code list scheduler, the pre-scheduler and the IPS prepass
-// grows with block size. Two layer gates divide one layer by another on
+// the PIG, and BM_PinterColorSpilled colors that PIG at r = 12, where
+// step 3 gives most parallel edges away. tools/perf_gate.py gates how
+// the time of the Section 4 coloring, the combined pipeline (512/128 and
+// 1024/256), the post-spill PIG build, the schedule graph (symbolic and
+// allocated), the allocated-code list scheduler, the pre-scheduler and
+// the IPS prepass grows with block size. Two layer gates divide one layer by another on
 // the same input at 1024: the check's time by one allocated-code
 // schedule-graph build, and Chaitin's coloring by Section 4's. Both
 // colorings run one engine on the same block at r = 16, and Chaitin's is
@@ -46,6 +47,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
+#include "ClosureOracle.h"
 
 #include "analysis/DependenceGraph.h"
 #include "analysis/Webs.h"
@@ -65,7 +67,6 @@
 #include "sched/IntegratedPrepass.h"
 #include "sched/ListScheduler.h"
 #include "sched/PreScheduler.h"
-#include "support/ThreadPool.h"
 #include "workloads/RandomProgram.h"
 
 #include <benchmark/benchmark.h>
@@ -154,10 +155,10 @@ void BM_FalseDepCheck(benchmark::State &State) {
 BENCHMARK(BM_FalseDepCheck)->Arg(256)->Arg(1024);
 
 void BM_TransitiveClosure(benchmark::State &State) {
-  // The production path: pre-closure DAG reduction (sink peel, component
-  // split, chain collapse, transitive strip) then the reverse-topological
-  // sweep. Compare with BM_TransitiveClosureUnreduced at equal args for
-  // the reduced-over-unreduced speedup the CI perf gate tracks.
+  // The production path: one sweep from the last instruction to the
+  // first, each row absorbing its successors' finished rows. Compare
+  // with BM_TransitiveClosureUnreduced at equal args for the
+  // Warshall-over-sweep speedup the CI perf gate tracks.
   Function F = makeBlock(static_cast<unsigned>(State.range(0)));
   MachineModel M = MachineModel::rs6000(32);
   DependenceGraph G(F, 0, M);
@@ -169,26 +170,11 @@ void BM_TransitiveClosure(benchmark::State &State) {
 BENCHMARK(BM_TransitiveClosure)
     ->Arg(32)->Arg(128)->Arg(256)->Arg(512)->Arg(1024)->Arg(2048)->Arg(4096);
 
-void BM_TransitiveClosureParallel(benchmark::State &State) {
-  // The same reduced closure with independent components closed on the
-  // thread pool (the single-function --jobs path). Byte-identical result;
-  // the delta against BM_TransitiveClosure is pure component parallelism.
-  Function F = makeBlock(static_cast<unsigned>(State.range(0)));
-  MachineModel M = MachineModel::rs6000(32);
-  DependenceGraph G(F, 0, M);
-  ThreadPool Pool;
-  for (auto _ : State) {
-    BitMatrix R = G.reachability(&Pool);
-    benchmark::DoNotOptimize(R.count());
-  }
-}
-BENCHMARK(BM_TransitiveClosureParallel)->Arg(1024)->Arg(4096)->UseRealTime();
-
 void BM_TransitiveClosureUnreduced(benchmark::State &State) {
-  // Word-parallel Warshall straight over the adjacency matrix — the
-  // pre-reduction production path, kept as the ratio denominator for the
-  // closure_reduction_speedup gate. The matrix is built from edges() once;
-  // each iteration copies it and closes the copy.
+  // Word-parallel Warshall straight over the adjacency matrix, kept as
+  // the ratio denominator for the closure_reduction_speedup gate. The
+  // matrix is built from edges() once; each iteration copies it and
+  // closes the copy.
   Function F = makeBlock(static_cast<unsigned>(State.range(0)));
   MachineModel M = MachineModel::rs6000(32);
   DependenceGraph G(F, 0, M);
@@ -206,8 +192,9 @@ BENCHMARK(BM_TransitiveClosureUnreduced)
 
 void BM_TransitiveClosureSetBased(benchmark::State &State) {
   // The pre-rewrite per-node std::set closure, kept as the differential
-  // oracle; timed against BM_TransitiveClosure at the same sizes to pin
-  // the packed-bitset speedup in BENCH_perf_algorithms.json.
+  // oracle of the closure tests; timed against BM_TransitiveClosure at
+  // the same sizes to pin the packed-bitset speedup in
+  // BENCH_perf_algorithms.json.
   Function F = makeBlock(static_cast<unsigned>(State.range(0)));
   MachineModel M = MachineModel::rs6000(32);
   DependenceGraph G(F, 0, M);
@@ -215,7 +202,7 @@ void BM_TransitiveClosureSetBased(benchmark::State &State) {
   for (const DepEdge &E : G.edges())
     Edges.set(E.From, E.To);
   for (auto _ : State) {
-    BitMatrix R = Edges.transitiveClosureSetBased();
+    BitMatrix R = setBasedClosure(Edges);
     benchmark::DoNotOptimize(R.count());
   }
 }
@@ -284,6 +271,23 @@ void BM_PinterColor(benchmark::State &State) {
 }
 BENCHMARK(BM_PinterColor)
     ->Arg(32)->Arg(128)->Arg(256)->Arg(512)->Arg(1024);
+
+void BM_PinterColorSpilled(benchmark::State &State) {
+  // Section 4 on the PIG of post-spill code at r = 12, as a combined
+  // compile's later rounds color it: sparse interference under a dense
+  // parallel family, most of which step 3 gives away.
+  Function F = makeSpilledBlock(static_cast<unsigned>(State.range(0)));
+  MachineModel M = MachineModel::rs6000(12);
+  Webs W(F);
+  InterferenceGraph IG(F, W);
+  ParallelInterferenceGraph PIG(F, W, IG, M);
+  std::vector<double> Costs = computeSpillCosts(F, W);
+  for (auto _ : State) {
+    Allocation A = pinterColor(PIG, Costs, 12);
+    benchmark::DoNotOptimize(A.ParallelEdgesDropped);
+  }
+}
+BENCHMARK(BM_PinterColorSpilled)->Arg(256)->Arg(1024);
 
 void BM_ListScheduler(benchmark::State &State) {
   Function F = makeBlock(static_cast<unsigned>(State.range(0)));

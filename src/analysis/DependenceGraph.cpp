@@ -9,8 +9,6 @@
 
 #include "ir/Function.h"
 #include "machine/MachineModel.h"
-#include "support/Telemetry.h"
-#include "transforms/DagReduce.h"
 
 #include <algorithm>
 #include <cassert>
@@ -18,15 +16,6 @@
 #include <tuple>
 
 using namespace pira;
-
-PIRA_STAT(NumClosureComponents,
-          "Weakly connected components split off before closure");
-PIRA_STAT(NumClosureChainsCollapsed,
-          "Single-entry/single-exit chains collapsed before closure");
-PIRA_STAT(NumClosureEdgesStripped,
-          "Redundant transitive edges stripped before closure");
-PIRA_STAT(NumClosureSinksPeeled,
-          "Universal terminator sinks peeled before closure");
 
 const char *pira::depKindName(DepKind Kind) {
   switch (Kind) {
@@ -373,18 +362,57 @@ DependenceGraph::DependenceGraph(const Function &F, unsigned BlockIdx,
   buildCsr();
 }
 
-BitMatrix DependenceGraph::reachability(ThreadPool *Pool) const {
-  std::vector<std::pair<unsigned, unsigned>> EdgePairs;
-  EdgePairs.reserve(Edges.size());
-  for (const DepEdge &E : Edges)
-    EdgePairs.push_back({E.From, E.To});
-  dagreduce::ReduceStats RS;
-  BitMatrix M = dagreduce::reducedClosure(NumNodes, EdgePairs, Pool, &RS);
-  NumClosureComponents += RS.Components;
-  NumClosureChainsCollapsed += RS.Chains;
-  NumClosureEdgesStripped += RS.StrippedEdges;
-  NumClosureSinksPeeled += RS.PeeledSink ? 1 : 0;
-  return M;
+DependenceGraph::DependenceGraph(
+    unsigned NumNodes, std::vector<std::pair<unsigned, unsigned>> EdgePairs)
+    : NumNodes(NumNodes) {
+  // In the order the block constructor adds edges: by target, then
+  // source. Built here rather than through addEdge, which then stays
+  // inlined into the block constructor's loops.
+  std::sort(EdgePairs.begin(), EdgePairs.end(),
+            [](const auto &X, const auto &Y) {
+              return std::tie(X.second, X.first) < std::tie(Y.second, Y.first);
+            });
+  EdgePairs.erase(std::unique(EdgePairs.begin(), EdgePairs.end()),
+                  EdgePairs.end());
+  Edges.reserve(EdgePairs.size());
+  for (auto [From, To] : EdgePairs) {
+    assert(From < To && To < NumNodes &&
+           "bad dependence edge; node order must stay topological");
+    Edges.push_back({From, To, DepKind::Flow, 1});
+  }
+  buildCsr();
+}
+
+BitMatrix DependenceGraph::reachability() const {
+  BitMatrix Reach(NumNodes);
+  for (unsigned U = NumNodes; U-- != 0;) {
+    BitVector &Row = Reach.row(U);
+    // Successors come in ascending order. A successor already in the row
+    // was reached through an earlier one, whose row holds its row too.
+    for (unsigned EI : succEdges(U)) {
+      unsigned V = Edges[EI].To;
+      if (Row.test(V))
+        continue;
+      Row.set(V);
+      Row.unionWith(Reach.row(V));
+    }
+  }
+  return Reach;
+}
+
+BitMatrix DependenceGraph::ancestors() const {
+  BitMatrix Anc(NumNodes);
+  for (unsigned V = 0; V != NumNodes; ++V) {
+    BitVector &Row = Anc.row(V);
+    for (unsigned EI : predEdges(V)) {
+      unsigned U = Edges[EI].From;
+      if (Row.test(U))
+        continue;
+      Row.set(U);
+      Row.unionWith(Anc.row(U));
+    }
+  }
+  return Anc;
 }
 
 bool DependenceGraph::hasEdge(unsigned From, unsigned To) const {

@@ -16,8 +16,8 @@
 ///
 /// Every edge satisfies From < To: dependences always point from an earlier
 /// instruction to a later one, so node order is a topological order. The
-/// reduction pipeline behind reachability() and the Theorem 1 check's
-/// bounded backward walks rely on this invariant.
+/// one-sweep closures behind reachability() and ancestors(), and the
+/// Theorem 1 check's bounded backward walks, rely on this invariant.
 ///
 /// Adjacency is stored in CSR form (flat offset/index arrays in an arena,
 /// returned as spans): one contiguous allocation instead of one vector per
@@ -32,6 +32,7 @@
 #include "support/BitMatrix.h"
 
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace pira {
@@ -40,7 +41,6 @@ class BasicBlock;
 class Function;
 class Instruction;
 class MachineModel;
-class ThreadPool;
 
 /// Classifies why one instruction must precede another.
 enum class DepKind : unsigned {
@@ -87,6 +87,12 @@ public:
   DependenceGraph(const Function &F, unsigned BlockIdx,
                   const MachineModel &Machine);
 
+  /// Builds a graph of \p NumNodes nodes with one Flow edge of latency 1
+  /// per distinct pair of \p EdgePairs, which must all run From < To:
+  /// any DAG in topological numbering, for closure tests and benches.
+  DependenceGraph(unsigned NumNodes,
+                  std::vector<std::pair<unsigned, unsigned>> EdgePairs);
+
   DependenceGraph(const DependenceGraph &) = delete;
   DependenceGraph &operator=(const DependenceGraph &) = delete;
 
@@ -115,11 +121,14 @@ public:
   /// Returns directed reachability (the transitive closure of the edge
   /// relation). Entry (u, v) is set iff a nonempty path u -> v exists.
   ///
-  /// Computed through the pre-closure DAG reduction (component split,
-  /// chain collapse, transitive-edge strip); bit-identical to closing a
-  /// matrix of edges() directly. \p Pool, when non-null, closes
-  /// independent components in parallel with no effect on the result.
-  BitMatrix reachability(ThreadPool *Pool = nullptr) const;
+  /// One sweep from the last node to the first: every successor V of U
+  /// has V > U, so its row is final when U's row absorbs {V} and it.
+  BitMatrix reachability() const;
+
+  /// Returns the transpose of reachability(): entry (v, u) is set iff a
+  /// nonempty path u -> v exists. The mirror sweep, first node to last
+  /// over predEdges(), so nothing is transposed.
+  BitMatrix ancestors() const;
 
   /// Returns true when a nonempty directed path \p From -> \p To exists.
   /// Convenience over reachability() for one-off queries.

@@ -10,56 +10,38 @@
 #include "analysis/DependenceGraph.h"
 #include "ir/Function.h"
 #include "machine/MachineModel.h"
-#include "support/Telemetry.h"
 
 #include <array>
 
 using namespace pira;
 
-PIRA_STAT(NumFdgParallelPairs,
-          "Instruction pairs found co-issuable (Ef edges)");
-PIRA_STAT(NumFdgMachineConstraintPairs,
-          "Instruction pairs serialized by unit/width contention alone");
-
 FalseDependenceGraph::FalseDependenceGraph(const Function &F,
                                            unsigned BlockIdx,
-                                           const MachineModel &Machine,
-                                           ThreadPool *ClosurePool) {
+                                           const MachineModel &Machine) {
   DependenceGraph Gs(F, BlockIdx, Machine);
-  build(F, BlockIdx, Gs, Machine, ClosurePool);
+  build(F, BlockIdx, Gs, Machine);
 }
 
 FalseDependenceGraph::FalseDependenceGraph(const Function &F,
                                            unsigned BlockIdx,
                                            const DependenceGraph &Gs,
-                                           const MachineModel &Machine,
-                                           ThreadPool *ClosurePool) {
-  build(F, BlockIdx, Gs, Machine, ClosurePool);
+                                           const MachineModel &Machine) {
+  build(F, BlockIdx, Gs, Machine);
 }
 
 void FalseDependenceGraph::build(const Function &F, unsigned BlockIdx,
                                  const DependenceGraph &Gs,
-                                 const MachineModel &Machine,
-                                 ThreadPool *ClosurePool) {
-  PIRA_TIME_SCOPE("pig/fdg");
+                                 const MachineModel &Machine) {
   const BasicBlock &BB = F.block(BlockIdx);
   unsigned N = Gs.size();
 
   // All three edge families are assembled as packed bit matrices and
   // adopted wholesale (UndirectedGraph::fromSymmetric); every step below
-  // is a word-parallel row operation, never a per-pair insertion. This is
-  // the serial bottleneck each batch worker runs, so it stays O(N^2/64)
-  // per step.
+  // is a word-parallel row operation, never a per-pair insertion.
 
-  // Et part 1: the transitive closure of Gs, directions removed. The
-  // closure runs through the pre-closure DAG reduction; independent
-  // components close in parallel when a pool is attached.
-  BitMatrix Et;
-  {
-    PIRA_TIME_SCOPE("pig/closure");
-    Et = Gs.reachability(ClosurePool);
-    Et.symmetrize();
-  }
+  // Et part 1: the transitive closure of Gs, directions removed.
+  BitMatrix Et = Gs.reachability();
+  Et.symmetrize();
 
   // Et part 2: non-precedence machine constraints — pairs contending for
   // a unit class with a single unit (the paper's explicit rule; multiple
@@ -95,7 +77,4 @@ void FalseDependenceGraph::build(const Function &F, unsigned BlockIdx,
   Constraints = UndirectedGraph::fromSymmetric(std::move(Et));
   MachinePairs = UndirectedGraph::fromSymmetric(std::move(MachineM));
   ParallelPairs = UndirectedGraph::fromSymmetric(std::move(Ef));
-
-  NumFdgParallelPairs += ParallelPairs.numEdges();
-  NumFdgMachineConstraintPairs += MachinePairs.numEdges();
 }

@@ -15,6 +15,10 @@
 /// (u, v) is a false dependence iff {u, v} is in Ef; equivalently, Ef
 /// lists exactly the instruction pairs that may issue in the same cycle.
 ///
+/// This dense form serves the graph dumps, the figures and the augmented
+/// PIG. The PIG itself complements Et in web space and never builds Ef
+/// (core/ParallelInterferenceGraph.h).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PIRA_CORE_FALSEDEPENDENCEGRAPH_H
@@ -27,7 +31,6 @@ namespace pira {
 class DependenceGraph;
 class Function;
 class MachineModel;
-class ThreadPool;
 
 /// Gf for one basic block, along with the constraint set Et it derives
 /// from.
@@ -35,18 +38,14 @@ class FalseDependenceGraph {
 public:
   /// Builds Gf for block \p BlockIdx of \p F (which must be in symbolic
   /// form so Gs carries no anti/output register dependences) under
-  /// \p Machine's constraints. \p ClosurePool, when non-null, closes
-  /// independent schedule-graph components in parallel; the result is
-  /// byte-identical either way.
+  /// \p Machine's constraints.
   FalseDependenceGraph(const Function &F, unsigned BlockIdx,
-                       const MachineModel &Machine,
-                       ThreadPool *ClosurePool = nullptr);
+                       const MachineModel &Machine);
 
   /// As above but reuses an already-built schedule graph \p Gs.
   FalseDependenceGraph(const Function &F, unsigned BlockIdx,
                        const DependenceGraph &Gs,
-                       const MachineModel &Machine,
-                       ThreadPool *ClosurePool = nullptr);
+                       const MachineModel &Machine);
 
   /// Returns the number of instructions (vertices).
   unsigned size() const { return ParallelPairs.numVertices(); }
@@ -70,8 +69,7 @@ public:
 
 private:
   void build(const Function &F, unsigned BlockIdx,
-             const DependenceGraph &Gs, const MachineModel &Machine,
-             ThreadPool *ClosurePool);
+             const DependenceGraph &Gs, const MachineModel &Machine);
 
   UndirectedGraph Constraints;   // Et
   UndirectedGraph MachinePairs;  // machine-contention subset of Et

@@ -34,17 +34,18 @@ namespace pira {
 class Function;
 class InterferenceGraph;
 class MachineModel;
-class ThreadPool;
 class Webs;
 
 /// The PIG over webs, keeping the two edge families separate so the
 /// Section-4 heuristics can weigh them differently (Lemmas 2 and 3).
 ///
-/// Both families are bit rows; no per-pair list is kept. A web with one
-/// defining instruction has that instruction's critical-path height, and
-/// a parallel edge between two such webs in one block has benefit
-/// H(def A) + H(def B). Only the edges whose benefit is not that sum are
-/// listed (explicitEdges()).
+/// Both families are bit rows; no per-pair list is kept. The parallel
+/// rows come from Et, the sparse side: each def's descendants, ancestors
+/// and single-unit class are mapped to webs and complemented there, so no
+/// block's Ef is built. A web with one defining instruction has that
+/// instruction's critical-path height, and a parallel edge between two
+/// such webs in one block has benefit H(def A) + H(def B). Only the edges
+/// whose benefit is not that sum are listed (explicitEdges()).
 class ParallelInterferenceGraph {
 public:
   /// defHeight() of a web with several defining instructions, or none.
@@ -53,13 +54,10 @@ public:
   /// Builds the PIG of \p F. \p IG must be the interference graph of the
   /// same function/web partition. When \p UseRegions is true, parallel
   /// edges are additionally collected across plausible block pairs.
-  /// \p ClosurePool, when non-null, parallelizes the per-block closure;
-  /// the graph is byte-identical either way.
   ParallelInterferenceGraph(const Function &F, const Webs &W,
                             const InterferenceGraph &IG,
                             const MachineModel &Machine,
-                            bool UseRegions = false,
-                            ThreadPool *ClosurePool = nullptr);
+                            bool UseRegions = false);
 
   /// Returns the number of vertices (webs).
   unsigned numWebs() const { return Interference.numVertices(); }

@@ -24,7 +24,6 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <memory>
 #include <mutex>
 #include <thread>
 
@@ -589,8 +588,7 @@ static void finalizeBatchAggregates(BatchResult &R) {
 
 BatchResult pira::compileBatch(const std::vector<BatchItem> &Batch,
                                const MachineModel &Machine,
-                               const BatchOptions &OptsIn) {
-  BatchOptions Opts = OptsIn;
+                               const BatchOptions &Opts) {
   // The whole-batch span is recorded by hand at the end rather than as
   // a TimeScope: a live scope on the caller's thread would prefix the
   // serial path's per-item event paths but not the pool workers', and
@@ -612,20 +610,6 @@ BatchResult pira::compileBatch(const std::vector<BatchItem> &Batch,
 
   unsigned Jobs = Opts.Jobs == 0 ? ThreadPool::defaultJobCount() : Opts.Jobs;
   Jobs = std::max(1u, Jobs);
-
-  // A single-function batch takes the serial path below and would leave
-  // every requested worker idle. Spend them inside the compile instead:
-  // hand the Pinter pipeline a pool so each block's transitive closure
-  // runs its independent schedule-graph components in parallel. This is
-  // invisible to results (component closures write disjoint rows) and
-  // to the cache key (the pool is not a keyed option), so reports stay
-  // byte-identical across --jobs. Isolated runs delegate to a child
-  // process and get no pool here.
-  std::unique_ptr<ThreadPool> ClosurePool;
-  if (Jobs > 1 && Batch.size() == 1 && !UseIsolation) {
-    ClosurePool = std::make_unique<ThreadPool>(Jobs);
-    Opts.Pinter.ClosurePool = ClosurePool.get();
-  }
 
   // Compiles item \p I in process or in a sandboxed child.
   auto Compile = [&](unsigned I) {

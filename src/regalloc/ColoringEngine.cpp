@@ -69,16 +69,13 @@ private:
 /// With a family, step 3 adds:
 ///   * Victims — present vertices of interference degree < r keyed on
 ///     (combined degree, index): step 3's victim is the minimum.
-///   * Rows — each vertex's parallel-only neighbours in (benefit, index)
-///     order: the explicit edges sorted per vertex, merged with the
-///     height-sum neighbours in the one (height, index) order of
-///     vertices. Edges only ever disappear, so cursors that skip gone
-///     entries find step 3's edge, and each victim reads its rows in one
-///     run.
-/// Without a family every edge is an interference edge, so a vertex's
-/// interference degree is its combined degree: any vertex below r is in
-/// Low and leaves at the next simplify, and step 3 never fires. Nothing
-/// drops an edge, so nothing is copied and no row is laid out.
+/// Step 3 never removes an edge. Its victim V would drop its cheapest
+/// parallel-only edges until it simplifies, and then leave first at the
+/// next sweep; so V leaves at once, as a victim, and select recovers the
+/// edges V kept from the removal order (DESIGN.md §5, "Step 3 as a
+/// removal"). Without a family every edge is an interference edge, so a
+/// vertex's interference degree is its combined degree: any vertex below
+/// r is in Low and leaves at the next simplify, and step 3 never fires.
 class Engine {
 public:
   Engine(const UndirectedGraph &Interf, unsigned NumRegs,
@@ -96,14 +93,14 @@ public:
       }
       return;
     }
-    Live = Family->Combined;
     const UndirectedGraph &Par = Family->Parallel;
+    const UndirectedGraph &Combined = Family->Combined;
+    IsVictim.resize(N);
     for (unsigned V = 0; V != N; ++V) {
-      unsigned Both = Interf.degree(V) + Par.degree(V) - Live.degree(V);
+      unsigned Both = Interf.degree(V) + Par.degree(V) - Combined.degree(V);
       Num[V] = {Interf.degree(V) - Both, Par.degree(V) - Both, Both};
       refresh(V);
     }
-    buildRows();
   }
 
   /// The one simplify / spill-choice loop (see ColoringEngine.h).
@@ -113,16 +110,24 @@ public:
     assert(Costs.size() == Interf.numVertices() &&
            "cost vector size mismatch");
     std::vector<unsigned> Stack;
+    unsigned Cursor = 0;
     while (Remaining != 0) {
-      simplify(Stack);
+      simplify(Stack, Cursor);
+      Cursor = 0;
       if (Remaining == 0)
         break;
 
       // Step 3: some vertex colorable if we give up parallelism? Take the
-      // vertex needing the fewest removals and drop its least beneficial
-      // parallel-only edges.
+      // vertex needing the fewest removals; it keeps its k most
+      // beneficial parallel-only edges, drops the rest and simplifies.
+      // The sweep then resumes after it.
       if (unsigned V = victim(); V != ~0u) {
-        Out.ParallelEdgesDropped += dropCheapestParallelEdges(V);
+        unsigned Keep = R - 1 - (Num[V].I + Num[V].B);
+        Out.ParallelEdgesDropped += Num[V].P - Keep;
+        IsVictim.set(V);
+        Stack.push_back(V);
+        removeVertex(V);
+        Cursor = V + 1;
         continue;
       }
 
@@ -135,17 +140,57 @@ public:
     return Stack;
   }
 
-  const UndirectedGraph &selectGraph() const {
-    return Family != nullptr ? Live : Interf;
+  /// Colors \p Stack in reverse removal order, each vertex with the
+  /// lowest color none of its live colored neighbours holds. The colored
+  /// vertices at V's turn are exactly those removed after it. Every edge
+  /// step 3 gave away leads to a victim removed before its partner, so
+  /// it is uncolored at the partner's turn: a vertex that was no victim
+  /// colors against the combined graph. A victim colors against its
+  /// colored interference neighbours and the k most beneficial of its
+  /// colored parallel-only neighbours, k = r - 1 - (the former), in
+  /// (benefit, index) order: the edges its drops kept.
+  void select(const std::vector<unsigned> &Stack, Allocation &Out) {
+    assert(Family != nullptr && "only step 3 needs this select");
+    unsigned N = Interf.numVertices();
+    buildExplicitRows();
+    BitVector Colored(N);
+    std::vector<bool> Used;
+    std::vector<std::pair<double, unsigned>> Kept;
+    // Every vertex left with fewer than r live neighbours, so each takes
+    // one of colors 0 .. r - 1.
+    auto Mark = [&](unsigned U) { Used[Out.ColorOfWeb[U]] = true; };
+    for (auto It = Stack.rbegin(), E = Stack.rend(); It != E; ++It) {
+      unsigned V = *It;
+      Used.assign(R, false);
+      if (!IsVictim.test(V)) {
+        Scratch = Family->Combined.neighbors(V);
+        Scratch.intersectWith(Colored);
+        Scratch.forEachSetBit(Mark);
+      } else {
+        Scratch = Interf.neighbors(V);
+        Scratch.intersectWith(Colored);
+        unsigned Interfering = Scratch.count();
+        assert(Interfering < R && "a victim's interference degree is < r");
+        unsigned Keep = R - 1 - Interfering;
+        Scratch.forEachSetBit(Mark);
+        keepBest(V, Keep, Colored, Kept);
+        for (const auto &[Benefit, U] : Kept)
+          Mark(U);
+      }
+      unsigned Color = 0;
+      while (Color < R && Used[Color])
+        ++Color;
+      assert(Color < R && "a vertex left with r live neighbours");
+      Out.ColorOfWeb[V] = static_cast<int>(Color);
+      Out.NumColorsUsed = std::max(Out.NumColorsUsed, Color + 1);
+      Colored.set(V);
+    }
   }
 
 private:
-  static constexpr unsigned NoRank = ~0u;
-
   /// Removes every vertex the lowest-index repeated sweep would remove,
-  /// pushing them on \p Stack in sweep order.
-  void simplify(std::vector<unsigned> &Stack) {
-    unsigned Cursor = 0;
+  /// starting at \p Cursor, pushing them on \p Stack in sweep order.
+  void simplify(std::vector<unsigned> &Stack, unsigned Cursor) {
     while (true) {
       int V = Cursor == 0 ? Low.findFirst() : Low.findNext(Cursor - 1);
       if (V < 0 && Cursor != 0)
@@ -165,59 +210,6 @@ private:
       return ~0u;
     uint64_t Key = Victims.min();
     return Key == MinTree::Absent ? ~0u : static_cast<unsigned>(Key);
-  }
-
-  /// Drops \p V's present parallel-only edges in (benefit, index) order
-  /// until \p V can be simplified. \returns the number dropped.
-  ///
-  /// This is the one-drop step 3 repeated. After a drop that leaves V at
-  /// r or more, no present vertex is below r, so the next simplify
-  /// removes nothing, and V is the victim again: its key fell by one, as
-  /// did its partner's, and no other key changed. The partner U never
-  /// reaches r - 1 first. If U is a victim candidate its key was at least
-  /// V's, so degree(U) = r forces degree(V) = r; otherwise U's
-  /// interference degree is at least r, so the edge to V put it above r.
-  ///
-  /// V leaves at the next simplify, so this run is the only one to read
-  /// V's rows: the height-sum row is built from V's present edges here,
-  /// and only the explicit row, laid out up front, can hold gone entries.
-  unsigned dropCheapestParallelEdges(unsigned V) {
-    buildRankedRow(V);
-    int K = RankedRow.findFirst();
-    unsigned E = ExplicitStart[V], End = ExplicitStart[V + 1];
-    unsigned Dropped = 0;
-    do {
-      while (E != End && gone(V, Explicit[E].second))
-        ++E;
-      bool TakeRanked = K >= 0;
-      if (TakeRanked && E != End) {
-        unsigned U = Order[static_cast<unsigned>(K)];
-        double Benefit = static_cast<double>(Family->DefHeight[V] +
-                                             Family->DefHeight[U]);
-        TakeRanked = std::make_pair(Benefit, U) < Explicit[E];
-      }
-      unsigned U;
-      if (TakeRanked) {
-        U = Order[static_cast<unsigned>(K)];
-        K = RankedRow.findNext(static_cast<unsigned>(K));
-      } else {
-        assert(E != End && "interference degree < combined degree implies "
-                           "a parallel-only edge");
-        U = Explicit[E++].second;
-      }
-      assert(!gone(V, U) && "only V's own drops remove edges in its run");
-      Live.removeEdge(V, U);
-      --Num[V].P;
-      --Num[U].P;
-      assert((degree(U) >= R || degree(V) < R) &&
-             "the partner fell below r before the victim");
-      refresh(U);
-      ++Dropped;
-    } while (degree(V) >= R);
-    // V's key only fell during the run, so one re-filing at its end
-    // leaves the worklists as a re-filing after every drop would.
-    refresh(V);
-    return Dropped;
   }
 
   /// Step 4: the present vertex of least h* (then index); the first
@@ -243,6 +235,14 @@ private:
     return Spill;
   }
 
+  /// Removes \p V. For a step 3 victim, each partner loses the one count
+  /// a drop or the victim's later removal would have cost it, so the
+  /// worklists come out as the drops and that removal leave them. No
+  /// present vertex is below r here. A parallel-only partner U at r has
+  /// interference degree below r, since the edge to V is not one, so U
+  /// is a victim candidate: its key (r, U) is at least V's, so V's
+  /// degree is r and U > V, and the sweep resuming at V + 1 meets U as
+  /// the drops' sweep from 0 would have.
   void removeVertex(unsigned V) {
     assert(Present.test(V) && "vertex removed twice");
     Present.reset(V);
@@ -258,15 +258,21 @@ private:
       return;
     }
     Victims.erase(V);
-    const BitVector &InI = Interf.neighbors(V);
-    const BitVector &InP = Family->Parallel.neighbors(V);
-    Scratch = Live.neighbors(V);
+    bool Victim = IsVictim.test(V);
+    Scratch = Family->Combined.neighbors(V);
+    Scratch.subtract(Interf.neighbors(V));
     Scratch.intersectWith(Present);
     Scratch.forEachSetBit([&](unsigned U) {
-      bool I = InI.test(U);
-      bool P = InP.test(U);
-      Counts &C = Num[U];
-      --(I && P ? C.B : I ? C.I : C.P);
+      assert((!Victim || degree(U) != R || (U > V && degree(V) == R)) &&
+             "a victim's partner fell below r before the victim");
+      --Num[U].P;
+      refresh(U);
+    });
+    const BitVector &InP = Family->Parallel.neighbors(V);
+    Scratch = Interf.neighbors(V);
+    Scratch.intersectWith(Present);
+    Scratch.forEachSetBit([&](unsigned U) {
+      --(InP.test(U) ? Num[U].B : Num[U].I);
       refresh(U);
     });
   }
@@ -285,69 +291,60 @@ private:
       Victims.decrease(V, uint64_t(D) << 32 | V);
   }
 
-  /// True when parallel-only edge {\p V, \p U} has left the graph.
-  bool gone(unsigned V, unsigned U) const {
-    return !Present.test(U) || !Live.hasEdge(V, U);
-  }
-
-  /// Sorts the vertices with a height by (height, index) once, and lays
-  /// out every vertex's parallel-only explicit edges in (benefit, index)
-  /// order.
-  void buildRows() {
+  /// Lays out every vertex's explicit-benefit partners in index order.
+  void buildExplicitRows() {
     unsigned N = Interf.numVertices();
-    std::vector<uint64_t> Keys;
-    for (unsigned V = 0; V != N; ++V)
-      if (Family->DefHeight[V] != ParallelFamily::NoHeight)
-        Keys.push_back(uint64_t(Family->DefHeight[V]) << 32 | V);
-    std::sort(Keys.begin(), Keys.end());
-    Order.resize(Keys.size());
-    Rank.assign(N, NoRank);
-    for (unsigned K = 0, E = static_cast<unsigned>(Keys.size()); K != E;
-         ++K) {
-      Order[K] = static_cast<unsigned>(Keys[K]);
-      Rank[Order[K]] = K;
-    }
-    RankedRow.resize(static_cast<unsigned>(Order.size()));
-
     ExplicitStart.assign(N + 1, 0);
-    for (const ParallelEdge &E : Family->Explicit)
-      if (!Interf.hasEdge(E.A, E.B)) {
-        ++ExplicitStart[E.A + 1];
-        ++ExplicitStart[E.B + 1];
-      }
+    for (const ParallelEdge &E : Family->Explicit) {
+      ++ExplicitStart[E.A + 1];
+      ++ExplicitStart[E.B + 1];
+    }
     for (unsigned V = 0; V != N; ++V)
       ExplicitStart[V + 1] += ExplicitStart[V];
+    // Explicit is sorted by (A, B), so each vertex's partners below it
+    // arrive in order, then those above it.
     std::vector<unsigned> Fill(ExplicitStart.begin(), ExplicitStart.end() - 1);
     Explicit.resize(ExplicitStart[N]);
-    for (const ParallelEdge &E : Family->Explicit)
-      if (!Interf.hasEdge(E.A, E.B)) {
-        Explicit[Fill[E.A]++] = {E.Benefit, E.B};
-        Explicit[Fill[E.B]++] = {E.Benefit, E.A};
-      }
-    for (unsigned V = 0; V != N; ++V)
-      std::sort(Explicit.begin() + ExplicitStart[V],
-                Explicit.begin() + ExplicitStart[V + 1]);
+    for (const ParallelEdge &E : Family->Explicit) {
+      Explicit[Fill[E.A]++] = {E.B, E.Benefit};
+      Explicit[Fill[E.B]++] = {E.A, E.Benefit};
+    }
   }
 
-  /// Fills RankedRow with \p V's present height-sum neighbours as a row
-  /// over ranks: bit K is set when Order[K] is one. Every such neighbour
-  /// U has benefit H(V) + H(U), so ascending rank is (benefit, index)
-  /// order. Empty when V itself has no height.
-  void buildRankedRow(unsigned V) {
-    RankedRow.resetAll();
-    if (Rank[V] == NoRank)
+  /// Fills \p Kept with the \p Keep largest (benefit, index) keys among
+  /// \p V's colored parallel-only neighbours, in no particular order.
+  void keepBest(unsigned V, unsigned Keep, const BitVector &Colored,
+                std::vector<std::pair<double, unsigned>> &Kept) {
+    Kept.clear();
+    if (Keep == 0)
       return;
-    Scratch = Live.neighbors(V);
+    Scratch = Family->Combined.neighbors(V);
     Scratch.subtract(Interf.neighbors(V));
-    Scratch.intersectWith(Present);
+    Scratch.intersectWith(Colored);
+    unsigned E = ExplicitStart[V], End = ExplicitStart[V + 1];
+    unsigned HV = Family->DefHeight[V];
+    size_t Worst = 0;
     Scratch.forEachSetBit([&](unsigned U) {
-      if (Rank[U] != NoRank)
-        RankedRow.set(Rank[U]);
+      while (E != End && Explicit[E].first < U)
+        ++E;
+      bool Listed = E != End && Explicit[E].first == U;
+      assert((Listed || (HV != ParallelFamily::NoHeight &&
+                         Family->DefHeight[U] != ParallelFamily::NoHeight)) &&
+             "an edge with a heightless end lists its benefit");
+      double Benefit = Listed ? Explicit[E].second
+                              : static_cast<double>(HV + Family->DefHeight[U]);
+      std::pair<double, unsigned> Key{Benefit, U};
+      if (Kept.size() < Keep) {
+        Kept.push_back(Key);
+        if (Kept.size() == Keep)
+          Worst = std::min_element(Kept.begin(), Kept.end()) - Kept.begin();
+        return;
+      }
+      if (Key < Kept[Worst])
+        return;
+      Kept[Worst] = Key;
+      Worst = std::min_element(Kept.begin(), Kept.end()) - Kept.begin();
     });
-    // Region edges between two such vertices carry an explicit benefit.
-    for (unsigned I = ExplicitStart[V]; I != ExplicitStart[V + 1]; ++I)
-      if (unsigned K = Rank[Explicit[I].second]; K != NoRank)
-        RankedRow.reset(K);
   }
 
   struct Counts {
@@ -364,12 +361,10 @@ private:
   std::vector<Counts> Num;
 
   // Step 3 state, built only with a family.
-  UndirectedGraph Live;
   MinTree Victims;
-  std::vector<unsigned> Order, Rank;
-  BitVector RankedRow;
+  BitVector IsVictim;
   std::vector<unsigned> ExplicitStart;
-  std::vector<std::pair<double, unsigned>> Explicit;
+  std::vector<std::pair<unsigned, double>> Explicit;
 };
 
 } // namespace
@@ -384,8 +379,12 @@ Allocation pira::colorGraph(const UndirectedGraph &Interference,
   Engine Work(Interference, NumRegs, Family);
   std::vector<unsigned> Stack = Work.removeAll(
       Costs, InterferenceWeight, ParallelWeight, /*Optimistic=*/false, Out);
-  if (Out.SpilledWebs.empty())
-    assignColorsGreedy(Work.selectGraph(), Stack, Out);
+  if (!Out.SpilledWebs.empty())
+    return Out;
+  if (Family != nullptr)
+    Work.select(Stack, Out);
+  else
+    assignColorsGreedy(Interference, Stack, Out);
   return Out;
 }
 

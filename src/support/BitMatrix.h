@@ -18,7 +18,6 @@
 #include "support/BitVector.h"
 
 #include <cassert>
-#include <set>
 #include <vector>
 
 namespace pira {
@@ -83,31 +82,6 @@ public:
         if (Rows[I].test(K))
           Rows[I].unionWith(KRow);
     }
-  }
-
-  /// Reference implementation of transitiveClosure() over per-node
-  /// std::set adjacency — the representation the closure used before the
-  /// packed-bitset rewrite, retained as a differential-testing oracle
-  /// (see the closure-equivalence tests and the set-vs-bitset benchmark).
-  /// Not used on any production path. \returns the closed relation; the
-  /// matrix itself is unchanged.
-  BitMatrix transitiveClosureSetBased() const {
-    std::vector<std::set<unsigned>> Reach(N);
-    for (unsigned I = 0; I != N; ++I)
-      for (int J = Rows[I].findFirst(); J != -1;
-           J = Rows[I].findNext(static_cast<unsigned>(J)))
-        Reach[I].insert(static_cast<unsigned>(J));
-    for (unsigned K = 0; K != N; ++K) {
-      const std::set<unsigned> KReach = Reach[K];
-      for (unsigned I = 0; I != N; ++I)
-        if (Reach[I].count(K))
-          Reach[I].insert(KReach.begin(), KReach.end());
-    }
-    BitMatrix Out(N);
-    for (unsigned I = 0; I != N; ++I)
-      for (unsigned J : Reach[I])
-        Out.set(I, J);
-    return Out;
   }
 
   /// Makes the relation symmetric: M |= transpose(M).

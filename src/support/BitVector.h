@@ -122,6 +122,15 @@ public:
       Words[I] &= ~RHS.Words[I];
   }
 
+  /// In-place this |= \p A & ~\p B; sizes must match. One pass, where
+  /// copying A, subtracting B and uniting would take three.
+  void unionWithDifference(const BitVector &A, const BitVector &B) {
+    assert(NumBits == A.NumBits && NumBits == B.NumBits &&
+           "size mismatch in unionWithDifference");
+    for (size_t I = 0, E = Words.size(); I != E; ++I)
+      Words[I] |= A.Words[I] & ~B.Words[I];
+  }
+
   /// Returns true when this vector and \p RHS share any set bit; sizes
   /// must match. Word-parallel, no allocation.
   bool intersects(const BitVector &RHS) const {

@@ -5,6 +5,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ClosureOracle.h"
+
 #include "analysis/DependenceGraph.h"
 #include "analysis/Dominators.h"
 #include "analysis/Liveness.h"
@@ -12,11 +14,14 @@
 #include "analysis/Webs.h"
 #include "ir/IRBuilder.h"
 #include "machine/MachineModel.h"
+#include "support/Rng.h"
 #include "workloads/Kernels.h"
+#include "workloads/RandomProgram.h"
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 using namespace pira;
 
@@ -315,6 +320,104 @@ TEST(DependenceGraphTest, ReachabilityMatchesHasPath) {
     for (unsigned V = 0; V != G.size(); ++V)
       EXPECT_EQ(R.test(U, V), G.hasPath(U, V))
           << "pair " << U << "," << V;
+}
+
+//===----------------------------------------------------------------------===//
+// Reachability: the one-sweep closure
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Requires reachability() to equal word-parallel Warshall and the
+/// set-based oracle over a matrix of \p G's edges(), and ancestors() to
+/// be its transpose.
+void expectSweepMatches(const DependenceGraph &G, const std::string &What) {
+  unsigned N = G.size();
+  BitMatrix Edges(N);
+  for (const DepEdge &E : G.edges())
+    Edges.set(E.From, E.To);
+  BitMatrix Warshall = Edges;
+  Warshall.transitiveClosure();
+  BitMatrix Sweep = G.reachability();
+  ASSERT_EQ(Sweep, Warshall) << What;
+  ASSERT_EQ(Sweep, setBasedClosure(Edges)) << What;
+  BitMatrix Anc = G.ancestors();
+  ASSERT_EQ(Anc.size(), N) << What;
+  for (unsigned U = 0; U != N; ++U)
+    for (unsigned V = 0; V != N; ++V)
+      ASSERT_EQ(Anc.test(V, U), Sweep.test(U, V))
+          << What << ": pair " << U << "," << V;
+}
+
+} // namespace
+
+TEST(ReachabilityTest, SweepMatchesWarshallAndSetBased) {
+  using Pairs = std::vector<std::pair<unsigned, unsigned>>;
+  // Degenerate shapes.
+  expectSweepMatches(DependenceGraph(0, {}), "empty");
+  expectSweepMatches(DependenceGraph(1, {}), "single node");
+  expectSweepMatches(DependenceGraph(17, {}), "disconnected 17");
+  Pairs Chain, Components, Sink;
+  for (unsigned I = 0; I + 1 < 64; ++I)
+    Chain.push_back({I, I + 1});
+  expectSweepMatches(DependenceGraph(64, Chain), "chain 64");
+  for (unsigned I = 0; I + 1 < 40; I += 2)
+    Components.push_back({I, I + 1});
+  for (unsigned I = 0; I + 3 < 40; I += 7)
+    Components.push_back({I, I + 3});
+  expectSweepMatches(DependenceGraph(40, Components), "components");
+  for (unsigned I = 0; I + 1 < 12; ++I)
+    Sink.push_back({I, 11});
+  expectSweepMatches(DependenceGraph(12, Sink), "universal sink");
+  DependenceGraph Dup(3, {{0, 1}, {0, 1}, {1, 2}, {1, 2}, {0, 2}});
+  EXPECT_EQ(Dup.edges().size(), 3u);
+  expectSweepMatches(Dup, "duplicate edges");
+
+  // 200 random DAGs in topological numbering, from sparse chains to
+  // dense blobs.
+  Rng R(0xDA6CEDu);
+  for (unsigned Case = 0; Case != 200; ++Case) {
+    unsigned N = 1 + static_cast<unsigned>(R.nextBelow(512));
+    double Density = static_cast<double>(R.nextBelow(1000)) / 1000.0 * 0.15;
+    Pairs E;
+    for (unsigned I = 0; I + 1 < N; ++I)
+      if (R.nextBelow(100) < 60)
+        E.push_back({I, I + 1});
+    auto MaxExtra = static_cast<uint64_t>(Density * N) * 4 + 1;
+    for (uint64_t K = R.nextBelow(MaxExtra); K != 0; --K) {
+      unsigned A = static_cast<unsigned>(R.nextBelow(N));
+      unsigned B = static_cast<unsigned>(R.nextBelow(N));
+      if (A != B)
+        E.push_back({std::min(A, B), std::max(A, B)});
+    }
+    expectSweepMatches(DependenceGraph(N, E),
+                       "case " + std::to_string(Case) + " (N=" +
+                           std::to_string(N) + ")");
+  }
+
+  // Every block of the kernels and of every CFG shape, on three machines.
+  const MachineModel Machines[] = {MachineModel::paperTwoUnit(),
+                                   MachineModel::rs6000(),
+                                   MachineModel::vliw4()};
+  std::vector<std::pair<std::string, Function>> Inputs =
+      standardKernelSuite();
+  for (CfgShape Shape : {CfgShape::Straight, CfgShape::Diamond,
+                         CfgShape::Loop, CfgShape::NestedDiamond,
+                         CfgShape::DoubleLoop}) {
+    RandomProgramOptions Gen;
+    Gen.Shape = Shape;
+    Gen.InstructionsPerBlock = 48;
+    Gen.MemoryPercent = 25;
+    Gen.Seed = 7 + static_cast<unsigned>(Shape);
+    Inputs.push_back({"shape " + std::to_string(static_cast<unsigned>(Shape)),
+                      generateRandomProgram(Gen)});
+  }
+  for (const MachineModel &M : Machines)
+    for (const auto &[Name, F] : Inputs)
+      for (unsigned B = 0; B != F.numBlocks(); ++B)
+        expectSweepMatches(DependenceGraph(F, B, M),
+                           Name + " block " + std::to_string(B) + " on " +
+                               M.name());
 }
 
 TEST(DependenceGraphTest, FlowLatencyTracksMachine) {

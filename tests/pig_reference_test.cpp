@@ -3,16 +3,17 @@
 // Part of PIRA, a reproduction of Pinter's PLDI'93 combined register
 // allocation / instruction scheduling framework.
 //
-// The bit-row ParallelInterferenceGraph checked against the pair-list
-// construction it replaced, kept here as ReferencePig (verbatim but for
-// its telemetry and the closure pool, which cannot change a result): every
-// defining instruction pair of a block's Ef, and every plausible region
-// pair, becomes one ParallelEdge, and one sort with a max-merge dedups
-// them. For every pair of webs, not only for edges, the two builds must
-// agree on the three edge families, the degrees, the parallel-only edge
-// count and the scheduling benefit. The inputs cover the kernels, every
-// CFG shape, three machines, the region extension on and off, and every
-// round of a real color/spill/rebuild loop.
+// The ParallelInterferenceGraph, whose parallel rows complement Et in
+// web space, checked against the pair-list construction over each
+// block's Ef that it replaced, kept here as ReferencePig (verbatim but
+// for its telemetry): every defining instruction pair of a block's Ef,
+// and every plausible region pair, becomes one ParallelEdge, and one sort
+// with a max-merge dedups them. For every pair of webs, not only for
+// edges, the two builds must agree on the three edge families, the
+// degrees, the parallel-only edge count and the scheduling benefit. The
+// inputs cover the kernels, every CFG shape, four machines (one of them
+// single-issue, where Ef is empty), the region extension on and off, and
+// every round of a real color/spill/rebuild loop.
 //
 //===----------------------------------------------------------------------===//
 
@@ -274,19 +275,24 @@ MachineModel machineNumber(unsigned I) {
     return MachineModel::paperTwoUnit();
   case 1:
     return MachineModel::rs6000();
-  default:
+  case 2:
     return MachineModel::vliw4();
+  default:
+    return MachineModel::scalar();
   }
 }
+
+/// Number of machines machineNumber() covers.
+constexpr unsigned NumMachines = 4;
 
 const CfgShape AllShapes[] = {CfgShape::Straight, CfgShape::Diamond,
                               CfgShape::Loop, CfgShape::NestedDiamond,
                               CfgShape::DoubleLoop};
 
-/// Parallel-edge counter, looked up by name.
-const telemetry::Counter *parallelEdgeCounter() {
+/// The telemetry counter named \p Name, or null.
+const telemetry::Counter *counterNamed(const std::string &Name) {
   for (const telemetry::Counter *C : telemetry::counters())
-    if (std::string(C->name()) == "NumPigParallelEdges")
+    if (C->name() == Name)
       return C;
   return nullptr;
 }
@@ -295,7 +301,7 @@ const telemetry::Counter *parallelEdgeCounter() {
 
 TEST(PigReference, MatchesOnEveryKernel) {
   PigTally Tally;
-  for (unsigned MachineIdx = 0; MachineIdx != 3; ++MachineIdx) {
+  for (unsigned MachineIdx = 0; MachineIdx != NumMachines; ++MachineIdx) {
     MachineModel M = machineNumber(MachineIdx);
     for (const auto &[Name, F] : standardKernelSuite())
       for (bool Regions : {false, true})
@@ -312,7 +318,7 @@ TEST(PigReference, MatchesOnEveryKernel) {
 TEST(PigReference, MatchesOnEveryShapeAndMachine) {
   PigTally Tally;
   for (unsigned ShapeIdx = 0; ShapeIdx != 5; ++ShapeIdx)
-    for (unsigned MachineIdx = 0; MachineIdx != 3; ++MachineIdx)
+    for (unsigned MachineIdx = 0; MachineIdx != NumMachines; ++MachineIdx)
       for (unsigned Seed = 0; Seed != 2; ++Seed) {
         RandomProgramOptions Gen;
         Gen.Shape = AllShapes[ShapeIdx];
@@ -351,7 +357,7 @@ TEST(PigReference, ParallelEdgeCounterCountsDistinctEdges) {
   // The counter adds each PIG's distinct parallel edges. Pairs of
   // instructions that induce one web pair twice (a multi-def web, or a
   // region pair) must not count twice.
-  const telemetry::Counter *Counter = parallelEdgeCounter();
+  const telemetry::Counter *Counter = counterNamed("NumPigParallelEdges");
   ASSERT_NE(Counter, nullptr);
   std::vector<std::pair<std::string, Function>> Suite = standardKernelSuite();
   auto kernel = [&Suite](const std::string &Name) -> const Function & {
@@ -375,5 +381,46 @@ TEST(PigReference, ParallelEdgeCounterCountsDistinctEdges) {
     // The case is only meaningful when some web pair is induced twice.
     ReferencePig Ref(F, W, IG, M, Regions);
     EXPECT_GT(Ref.numInducingPairs(), PIG.parallel().numEdges()) << Name;
+  }
+}
+
+TEST(PigReference, CoIssueCountersMatchEachBlocksFalseDependenceGraph) {
+  // The PIG builds no block's Ef, yet its two co-issue counters still add
+  // each block's Ef and machine-pair edge counts.
+  const telemetry::Counter *Parallel = counterNamed("NumFdgParallelPairs");
+  const telemetry::Counter *Machine =
+      counterNamed("NumFdgMachineConstraintPairs");
+  ASSERT_NE(Parallel, nullptr);
+  ASSERT_NE(Machine, nullptr);
+  std::vector<std::pair<std::string, Function>> Inputs =
+      standardKernelSuite();
+  for (unsigned ShapeIdx = 0; ShapeIdx != 5; ++ShapeIdx) {
+    RandomProgramOptions Gen;
+    Gen.Shape = AllShapes[ShapeIdx];
+    Gen.InstructionsPerBlock = 30;
+    Gen.MemoryPercent = 25;
+    Gen.Seed = 97 + ShapeIdx;
+    Inputs.push_back({"shape " + std::to_string(ShapeIdx),
+                      generateRandomProgram(Gen)});
+  }
+  for (unsigned MachineIdx = 0; MachineIdx != NumMachines; ++MachineIdx) {
+    MachineModel M = machineNumber(MachineIdx);
+    for (const auto &[Name, F] : Inputs) {
+      uint64_t WantParallel = 0, WantMachine = 0;
+      for (unsigned B = 0; B != F.numBlocks(); ++B) {
+        FalseDependenceGraph FDG(F, B, M);
+        WantParallel += FDG.parallelPairs().numEdges();
+        WantMachine += FDG.machinePairs().numEdges();
+      }
+      Webs W(F);
+      InterferenceGraph IG(F, W);
+      uint64_t ParallelBefore = Parallel->value();
+      uint64_t MachineBefore = Machine->value();
+      ParallelInterferenceGraph PIG(F, W, IG, M);
+      EXPECT_EQ(Parallel->value() - ParallelBefore, WantParallel)
+          << Name << " " << M.name();
+      EXPECT_EQ(Machine->value() - MachineBefore, WantMachine)
+          << Name << " " << M.name();
+    }
   }
 }

@@ -31,10 +31,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cassert>
 #include <limits>
 #include <set>
 #include <string>
+#include <tuple>
 
 using namespace pira;
 
@@ -105,13 +107,38 @@ private:
   unsigned Remaining;
 };
 
+/// What step 3's victims kept and gave away, counted by the reference
+/// as it goes, so a sweep can show it reached each case of the
+/// library's step 3 (DESIGN.md §5, "Step 3 as a removal").
+struct VictimTally {
+  /// Victims that kept no parallel-only edge (k = 0).
+  unsigned KeptNone = 0;
+  /// Victims that kept an edge whose benefit is listed explicitly: one
+  /// with a multi-def end, or a region edge.
+  unsigned KeptExplicit = 0;
+  /// Victims that dropped one edge, whose partner fell below r.
+  unsigned PartnerFell = 0;
+};
+
+/// True when parallel edge {\p A, \p B} carries an explicit benefit.
+bool isExplicitEdge(const ParallelInterferenceGraph &PIG, unsigned A,
+                    unsigned B) {
+  auto [Lo, Hi] = std::minmax(A, B);
+  const std::vector<ParallelEdge> &E = PIG.explicitEdges();
+  return std::binary_search(E.begin(), E.end(), ParallelEdge{Lo, Hi, 0.0},
+                            [](const ParallelEdge &X, const ParallelEdge &Y) {
+                              return std::tie(X.A, X.B) < std::tie(Y.A, Y.B);
+                            });
+}
+
 /// The Section 4 procedure as first written: after every simplification,
 /// drop and spill it rescans the whole graph. Cubic, but obviously the
 /// paper's text; the library's pinterColor must match it decision for
-/// decision.
+/// decision. \p Tally, when non-null, counts what the victims kept.
 Allocation pinterColorReference(const ParallelInterferenceGraph &PIG,
                                 const std::vector<double> &Costs,
-                                unsigned NumRegs, const PinterOptions &Opts) {
+                                unsigned NumRegs, const PinterOptions &Opts,
+                                VictimTally *Tally = nullptr) {
   unsigned N = PIG.numWebs();
   assert(Costs.size() == N && "cost vector size mismatch");
   Allocation Out;
@@ -122,6 +149,10 @@ Allocation pinterColorReference(const ParallelInterferenceGraph &PIG,
   // Select must color against the graph with dropped edges gone but
   // removed vertices' edges intact: maintain it separately.
   UndirectedGraph SelectGraph = PIG.combined();
+  // Per vertex: the edges it dropped as a victim, and whether a partner
+  // fell below r.
+  std::vector<unsigned> Drops(N, 0);
+  std::vector<bool> PartnerFell(N, false);
 
   auto Simplify = [&] {
     bool Progress = true;
@@ -130,6 +161,15 @@ Allocation pinterColorReference(const ParallelInterferenceGraph &PIG,
       for (unsigned V = 0; V != N; ++V) {
         if (Work.isRemoved(V) || Work.degree(V) >= NumRegs)
           continue;
+        if (Tally != nullptr && Drops[V] != 0) {
+          std::vector<unsigned> Kept = Work.parallelOnlyNeighbors(V);
+          Tally->KeptNone += Kept.empty();
+          Tally->KeptExplicit +=
+              std::any_of(Kept.begin(), Kept.end(), [&](unsigned U) {
+                return isExplicitEdge(PIG, V, U);
+              });
+          Tally->PartnerFell += Drops[V] == 1 && PartnerFell[V];
+        }
         Stack.push_back(V);
         Work.removeVertex(V);
         Progress = true;
@@ -165,6 +205,9 @@ Allocation pinterColorReference(const ParallelInterferenceGraph &PIG,
       Work.removeParallelEdge(Victim, Best);
       SelectGraph.removeEdge(Victim, Best);
       ++Out.ParallelEdgesDropped;
+      ++Drops[Victim];
+      if (Work.degree(Best) < NumRegs)
+        PartnerFell[Victim] = true;
       continue;
     }
 
@@ -206,6 +249,7 @@ struct SweepTally {
   unsigned Dropped = 0;
   unsigned Spilled = 0;
   unsigned SpillRounds = 0;
+  VictimTally Victims;
 };
 
 /// Colors \p PIG both ways and requires identical decisions.
@@ -214,7 +258,8 @@ void expectSameColoring(const ParallelInterferenceGraph &PIG,
                         const PinterOptions &Opts, const std::string &Where,
                         SweepTally &Tally) {
   Allocation Lib = pinterColor(PIG, Costs, NumRegs, Opts);
-  Allocation Ref = pinterColorReference(PIG, Costs, NumRegs, Opts);
+  Allocation Ref =
+      pinterColorReference(PIG, Costs, NumRegs, Opts, &Tally.Victims);
   EXPECT_EQ(Lib.ColorOfWeb, Ref.ColorOfWeb) << Where;
   EXPECT_EQ(Lib.SpilledWebs, Ref.SpilledWebs) << Where;
   EXPECT_EQ(Lib.ParallelEdgesDropped, Ref.ParallelEdgesDropped) << Where;
@@ -311,6 +356,12 @@ TEST_P(PinterReferenceSweep, MatchesReferenceUnderPressure) {
   EXPECT_GT(Tally.Dropped, 0u);
   EXPECT_GT(Tally.Spilled, 0u);
   EXPECT_GT(Tally.SpillRounds, 0u);
+  // And every case of step 3 as a removal: a victim that keeps nothing,
+  // one that keeps an explicit-benefit edge, and one whose single drop
+  // pushes its partner below r.
+  EXPECT_GT(Tally.Victims.KeptNone, 0u);
+  EXPECT_GT(Tally.Victims.KeptExplicit, 0u);
+  EXPECT_GT(Tally.Victims.PartnerFell, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -15,11 +15,8 @@
 #include "ir/Parser.h"
 #include "ir/Printer.h"
 #include "transforms/Cleanup.h"
-#include "transforms/DagReduce.h"
 #include "transforms/Normalize.h"
 #include "transforms/LoopUnroller.h"
-#include "support/Rng.h"
-#include "support/ThreadPool.h"
 #include "workloads/Kernels.h"
 #include "workloads/RandomProgram.h"
 
@@ -358,103 +355,5 @@ TEST(NormalizeTest, SemanticsOnRandomPrograms) {
     std::string Err;
     ASSERT_TRUE(verifyFunction(F, Err)) << Err;
     expectSameSemantics(Before, F, Seed, "seed " + std::to_string(Seed));
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// DAG reduction (transforms/DagReduce.h)
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Oracle closure: the per-node successor-set reference implementation,
-/// independent of everything the reduction pipeline does.
-BitMatrix oracleClosure(unsigned N,
-                        const std::vector<std::pair<unsigned, unsigned>> &E) {
-  BitMatrix M(N);
-  for (auto [A, B] : E)
-    M.set(A, B);
-  return M.transitiveClosureSetBased();
-}
-
-void expectReducedMatchesOracle(
-    unsigned N, const std::vector<std::pair<unsigned, unsigned>> &E,
-    const std::string &What, ThreadPool *Pool = nullptr) {
-  BitMatrix Want = oracleClosure(N, E);
-  BitMatrix Got = dagreduce::reducedClosure(N, E, Pool);
-  ASSERT_EQ(Got.size(), Want.size()) << What;
-  for (unsigned I = 0; I < N; ++I)
-    for (unsigned J = 0; J < N; ++J)
-      ASSERT_EQ(Got.test(I, J), Want.test(I, J))
-          << What << ": row " << I << " col " << J;
-}
-
-} // namespace
-
-TEST(DagReduceTest, DegenerateShapes) {
-  // Empty graph and a single node.
-  expectReducedMatchesOracle(0, {}, "empty");
-  expectReducedMatchesOracle(1, {}, "single node");
-
-  // Fully disconnected: no edges at any size.
-  expectReducedMatchesOracle(17, {}, "disconnected 17");
-
-  // One long chain — collapses to a single super-node.
-  std::vector<std::pair<unsigned, unsigned>> Chain;
-  for (unsigned I = 0; I + 1 < 64; ++I)
-    Chain.push_back({I, I + 1});
-  expectReducedMatchesOracle(64, Chain, "chain 64");
-
-  // Many two-node chains: component splitting plus chain collapse.
-  std::vector<std::pair<unsigned, unsigned>> Pairs;
-  for (unsigned I = 0; I + 1 < 40; I += 2)
-    Pairs.push_back({I, I + 1});
-  expectReducedMatchesOracle(40, Pairs, "pair soup");
-
-  // Universal sink (every node feeds the terminator), exercising the
-  // sink peel.
-  std::vector<std::pair<unsigned, unsigned>> Sink;
-  for (unsigned I = 0; I + 1 < 12; ++I)
-    Sink.push_back({I, 11});
-  expectReducedMatchesOracle(12, Sink, "universal sink");
-
-  // Duplicate edges must not confuse degree counting.
-  expectReducedMatchesOracle(
-      3, {{0, 1}, {0, 1}, {1, 2}, {1, 2}, {0, 2}}, "duplicate edges");
-}
-
-TEST(DagReduceTest, ReducedClosureMatchesOracleOn200RandomDags) {
-  // The reduction pipeline (sink peel, component split, chain collapse,
-  // transitive strip, reverse-topological closure, expansion) must be
-  // invisible: bit-for-bit the closure of the input. Edges are drawn
-  // with From < To, the DependenceGraph invariant reducedClosure
-  // requires.
-  ThreadPool Pool(4);
-  Rng R(0xDA6CEDu);
-  for (unsigned Case = 0; Case < 200; ++Case) {
-    unsigned N = 1 + static_cast<unsigned>(R.nextBelow(512));
-    // Sweep density so some graphs shatter into many components and
-    // others are one dense blob with long chains stripped away.
-    double Density = static_cast<double>(R.nextBelow(1000)) / 1000.0 * 0.15;
-    std::vector<std::pair<unsigned, unsigned>> E;
-    // Backbone chains over random strides keep single-entry/single-exit
-    // runs common enough that the chain collapse actually fires.
-    for (unsigned I = 0; I + 1 < N; ++I)
-      if (R.nextBelow(100) < 60)
-        E.push_back({I, I + 1});
-    auto MaxExtra = static_cast<uint64_t>(Density * N) * 4 + 1;
-    for (uint64_t K = R.nextBelow(MaxExtra); K != 0; --K) {
-      unsigned A = static_cast<unsigned>(R.nextBelow(N));
-      unsigned B = static_cast<unsigned>(R.nextBelow(N));
-      if (A != B)
-        E.push_back({std::min(A, B), std::max(A, B)});
-    }
-    std::string What = "case " + std::to_string(Case) + " (N=" +
-                       std::to_string(N) + ", |E|=" +
-                       std::to_string(E.size()) + ")";
-    // Serial and pooled closures must agree with the oracle (and hence
-    // with each other): parallel component closure is invisible too.
-    expectReducedMatchesOracle(N, E, What + " serial");
-    expectReducedMatchesOracle(N, E, What + " pooled", &Pool);
   }
 }

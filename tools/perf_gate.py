@@ -39,7 +39,9 @@ import sys
 
 # (label, numerator benchmark, denominator benchmark). Higher is better
 # for both: the numerator is the slow reference, the denominator the
-# optimised path.
+# optimised path. closure_reduction_speedup_1024 reads Warshall ÷ sweep:
+# word-parallel Warshall over the edge matrix against the production
+# one-sweep closure.
 RATIO_GATES = [
     ("closure_speedup_256",
      "BM_TransitiveClosureSetBased/256", "BM_TransitiveClosure/256"),
@@ -51,7 +53,7 @@ RATIO_GATES = [
 
 # Hard floors on the *fresh* ratio itself, enforced in addition to the
 # baseline-relative threshold. These encode standing acceptance criteria
-# (the DAG reduction must keep beating plain Warshall by 2x at
+# (the one-sweep closure must keep beating plain Warshall by 2x at
 # 1k-instruction blocks) so a slowly drifting committed baseline cannot
 # ratchet a requirement away.
 RATIO_FLOORS = {
