@@ -57,7 +57,6 @@
 #include "core/PinterAllocator.h"
 #include "machine/MachineModel.h"
 #include "pipeline/Batch.h"
-#include "pipeline/Cache.h"
 #include "pipeline/Strategies.h"
 #include "pipeline/Tournament.h"
 #include "regalloc/ChaitinAllocator.h"
@@ -390,36 +389,6 @@ void BM_CompileBatch(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_CompileBatch)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
-
-void BM_CompileBatchWarmCache(benchmark::State &State) {
-  // The same 24-function batch through a pre-filled compilation cache:
-  // every item is a memory-tier hit, so the timed loop measures key
-  // computation + entry decode instead of compilation. The ratio to
-  // BM_CompileBatch/1 is the warm-cache speedup recorded in
-  // EXPERIMENTS.md.
-  std::vector<BatchItem> Batch;
-  for (unsigned I = 0; I != 24; ++I) {
-    RandomProgramOptions Opts;
-    Opts.InstructionsPerBlock = 40;
-    Opts.FloatPercent = 40;
-    Opts.MemoryPercent = 25;
-    Opts.Seed = pira::bench::benchSeed(4242) + I;
-    Batch.push_back({"f" + std::to_string(I), generateRandomProgram(Opts)});
-  }
-  MachineModel M = MachineModel::rs6000(12);
-  CompilationCache Cache(CacheMode::On);
-  BatchOptions Opts;
-  Opts.Jobs = 1;
-  Opts.Measure = false;
-  Opts.Cache = &Cache;
-  // Cold fill outside the timed loop.
-  compileBatch(Batch, M, Opts);
-  for (auto _ : State) {
-    BatchResult R = compileBatch(Batch, M, Opts);
-    benchmark::DoNotOptimize(R.Succeeded);
-  }
-}
-BENCHMARK(BM_CompileBatchWarmCache)->UseRealTime();
 
 /// Forwards to the console reporter while collecting every run into a
 /// "pira.bench" JSON document written at exit.

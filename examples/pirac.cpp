@@ -35,25 +35,16 @@
 //          [--tournament] [--corpus-count N] [--corpus-insts N]
 //          [--corpus-seed N]
 //          [--no-degrade] [--fault-inject site:n[,site:n...]]
-//          [--cache off|on|verify] [--cache-dir DIR] [--cache-max-mb N]
-//          [--isolate] [--retries N] [--retry-backoff-ms N]
-//          [--child-timeout-ms N] [--child-mem-mb N]
-//          [--journal FILE] [--resume]
 //          [--dump-graphs]
 //          [--trace-out trace.json] [--stats-out stats.json]
-//          [--metrics-out metrics.prom] [--progress]
 //          [--time-passes] [--version]
 //
 // Observability sinks: --stats-out writes the versioned "pira.stats"
-// JSON report, --trace-out the merged Chrome trace (in --isolate runs
-// the children's phase spans nest under the parent's spawn/ladder
-// spans, each under its real pid), and --metrics-out the counter and
-// histogram registries in the Prometheus/OpenMetrics text format. Each
-// sink accepts "-" for stdout, but only one may take it (exit 2
-// otherwise), and when one does, the human-readable output moves to
-// stderr so the machine-readable stream stays clean. --progress draws a
-// rate-limited, TTY-aware live status line on stderr while a batch
-// runs. --version prints the build-provenance line and exits.
+// JSON report and --trace-out the Chrome trace. Each sink accepts "-"
+// for stdout, but only one may take it (exit 2 otherwise), and when one
+// does, the human-readable output moves to stderr so the
+// machine-readable stream stays clean. --version prints the
+// build-provenance line and exits.
 //
 // --strategy oracle runs the exact branch-and-bound search
 // (pipeline/Oracle.h) — provably minimum-makespan spill-free code for
@@ -73,38 +64,11 @@
 // deterministic fault-injection harness; see support/FaultInjection.h
 // for the site table.
 //
-// --cache-dir DIR arms the content-addressed compilation cache
-// (pipeline/Cache.h) with an on-disk tier under DIR, implying
-// --cache on unless a mode was given explicitly; --cache on alone runs
-// memory-only. --cache verify recompiles hits anyway and cross-checks
-// byte identity; any mismatch makes the run exit nonzero. Caching
-// applies in batch mode (several inputs, or --jobs).
-// --cache-max-mb N bounds the on-disk tier (requires --cache-dir),
-// trimming oldest entries first; entries written by the current run are
-// never trimmed.
-//
-// --isolate compiles every ladder rung in a sandboxed child process
-// (`pirac --worker`, an internal mode that reads one job document from
-// stdin): a crash, OOM kill, or hard hang in one function becomes a
-// structured ChildCrashed / ChildKilled / ChildTimeout diagnostic and
-// the batch keeps going. --retries N retries spawn failures and killed
-// children with deterministic exponential backoff; --child-timeout-ms
-// arms a per-child wall-clock SIGKILL watchdog; --child-mem-mb caps the
-// child's address space (leave it off under sanitizers).
-//
-// --journal FILE records every finished function in a crash-safe
-// append-only journal; --resume (requires --journal) replays recorded
-// positions instead of recompiling, so a batch killed partway — even
-// with kill -9 — reproduces the uninterrupted run's report (modulo
-// "timers"/"counters") on the second invocation.
-//
 // Exit codes are a stable contract: 0 = everything compiled and
-// verified clean; 1 = at least one input or compile/verify failure
-// (including cache-verify mismatches); 2 = usage errors (bad flag,
-// missing value, --resume without --journal); 3 = internal errors — an
-// unusable or mismatched journal, journal append failures, a report
-// that could not be written, or a malformed --worker job. 3 takes
-// precedence over 1 when both apply.
+// verified clean; 1 = at least one input or compile/verify failure;
+// 2 = usage errors (unknown flag, bad or missing value); 3 = internal
+// errors — a report that could not be written. 3 takes precedence over
+// 1 when both apply.
 //
 //===----------------------------------------------------------------------===//
 
@@ -119,19 +83,15 @@
 #include "machine/MachineConfig.h"
 #include "machine/MachineModel.h"
 #include "pipeline/Batch.h"
-#include "pipeline/Cache.h"
-#include "pipeline/Journal.h"
 #include "pipeline/Report.h"
 #include "pipeline/Strategies.h"
 #include "pipeline/Tournament.h"
-#include "pipeline/Worker.h"
 #include "support/FaultInjection.h"
-#include "support/Io.h"
-#include "support/Subprocess.h"
 #include "support/Telemetry.h"
 #include "support/ThreadPool.h"
 
 #include <charconv>
+#include <csignal>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -199,16 +159,10 @@ static bool parseCliCount(const std::string &Flag, const std::string &Text,
 }
 
 int main(int argc, char **argv) {
-  // Process-wide, before any descriptor work: a report sink or pipe
-  // reader that vanishes must surface as EPIPE on the write (a structured
-  // diagnostic and exit 3), never as silent SIGPIPE death (141).
-  io::ignoreSigpipe();
-
-  // The self-exec worker mode comes first: the batch driver spawns
-  // `pirac --worker` with one job document on stdin, and nothing else
-  // on the command line applies.
-  if (argc >= 2 && std::string(argv[1]) == "--worker")
-    return runWorkerMode(std::cin, std::cout, std::cerr);
+  // Process-wide, before any output: a report sink or pipe reader that
+  // vanishes must surface as EPIPE on the write (a structured diagnostic
+  // and exit 3), never as silent SIGPIPE death (141).
+  ::signal(SIGPIPE, SIG_IGN);
 
   // (name, source) per input; empty after flag parsing means the sample.
   std::vector<std::pair<std::string, std::string>> Inputs;
@@ -220,22 +174,9 @@ int main(int argc, char **argv) {
   bool DumpGraphs = false;
   std::string TraceOut;
   std::string StatsOut;
-  std::string MetricsOut;
-  bool Progress = false;
   bool TimePasses = false;
   ResourceBudget Budget;
   bool NoDegrade = false;
-  CacheMode CacheModeFlag = CacheMode::Off;
-  bool CacheFlagSeen = false;
-  std::string CacheDir;
-  uint64_t CacheMaxMB = 0;
-  bool Isolate = false;
-  uint64_t Retries = 0;
-  uint64_t RetryBackoffMs = 10;
-  uint64_t ChildTimeoutMs = 0;
-  uint64_t ChildMemMB = 0;
-  std::string JournalPath;
-  bool Resume = false;
   OracleOptions OracleOpts;
   bool Tournament = false;
   uint64_t CorpusCount = 200;
@@ -339,54 +280,6 @@ int main(int argc, char **argv) {
       if (!NextValue(V) || !parseCliCount(Arg, V, 0, UINT64_MAX,
                                           Budget.MaxBlocks))
         return 2;
-    } else if (Arg == "--cache") {
-      std::string V;
-      if (!NextValue(V))
-        return 2;
-      Expected<CacheMode> M = cacheModeFromName(V);
-      if (!M) {
-        std::cerr << "pirac: " << M.status().toString() << '\n';
-        return 2;
-      }
-      CacheModeFlag = *M;
-      CacheFlagSeen = true;
-    } else if (Arg == "--cache-dir") {
-      if (!NextValue(CacheDir))
-        return 2;
-    } else if (Arg == "--cache-max-mb") {
-      std::string V;
-      if (!NextValue(V) || !parseCliCount(Arg, V, 1, 1 << 20, CacheMaxMB))
-        return 2;
-    } else if (Arg == "--isolate") {
-      Isolate = true;
-      BatchMode = true;
-    } else if (Arg == "--retries") {
-      std::string V;
-      if (!NextValue(V) ||
-          !parseCliCount(Arg, V, 0, std::numeric_limits<unsigned>::max(),
-                         Retries))
-        return 2;
-    } else if (Arg == "--retry-backoff-ms") {
-      std::string V;
-      // Capped so the deterministic exponential backoff cannot be armed
-      // into an effectively infinite sleep.
-      if (!NextValue(V) || !parseCliCount(Arg, V, 0, 60000, RetryBackoffMs))
-        return 2;
-    } else if (Arg == "--child-timeout-ms") {
-      std::string V;
-      if (!NextValue(V) ||
-          !parseCliCount(Arg, V, 0, UINT64_MAX, ChildTimeoutMs))
-        return 2;
-    } else if (Arg == "--child-mem-mb") {
-      std::string V;
-      if (!NextValue(V) || !parseCliCount(Arg, V, 0, UINT64_MAX, ChildMemMB))
-        return 2;
-    } else if (Arg == "--journal") {
-      if (!NextValue(JournalPath))
-        return 2;
-      BatchMode = true;
-    } else if (Arg == "--resume") {
-      Resume = true;
     } else if (Arg == "--oracle-max-insts") {
       std::string V;
       uint64_t N = 0;
@@ -438,12 +331,6 @@ int main(int argc, char **argv) {
     } else if (Arg == "--stats-out") {
       if (!NextValue(StatsOut))
         return 2;
-    } else if (Arg == "--metrics-out") {
-      if (!NextValue(MetricsOut))
-        return 2;
-    } else if (Arg == "--progress") {
-      Progress = true;
-      BatchMode = true;
     } else if (Arg == "--time-passes") {
       TimePasses = true;
     } else if (Arg == "--version") {
@@ -481,24 +368,13 @@ int main(int argc, char **argv) {
   }
   if (Regs != 0)
     Machine.setNumPhysRegs(Regs);
-  if (!CacheDir.empty() && !CacheFlagSeen)
-    CacheModeFlag = CacheMode::On;
-  if (CacheMaxMB != 0 && CacheDir.empty()) {
-    std::cerr << "pirac: --cache-max-mb requires --cache-dir DIR\n";
-    return 2;
-  }
-  if (Resume && JournalPath.empty()) {
-    std::cerr << "pirac: --resume requires --journal FILE\n";
-    return 2;
-  }
-  // At most one machine-readable sink may own stdout; the others must go
-  // to real files or the streams would interleave into garbage.
+  // At most one machine-readable sink may own stdout; the other must go
+  // to a real file or the streams would interleave into garbage.
   unsigned StdoutWriters = static_cast<unsigned>(TraceOut == "-") +
-                           static_cast<unsigned>(StatsOut == "-") +
-                           static_cast<unsigned>(MetricsOut == "-");
+                           static_cast<unsigned>(StatsOut == "-");
   if (StdoutWriters > 1) {
-    std::cerr << "pirac: at most one of --trace-out/--stats-out/"
-                 "--metrics-out may write to stdout ('-')\n";
+    std::cerr << "pirac: --trace-out and --stats-out may not both write to "
+                 "stdout ('-')\n";
     return 2;
   }
   // With stdout claimed by a report, the human-readable output moves to
@@ -567,11 +443,6 @@ int main(int argc, char **argv) {
       std::cerr << "stats-out: " << ReportError << '\n';
       ReportsOk = false;
     }
-    if (!MetricsOut.empty() &&
-        !telemetry::writeMetricsFile(MetricsOut, ReportError)) {
-      std::cerr << "metrics-out: " << ReportError << '\n';
-      ReportsOk = false;
-    }
     if (TimePasses)
       telemetry::printTimerReport(std::cerr);
     if (!ReportsOk)
@@ -590,47 +461,12 @@ int main(int argc, char **argv) {
   if (BatchMode) {
     if (!TraceOut.empty() || !StatsOut.empty() || TimePasses)
       telemetry::setEnabled(true);
-    std::optional<CompilationCache> Cache;
-    if (CacheModeFlag != CacheMode::Off) {
-      Cache.emplace(CacheModeFlag, CacheDir);
-      if (CacheMaxMB != 0)
-        Cache->setDiskLimitBytes(CacheMaxMB << 20);
-    }
     BatchOptions Opts;
     Opts.Strategy = Strategy;
     Opts.Oracle = OracleOpts;
     Opts.Jobs = Jobs;
     Opts.Budget = Budget;
     Opts.Degrade = !NoDegrade;
-    Opts.Progress = Progress;
-    Opts.Cache = Cache ? &*Cache : nullptr;
-    if (Isolate) {
-      Opts.Isolate = true;
-      // Self-exec: the worker is this very binary. /proc/self/exe is
-      // the robust answer (argv[0] may be a bare name found via PATH);
-      // argv[0] is the fallback on filesystems without /proc.
-      Opts.WorkerExe = currentExecutablePath();
-      if (Opts.WorkerExe.empty())
-        Opts.WorkerExe = argv[0];
-      Opts.MaxRetries = static_cast<unsigned>(Retries);
-      Opts.RetryBackoffMs = static_cast<unsigned>(RetryBackoffMs);
-      Opts.ChildTimeoutMs = ChildTimeoutMs;
-      Opts.ChildMemLimitMB = ChildMemMB;
-    }
-
-    // The journal binds to the exact batch configuration via a digest;
-    // opening it after every option is final keeps resume honest.
-    BatchJournal Journal;
-    if (!JournalPath.empty()) {
-      Status JS = Journal.open(JournalPath,
-                               computeJournalDigest(Batch, Machine, Opts),
-                               Batch.size(), Resume);
-      if (!JS.ok()) {
-        std::cerr << "pirac: " << JS.toString() << '\n';
-        return 3;
-      }
-      Opts.Journal = &Journal;
-    }
 
     BatchResult BR = compileBatch(Batch, Machine, Opts);
     Hum << "; batch of " << Batch.size() << " function(s), "
@@ -662,32 +498,6 @@ int main(int argc, char **argv) {
       Hum << ", " << BR.Degraded << " degraded";
     Hum << ", static cycles " << BR.TotalStaticCycles
         << ", dynamic cycles " << BR.TotalDynCycles << '\n';
-    if (Isolate)
-      Hum << "; isolation: " << BR.Isolated << " sandboxed, "
-          << BR.Crashes << " crash(es), " << BR.Timeouts
-          << " timeout(s), " << BR.Retries << " retry(ies)\n";
-    if (Opts.Journal != nullptr) {
-      Hum << "; journal: " << BR.Resumed << " resumed";
-      if (Journal.appendFailures() != 0)
-        Hum << ", " << Journal.appendFailures() << " APPEND FAILURE(S)";
-      Hum << '\n';
-    }
-    if (Cache) {
-      CompilationCache::Stats CS = Cache->stats();
-      Hum << "; cache (" << cacheModeName(Cache->mode()) << "): "
-          << (CS.MemoryHits + CS.DiskHits) << " hit(s) (" << CS.MemoryHits
-          << " memory, " << CS.DiskHits << " disk), " << CS.Misses
-          << " miss(es), " << CS.Inserts << " insert(s)";
-      if (CS.CorruptEntries != 0)
-        Hum << ", " << CS.CorruptEntries << " corrupt";
-      if (CS.WriteFailures != 0)
-        Hum << ", " << CS.WriteFailures << " write failure(s)";
-      if (CS.TrimmedEntries != 0)
-        Hum << ", " << CS.TrimmedEntries << " trimmed";
-      if (CS.VerifyMismatches != 0)
-        Hum << ", " << CS.VerifyMismatches << " VERIFY MISMATCH(ES)";
-      Hum << '\n';
-    }
 
     bool ReportsOk = true;
     std::string ReportError;
@@ -698,28 +508,19 @@ int main(int argc, char **argv) {
     }
     if (!StatsOut.empty() &&
         !writeJsonFile(makeBatchStatsReport(BR, Batch, strategyName(Strategy),
-                                            Machine, InputFailures,
-                                            Cache ? &*Cache : nullptr),
+                                            Machine, InputFailures),
                        StatsOut, ReportError)) {
       std::cerr << "stats-out: " << ReportError << '\n';
       ReportsOk = false;
     }
-    if (!MetricsOut.empty() &&
-        !telemetry::writeMetricsFile(MetricsOut, ReportError)) {
-      std::cerr << "metrics-out: " << ReportError << '\n';
-      ReportsOk = false;
-    }
     if (TimePasses)
       telemetry::printTimerReport(std::cerr);
-    // Exit taxonomy (see the usage comment): internal errors — reports
-    // that could not be written, journal records that could not land —
-    // take precedence over compile failures.
-    if (!ReportsOk || Journal.appendFailures() != 0)
+    // Exit taxonomy (see the usage comment): a report that could not be
+    // written takes precedence over compile failures.
+    if (!ReportsOk)
       return 3;
-    return (BR.Succeeded == BR.Results.size() && InputFailures.empty() &&
-            (!Cache || Cache->stats().VerifyMismatches == 0))
-               ? 0
-               : 1;
+    return (BR.Succeeded == BR.Results.size() && InputFailures.empty()) ? 0
+                                                                        : 1;
   }
 
   // Single-function mode; the lone input may already have failed.
@@ -793,11 +594,6 @@ int main(int argc, char **argv) {
         !writeJsonFile(makeStatsReport(R, strategyName(Strategy), Machine),
                        StatsOut, ReportError)) {
       std::cerr << "stats-out: " << ReportError << '\n';
-      Ok = false;
-    }
-    if (!MetricsOut.empty() &&
-        !telemetry::writeMetricsFile(MetricsOut, ReportError)) {
-      std::cerr << "metrics-out: " << ReportError << '\n';
       Ok = false;
     }
     if (TimePasses)

@@ -9,6 +9,7 @@
 
 #include <array>
 #include <cctype>
+#include <charconv>
 #include <sstream>
 #include <vector>
 
@@ -52,16 +53,14 @@ bool splitKeyValue(const std::string &Word, KeyValue &Out) {
   return true;
 }
 
-/// Parses a non-negative integer; returns false on junk.
+/// Parses a non-negative decimal integer that fits in unsigned; returns
+/// false on junk and on values out of range (never wraps).
 bool parseUnsigned(const std::string &Text, unsigned &Out) {
-  if (Text.empty())
-    return false;
+  const char *Begin = Text.data(), *End = Begin + Text.size();
   unsigned Value = 0;
-  for (char C : Text) {
-    if (!std::isdigit(static_cast<unsigned char>(C)))
-      return false;
-    Value = Value * 10 + static_cast<unsigned>(C - '0');
-  }
+  auto [Ptr, Ec] = std::from_chars(Begin, End, Value);
+  if (Ec != std::errc() || Ptr != End || Begin == End)
+    return false;
   Out = Value;
   return true;
 }

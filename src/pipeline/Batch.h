@@ -33,12 +33,6 @@
 ///      that every input yields verifier-clean code unless even the
 ///      bottom rung fails.
 ///
-/// When BatchOptions::Cache is set, every item's content-addressed key
-/// is computed up front and looked up *before* the guard runs; a hit
-/// short-circuits compilation entirely (or, in Verify mode, recompiles
-/// and cross-checks byte identity), and only verifier-clean
-/// non-degraded successes are ever inserted. See pipeline/Cache.h.
-///
 /// A failed or degraded function never stops the batch; its outcome is
 /// recorded per-function and surfaced in the stats report's "failures"
 /// and "degradations" sections. Ladder decisions depend only on the
@@ -46,16 +40,6 @@
 /// deadlines are off by default), so fault-injected batches keep the
 /// worker-count determinism guarantee. Arming DeadlineMs trades that
 /// guarantee for overrun protection — expiry depends on machine load.
-///
-/// Process isolation (BatchOptions::Isolate): each ladder rung runs in a
-/// sandboxed child process (pirac --worker, see pipeline/Worker.h and
-/// support/Subprocess.h) so a crash, OOM kill, or hard hang in one
-/// function becomes a structured ChildCrashed / ChildKilled /
-/// ChildTimeout diagnostic instead of taking down the batch driver.
-/// Spawn-level failures and ChildKilled retry up to MaxRetries times
-/// with a deterministic backoff. When BatchOptions::Journal is set,
-/// every finished function is appended to a crash-safe on-disk journal,
-/// and a resumed run replays journal records instead of recompiling.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -72,8 +56,6 @@
 namespace pira {
 
 class MachineModel;
-class CompilationCache;
-class BatchJournal;
 
 /// One unit of batch work: a named symbolic-form function.
 struct BatchItem {
@@ -108,66 +90,12 @@ struct BatchOptions {
   /// Walk the degradation ladder on failure (requested strategy →
   /// alloc-first → spill-all). Off means one attempt, report as-is.
   bool Degrade = true;
-  /// Content-addressed compilation cache (pipeline/Cache.h), consulted
-  /// before the compile guard and fed after verifier-clean non-degraded
-  /// successes. Null (the default) disables caching; non-owning, must
-  /// outlive the call. The cache's own mode picks On vs Verify.
-  CompilationCache *Cache = nullptr;
-
-  /// Run every ladder rung in a sandboxed child process (see file
-  /// comment). Requires WorkerExe; child deaths become structured
-  /// ChildCrashed / ChildKilled / ChildTimeout diagnostics.
-  bool Isolate = false;
-  /// Path of the pirac binary to self-exec as `WorkerExe --worker`.
-  /// pirac fills this from /proc/self/exe; empty disables isolation.
-  std::string WorkerExe;
-  /// Extra attempts for retryable child failures (spawn errors and
-  /// ChildKilled). 0 means one attempt, no retries.
-  unsigned MaxRetries = 0;
-  /// Base backoff before retry attempt N: RetryBackoffMs << (N - 1)
-  /// milliseconds. Deterministic — no jitter, no clock sampling.
-  unsigned RetryBackoffMs = 10;
-  /// Address-space cap (RLIMIT_AS) per child, MiB; 0 leaves it off.
-  /// Keep it off under sanitizers — ASan reserves terabytes of shadow.
-  uint64_t ChildMemLimitMB = 0;
-  /// Wall-clock budget per child, ms; the parent SIGKILLs overruns and
-  /// reports ChildTimeout. 0 leaves it off. Like Budget.DeadlineMs this
-  /// depends on real time, so arming it trades batch determinism for
-  /// hang protection.
-  uint64_t ChildTimeoutMs = 0;
-  /// Crash-safe batch journal (pipeline/Journal.h). Non-owning; must be
-  /// open and must outlive the call. Finished functions are appended;
-  /// positions already present replay instead of recompiling.
-  BatchJournal *Journal = nullptr;
-
-  /// Emit a live progress line to stderr as items finish: done/total,
-  /// failed/degraded/crashed tallies, cache hit rate (when a cache is
-  /// live), and an ETA. Rate-limited, and TTY-aware: a terminal gets an
-  /// in-place carriage-return line, a pipe gets occasional full lines.
-  /// Display only — no effect on results or reports.
-  bool Progress = false;
 };
 
 /// One failed ladder attempt: which rung, and why it failed.
 struct CompileAttempt {
   std::string Rung;  ///< Strategy name of the attempt.
   Status Diag;       ///< Its structured failure.
-};
-
-/// How one function's sandboxed children behaved (Isolate mode only;
-/// all-zero otherwise). Every field is a deterministic function of the
-/// input and the armed fault sites — wall-clock timeouts excepted — so
-/// it may appear in the stats report without breaking the byte-identity
-/// contract.
-struct IsolationOutcome {
-  bool Isolated = false;   ///< Compiled out of process at all.
-  unsigned Spawns = 0;     ///< Children forked (rungs × attempts).
-  unsigned Retries = 0;    ///< Attempts beyond the first, summed.
-  unsigned Crashes = 0;    ///< Children that died on a crash signal.
-  unsigned Timeouts = 0;   ///< Children SIGKILLed by the watchdog.
-  int ExitCode = 0;        ///< Last child's exit code (-1 if signaled).
-  int Signal = 0;          ///< Last child's fatal signal (0 if none).
-  bool TimedOut = false;   ///< Last child hit the wall-clock budget.
 };
 
 /// How one function travelled through the guard and the ladder.
@@ -178,12 +106,6 @@ struct CompileOutcome {
   unsigned Rung = 0;       ///< 0 = requested strategy, 1 = alloc-first, ...
   bool Degraded = false;   ///< Succeeded, but below the requested rung.
   std::vector<CompileAttempt> FailedAttempts; ///< Rungs that failed first.
-  IsolationOutcome Isolation; ///< Child-process record (Isolate mode).
-  /// Replayed from a batch journal rather than compiled. Deliberately
-  /// not serialized into per-function stats: a resumed run's report must
-  /// stay byte-identical to the uninterrupted run's (the resumed tally
-  /// lives in the telemetry counters instead).
-  bool Resumed = false;
 };
 
 /// Guarded result: the final PipelineResult (last rung attempted) plus
@@ -191,12 +113,6 @@ struct CompileOutcome {
 struct GuardedResult {
   PipelineResult Result;
   CompileOutcome Outcome;
-  /// Raw result-doc-v2 telemetry blocks from every sandboxed child that
-  /// answered (Isolate mode only; empty otherwise). Already merged into
-  /// the live registries by the time the caller sees them; kept so the
-  /// journal can store them and a resumed run can re-merge. Not part of
-  /// stats reports.
-  std::vector<json::Value> ChildTelemetry;
 };
 
 /// Compiles one function under the full fault-isolation contract (see
@@ -226,16 +142,6 @@ struct BatchResult {
   unsigned Failed = 0;                  ///< Results with Success clear.
   unsigned Degraded = 0;                ///< Succeeded below the requested rung.
 
-  /// Isolation tallies (zero outside Isolate mode). Deterministic, so
-  /// they live in the report's "batch" block — except Resumed, which
-  /// depends on where the previous run died and is surfaced via the
-  /// counters section only (see CompileOutcome::Resumed).
-  unsigned Isolated = 0;  ///< Functions compiled in child processes.
-  unsigned Crashes = 0;   ///< Child crash signals over the whole batch.
-  unsigned Timeouts = 0;  ///< Child wall/CPU overruns over the batch.
-  unsigned Retries = 0;   ///< Child retry attempts over the batch.
-  unsigned Resumed = 0;   ///< Functions replayed from the journal.
-
   /// Sums over successful results (deterministic; see file comment).
   unsigned TotalRegistersUsed = 0;   ///< Max, not sum: peak register need.
   unsigned TotalSpilledWebs = 0;
@@ -254,57 +160,20 @@ BatchResult compileBatch(const std::vector<BatchItem> &Batch,
                          const MachineModel &Machine,
                          const BatchOptions &Opts = {});
 
-/// One observation of batch progress, as rendered into a --progress
-/// stderr line. Plain data so the formatting is unit-testable away from
-/// the atomics and the rate limiter that feed it.
-struct ProgressSnapshot {
-  uint64_t Done = 0;
-  uint64_t Total = 0;
-  uint64_t Failed = 0;
-  uint64_t Degraded = 0;
-  uint64_t Crashed = 0;
-  /// Cache tallies; the cache segment is omitted when HasCache is false
-  /// or no lookup has happened yet.
-  bool HasCache = false;
-  uint64_t CacheHits = 0;
-  uint64_t CacheLookups = 0;
-  /// Wall time since the batch started, in seconds.
-  double ElapsedS = 0.0;
-};
-
-/// Renders one --progress line (text only; the terminal redraw bytes
-/// are the caller's concern). Pure: same snapshot, same string. The
-/// rate and ETA segments require at least one finished item and a
-/// strictly positive elapsed time — the first tick of a fast batch can
-/// land within the clock's granularity, and dividing by that zero must
-/// not leak "inf" or "nan" into the line.
-std::string formatProgressLine(const ProgressSnapshot &S);
-
 /// Assembles the versioned "pira.stats" document for a batch run: the
 /// shared preamble, one "functions" array entry per item (input order),
 /// batch aggregates, a "failures" array (every failed function plus the
 /// \p InputFailures that never compiled), a "degradations" array (every
 /// function rescued below its requested rung, with the per-rung
-/// diagnostics), a "cache" block when \p Cache is non-null (schema v3),
-/// counters, and timers. Schema v4 adds a per-function "isolation"
-/// record for functions compiled out of process and the batch
-/// "isolated"/"crashes"/"timeouts"/"retries" tallies (deterministic;
-/// the resumed count is deliberately counters-only). Schema v5 adds the
-/// "provenance" block and the "histograms" section (pipeline/Report.h).
-/// Everything except "histograms" bucket placement and "timers" is
-/// byte-identical across worker counts (histogram *counts* included);
-/// the worker count itself is deliberately not recorded so reports diff
-/// clean across --jobs values. (The "counters", "histograms", and
-/// "cache" sections do vary between cold and warm cache runs — a hit
-/// legitimately skips the compile-phase counters — so warm-vs-cold
-/// report comparisons exclude "timers", "counters", "histograms", and
-/// "cache".)
-json::Value makeBatchStatsReport(const BatchResult &R,
-                                 const std::vector<BatchItem> &Batch,
-                                 const std::string &Strategy,
-                                 const MachineModel &Machine,
-                                 const std::vector<BatchFailure> &InputFailures = {},
-                                 const CompilationCache *Cache = nullptr);
+/// diagnostics), counters, histograms and timers (schema v6; see
+/// pipeline/Report.h). Everything except "histograms" bucket placement
+/// and "timers" is byte-identical across worker counts (histogram
+/// *counts* included); the worker count itself is deliberately not
+/// recorded so reports diff clean across --jobs values.
+json::Value
+makeBatchStatsReport(const BatchResult &R, const std::vector<BatchItem> &Batch,
+                     const std::string &Strategy, const MachineModel &Machine,
+                     const std::vector<BatchFailure> &InputFailures = {});
 
 } // namespace pira
 

@@ -12,10 +12,10 @@
 /// --stats-out` and the bench binaries emit this format so
 /// the perf trajectory of the repo is diffable across PRs.
 ///
-/// Schema (version 5):
+/// Schema (version 6):
 ///
 ///   {
-///     "schema": "pira.stats", "version": 5,
+///     "schema": "pira.stats", "version": 6,
 ///     "provenance": {"tool", "tool_version", "git_sha", "compiler",
 ///                    "build_type", "ndebug"},
 ///     "strategy": "combined",            // when known
@@ -31,24 +31,20 @@
 ///   }
 ///
 /// Batch reports (makeBatchStatsReport) replace "pipeline" with a
-/// "functions" array and add "batch" aggregates plus "failures" and
-/// "degradations" sections (the failure model; see DESIGN.md §8), and —
-/// when a compilation cache was live — a "cache" block: {"mode",
-/// "disk", "memory_hits", "disk_hits", "misses", "inserts",
-/// "corrupt_entries", "write_failures", "verify_mismatches",
-/// "trimmed_entries", "hit_rate"} (pipeline/Cache.h).
+/// "functions" array of {"name", "pipeline"[, "degradation"]} entries
+/// and add a "batch" block ({"items", "succeeded", "failed",
+/// "degraded", "max_registers_used", "spilled_webs",
+/// "spill_instructions", "false_deps", "static_cycles", "dyn_cycles",
+/// "dyn_instructions"}) plus "failures" and "degradations" sections
+/// (the failure model; see DESIGN.md §8).
 /// Version history: v2 added "diagnostic" per result and the batch
 /// "failures"/"degradations" sections and "failed"/"degraded"
-/// aggregates; v3 added the batch "cache" block; v4 added the
-/// per-function "isolation" record (sandboxed-child spawns, retries,
-/// crashes, timeouts, last exit/signal) and the batch "isolated"/
-/// "crashes"/"timeouts"/"retries" tallies for --isolate runs. The
-/// journal-resume count is deliberately a counter, not a batch field,
-/// so resumed reports stay byte-identical to uninterrupted ones.
-/// v5 added the "provenance" block and the "histograms" section, and —
-/// for --isolate runs — child counters/histograms/trace events merged
-/// into the parent registries via the result-doc v2 telemetry block
-/// (pipeline/Worker.h).
+/// aggregates; v3 added a batch "cache" block; v4 added a per-function
+/// "isolation" record and the batch "isolated"/"crashes"/"timeouts"/
+/// "retries" tallies for process-isolated runs; v5 added the
+/// "provenance" block and the "histograms" section. v6 drops v3's and
+/// v4's additions with the compilation cache and process isolation
+/// they described.
 ///
 /// Byte-identity contract: everything above the "histograms" key is
 /// deterministic for deterministic inputs (counters and histogram
@@ -74,7 +70,7 @@ class MachineModel;
 
 /// Schema constants; bump the version whenever a field changes meaning.
 inline constexpr const char *StatsSchemaName = "pira.stats";
-inline constexpr int StatsSchemaVersion = 5;
+inline constexpr int StatsSchemaVersion = 6;
 
 /// The tool version stamped into provenance blocks and --version output.
 inline constexpr const char *PiraVersionString = "0.6.0";

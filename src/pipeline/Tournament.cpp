@@ -176,7 +176,6 @@ json::Value pira::runTournament(const std::vector<BatchItem> &Corpus,
     BO.Strategy = Strategies[S];
     BO.Oracle = Opts.Oracle;
     BO.Budget = Opts.Budget;
-    BO.Measure = Opts.Measure;
     BO.Seed = Opts.Seed;
     BO.Jobs = 1;
     BO.Degrade = false; // a degraded rung would corrupt the comparison
@@ -230,8 +229,7 @@ json::Value pira::runTournament(const std::vector<BatchItem> &Corpus,
       OJ.set("cycles", O.StaticCycles);
       OJ.set("registers", O.Registers);
       OJ.set("false_deps", O.FalseDeps);
-      if (Opts.Measure)
-        OJ.set("dyn_cycles", O.DynCycles);
+      OJ.set("dyn_cycles", O.DynCycles);
     } else {
       OJ.set("code", O.FailCode);
     }
@@ -255,8 +253,7 @@ json::Value pira::runTournament(const std::vector<BatchItem> &Corpus,
         RJ.set("spills", C.Spills);
         RJ.set("false_deps", C.FalseDeps);
         RJ.set("cycles", C.StaticCycles);
-        if (Opts.Measure)
-          RJ.set("dyn_cycles", C.DynCycles);
+        RJ.set("dyn_cycles", C.DynCycles);
         if (!O.Success) {
           Verdict = "no_baseline";
         } else {

@@ -56,9 +56,8 @@ struct TournamentOptions {
   /// Thread-pool width; 0 means ThreadPool::defaultJobCount(), 1 runs
   /// inline with no pool.
   unsigned Jobs = 0;
-  /// Also simulate each result against the sequential reference
-  /// (dynamic cycles + semantics), seeded with Seed.
-  bool Measure = true;
+  /// Seed of the simulation every result runs against the sequential
+  /// reference (dynamic cycles + semantics).
   uint64_t Seed = 42;
   OracleOptions Oracle;  ///< The exact strategy's envelope.
   ResourceBudget Budget; ///< Per-run guard budget (deadline included).

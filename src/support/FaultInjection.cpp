@@ -10,13 +10,8 @@
 #include "support/Telemetry.h"
 
 #include <atomic>
-#include <chrono>
-#include <csignal>
 #include <cstdlib>
-#include <cstring>
-#include <memory>
 #include <mutex>
-#include <thread>
 #include <utility>
 
 using namespace pira;
@@ -118,8 +113,7 @@ const std::vector<const char *> &pira::faultinject::knownSites() {
       "parse.enter",     "strategy.entry", "alloc.pinter",
       "alloc.chaitin",   "alloc.spillall", "verify.final",
       "sched.final",     "sim.measure",    "budget.instructions",
-      "budget.deadline", "crash.segv",     "crash.abort",
-      "crash.oom",       "crash.hang",
+      "budget.deadline",
   };
   return Sites;
 }
@@ -174,56 +168,7 @@ void pira::faultinject::maybeThrow(const char *Site) {
     throw FaultInjectedError(Site);
 }
 
-void pira::faultinject::maybeHardFault() {
-  if (!enabled() && EnvChecked.load(std::memory_order_acquire))
-    return; // idle fast path; shouldFire below re-checks and adopts env
-  if (shouldFire("crash.segv")) {
-    ::raise(SIGSEGV);
-    // A blocked/ignored SIGSEGV must still be a hard death, not a
-    // silently surviving compile.
-    std::abort();
-  }
-  if (shouldFire("crash.abort"))
-    std::abort();
-  if (shouldFire("crash.oom")) {
-    // A runaway allocator, bounded so the emulation can never hurt the
-    // host: touch a few MiB the way a leak would, then die the way the
-    // kernel's OOM killer ends the real thing. Deterministic under any
-    // allocator or sanitizer, unlike a true rlimit-driven death.
-    std::vector<std::unique_ptr<char[]>> Hoard;
-    for (int I = 0; I != 8; ++I) {
-      Hoard.push_back(std::make_unique<char[]>(1 << 20));
-      std::memset(Hoard.back().get(), 0x5a, 1 << 20);
-    }
-    ::raise(SIGKILL);
-    std::abort(); // unreachable unless SIGKILL is somehow not delivered
-  }
-  if (shouldFire("crash.hang")) {
-    // No deadline::checkpoint() ever runs here — this models the tight
-    // loop the cooperative watchdog cannot reach. Sleeping keeps the
-    // hang cheap; only SIGKILL from outside ends it.
-    while (true)
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-}
-
 uint64_t pira::faultinject::currentKey() { return ThreadFaultKey; }
-
-std::string pira::faultinject::currentSpec() {
-  HarnessState &S = state();
-  std::lock_guard<std::mutex> Lock(S.Mutex);
-  adoptEnvOnce(S);
-  EnvChecked.store(true, std::memory_order_release);
-  std::string Out;
-  for (const auto &[Name, N] : S.Sites) {
-    if (!Out.empty())
-      Out += ',';
-    Out += Name;
-    Out += ':';
-    Out += std::to_string(N);
-  }
-  return Out;
-}
 
 ScopedKey::ScopedKey(uint64_t Key) : Prev(ThreadFaultKey) {
   ThreadFaultKey = Key;

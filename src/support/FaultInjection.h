@@ -35,20 +35,6 @@
 ///   budget.instructions the guard treats the instruction budget as blown
 ///   budget.deadline     deadline::expired() reports an overrun
 ///
-/// Hard-fault sites (maybeHardFault, checked at the compile guard's
-/// entry) do not throw — they take the process down the way a genuinely
-/// poisoned input would, so they are only survivable under the batch
-/// driver's --isolate sandbox:
-///
-///   crash.segv          raises SIGSEGV
-///   crash.abort         calls abort() (SIGABRT)
-///   crash.oom           simulates a runaway allocation ending in an
-///                       OOM kill (bounded touch-the-pages burst, then
-///                       SIGKILL — safe to fire on any host)
-///   crash.hang          sleeps forever without ever reaching a
-///                       deadline checkpoint (only the sandbox's
-///                       wall-clock SIGKILL ends it)
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef PIRA_SUPPORT_FAULTINJECTION_H
@@ -100,22 +86,8 @@ bool shouldFire(const char *Site);
 /// shouldFire, but throws FaultInjectedError instead of returning true.
 void maybeThrow(const char *Site);
 
-/// Checks the crash.* hard-fault sites in documentation order and
-/// performs the first armed one's effect (SIGSEGV, abort, OOM-kill
-/// emulation, or an uncheckpointed hang). Returns normally only when no
-/// crash site fires. See the file comment: these faults are process
-/// deaths by design and are only survivable under --isolate.
-void maybeHardFault();
-
 /// The current thread's fault key (0 unless a ScopedKey is live).
 uint64_t currentKey();
-
-/// Canonical "site:n[,site:n...]" rendering of the armed sites, in
-/// armed order; "" when disarmed. Adopts PIRA_FAULT first if nothing
-/// configured the harness yet, mirroring shouldFire. The compilation
-/// cache folds this into its keys so a fault-injected compile can never
-/// alias a clean one.
-std::string currentSpec();
 
 /// Sets the thread's fault key for one compilation; restores on exit.
 class ScopedKey {

@@ -6,13 +6,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A dependency-free SHA-256 (FIPS 180-4) for content-addressed keys.
-/// The compilation cache fingerprints canonical printed IR plus every
-/// compile-relevant knob through this; the digest doubles as the on-disk
-/// file name, so it must be stable across platforms, compilers, and
-/// processes — which rules out std::hash and friends. Not a performance
-/// hash: use it where collisions must be practically impossible and the
-/// value must mean the same thing forever.
+/// A dependency-free SHA-256 (FIPS 180-4) for stable content digests.
+/// The end-to-end benchmark digests every compiled output through this
+/// so two builds can be compared byte for byte; a digest must therefore
+/// be stable across platforms, compilers, and processes — which rules
+/// out std::hash and friends. Not a performance hash: use it where
+/// collisions must be practically impossible and the value must mean
+/// the same thing forever.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -31,58 +31,12 @@ const char *pira::errorCodeName(ErrorCode Code) {
     return "deadline-exceeded";
   case ErrorCode::FaultInjected:
     return "fault-injected";
-  case ErrorCode::ChildCrashed:
-    return "child-crashed";
-  case ErrorCode::ChildKilled:
-    return "child-killed";
-  case ErrorCode::ChildTimeout:
-    return "child-timeout";
   case ErrorCode::SearchExhausted:
     return "search-exhausted";
-  case ErrorCode::ProtocolError:
-    return "protocol-error";
   case ErrorCode::Internal:
     return "internal";
   }
   return "internal";
-}
-
-ErrorCode pira::errorCodeFromName(std::string_view Name) {
-  static const ErrorCode All[] = {
-      ErrorCode::Ok,           ErrorCode::InvalidArgument,
-      ErrorCode::ParseError,   ErrorCode::VerifyError,
-      ErrorCode::AllocFailure, ErrorCode::SimFailure,
-      ErrorCode::SemanticsDiverged, ErrorCode::ResourceExhausted,
-      ErrorCode::DeadlineExceeded,  ErrorCode::FaultInjected,
-      ErrorCode::ChildCrashed, ErrorCode::ChildKilled,
-      ErrorCode::ChildTimeout, ErrorCode::SearchExhausted,
-      ErrorCode::ProtocolError, ErrorCode::Internal,
-  };
-  for (ErrorCode C : All)
-    if (Name == errorCodeName(C))
-      return C;
-  return ErrorCode::Internal;
-}
-
-Status Status::fromJson(const json::Value &V) {
-  if (!V.isObject())
-    return Status::error(ErrorCode::Internal, "status",
-                         "malformed serialized diagnostic");
-  const json::Value *Code = V.find("code");
-  if (Code == nullptr || !Code->isString() || Code->asString() == "ok")
-    return Status();
-  const json::Value *Phase = V.find("phase");
-  const json::Value *Msg = V.find("message");
-  Status S = Status::error(
-      errorCodeFromName(Code->asString()),
-      Phase != nullptr && Phase->isString() ? Phase->asString() : "",
-      Msg != nullptr && Msg->isString() ? Msg->asString() : "");
-  const json::Value *Frames = V.find("context");
-  if (Frames != nullptr && Frames->isArray())
-    for (const json::Value &F : Frames->elements())
-      if (F.isString())
-        S.addContext(F.asString());
-  return S;
 }
 
 std::string Status::toString() const {

@@ -32,7 +32,6 @@
 
 #include <cassert>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -51,27 +50,16 @@ enum class ErrorCode {
   ResourceExhausted, ///< Instruction/block budget exceeded.
   DeadlineExceeded,  ///< Per-task watchdog deadline passed.
   FaultInjected,     ///< A PIRA_FAULT site fired.
-  ChildCrashed,      ///< Sandboxed worker died on a crash signal.
-  ChildKilled,       ///< Sandboxed worker killed (OOM kill, rlimit, external).
-  ChildTimeout,      ///< Sandboxed worker exceeded its wall/CPU budget.
   SearchExhausted,   ///< Exact search gave up (outside scope or over its
                      ///< node budget) without proving anything; unlike
                      ///< ResourceExhausted this is *not* fatal to the
                      ///< degradation ladder — a heuristic rung may still
                      ///< succeed where exhaustive search cannot finish.
-  ProtocolError,     ///< A worker job document violated the wire
-                     ///< protocol (malformed, wrong schema).
   Internal,          ///< Unexpected exception or invariant violation.
 };
 
-/// Stable lower-case name of \p Code ("alloc-failure", ...). Unknown
-/// values map to "internal" rather than asserting: codes may arrive from
-/// serialized reports.
+/// Stable lower-case name of \p Code ("alloc-failure", ...).
 const char *errorCodeName(ErrorCode Code);
-
-/// Inverse of errorCodeName, for diagnostics arriving from serialized
-/// worker results and journals. Unknown names map to Internal.
-ErrorCode errorCodeFromName(std::string_view Name);
 
 /// One structured diagnostic. Default-constructed Status is success.
 class Status {
@@ -113,12 +101,6 @@ public:
   /// Deterministic serialization: {"code", "phase", "message",
   /// "context": [...]}. Success serializes as {"code": "ok"}.
   json::Value toJson() const;
-
-  /// Inverse of toJson, for diagnostics crossing the worker-protocol /
-  /// journal boundary. Lenient: missing members default to empty and an
-  /// unknown code decodes as Internal, so a record written by a newer
-  /// build still reads as *a* failure rather than not parsing.
-  static Status fromJson(const json::Value &V);
 
 private:
   ErrorCode ErrCode = ErrorCode::Ok;

@@ -7,9 +7,10 @@
 
 #include "support/Telemetry.h"
 
+#include "support/Json.h"
+
 #include <algorithm>
 #include <bit>
-#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <fstream>
@@ -70,15 +71,6 @@ uint64_t nowNs() {
           .count());
 }
 
-/// Shortest round-trip decimal form, locale-independent (the same
-/// contract the JSON writer keeps).
-void writeDouble(std::ostream &OS, double V) {
-  char Buf[64];
-  auto [Ptr, Ec] = std::to_chars(Buf, Buf + sizeof(Buf), V);
-  (void)Ec;
-  OS.write(Buf, Ptr - Buf);
-}
-
 } // namespace
 
 bool telemetry::enabled() { return Enabled.load(std::memory_order_relaxed); }
@@ -124,16 +116,6 @@ const std::vector<Counter *> &telemetry::counters() {
   return state().Counters;
 }
 
-bool telemetry::addToCounter(const std::string &Name, uint64_t Delta) {
-  for (Counter *C : state().Counters) {
-    if (Name == C->name()) {
-      *C += Delta;
-      return true;
-    }
-  }
-  return false;
-}
-
 //===----------------------------------------------------------------------===//
 // Histograms
 //===----------------------------------------------------------------------===//
@@ -164,8 +146,8 @@ uint64_t Histogram::percentileUpperBound(double P) const {
   // One snapshot of the buckets, with the total derived from that same
   // snapshot. Count and the buckets are distinct relaxed atomics, so a
   // total read separately (as this used to) can exceed the bucket mass
-  // the rank walk then observes — e.g. around reset() or a foreign
-  // merge — stranding the rank past every bucket and answering with the
+  // the rank walk then observes — e.g. around reset() or a concurrent
+  // record — stranding the rank past every bucket and answering with the
   // last bucket's UINT64_MAX bound for a histogram holding nothing.
   std::array<uint64_t, NumBuckets> Snap;
   uint64_t N = 0;
@@ -190,13 +172,6 @@ uint64_t Histogram::percentileUpperBound(double P) const {
 
 const std::vector<Histogram *> &telemetry::histograms() {
   return state().Histograms;
-}
-
-Histogram *telemetry::findHistogram(const std::string &Name) {
-  for (Histogram *H : state().Histograms)
-    if (Name == H->name())
-      return H;
-  return nullptr;
 }
 
 //===----------------------------------------------------------------------===//
@@ -233,8 +208,8 @@ TimeScope::~TimeScope() {
   }
   GlobalState &S = state();
   std::lock_guard<std::mutex> Lock(S.Mutex);
-  S.Events.push_back({std::move(Path), Label, StartNs, End - StartNs, TS.Id,
-                      Depth, processId()});
+  S.Events.push_back(
+      {std::move(Path), Label, StartNs, End - StartNs, TS.Id, Depth});
 }
 
 std::vector<TimedEvent> telemetry::events() {
@@ -290,133 +265,6 @@ void telemetry::printTimerReport(std::ostream &OS) {
 }
 
 //===----------------------------------------------------------------------===//
-// Cross-process snapshots
-//===----------------------------------------------------------------------===//
-
-json::Value telemetry::snapshotToJson() {
-  json::Value Doc = json::Value::object();
-  Doc.set("pid", static_cast<int64_t>(processId()));
-
-  json::Value Counters = json::Value::object();
-  for (const Counter *C : counters())
-    if (uint64_t V = C->value())
-      Counters.set(C->name(), static_cast<int64_t>(V));
-  Doc.set("counters", std::move(Counters));
-
-  json::Value Hists = json::Value::object();
-  for (const Histogram *H : histograms()) {
-    if (H->count() == 0)
-      continue;
-    json::Value HV = json::Value::object();
-    HV.set("count", static_cast<int64_t>(H->count()));
-    HV.set("sum_ns", static_cast<int64_t>(H->sum()));
-    HV.set("max_ns", static_cast<int64_t>(H->max()));
-    json::Value Buckets = json::Value::array();
-    for (unsigned I = 0; I < Histogram::NumBuckets; ++I) {
-      if (uint64_t N = H->bucketCount(I)) {
-        json::Value Pair = json::Value::array();
-        Pair.push(static_cast<int64_t>(I));
-        Pair.push(static_cast<int64_t>(N));
-        Buckets.push(std::move(Pair));
-      }
-    }
-    HV.set("buckets", std::move(Buckets));
-    Hists.set(H->name(), std::move(HV));
-  }
-  Doc.set("histograms", std::move(Hists));
-
-  json::Value Evs = json::Value::array();
-  for (const TimedEvent &E : events()) {
-    json::Value EV = json::Value::object();
-    EV.set("path", E.Path);
-    EV.set("label", E.Label);
-    EV.set("start_ns", static_cast<int64_t>(E.StartNs));
-    EV.set("dur_ns", static_cast<int64_t>(E.DurationNs));
-    EV.set("tid", static_cast<int64_t>(E.ThreadId));
-    EV.set("depth", static_cast<int64_t>(E.Depth));
-    Evs.push(std::move(EV));
-  }
-  Doc.set("events", std::move(Evs));
-  return Doc;
-}
-
-void telemetry::mergeSnapshot(const json::Value &Snapshot,
-                              uint64_t RebaseStartNs) {
-  if (!Snapshot.isObject())
-    return;
-
-  if (const json::Value *Counters = Snapshot.find("counters");
-      Counters && Counters->isObject())
-    for (const auto &[Name, V] : Counters->members())
-      if (V.isInt() && V.asInt() > 0)
-        addToCounter(Name, static_cast<uint64_t>(V.asInt()));
-
-  if (const json::Value *Hists = Snapshot.find("histograms");
-      Hists && Hists->isObject()) {
-    for (const auto &[Name, HV] : Hists->members()) {
-      Histogram *H = findHistogram(Name);
-      if (!H || !HV.isObject())
-        continue;
-      if (const json::Value *Buckets = HV.find("buckets");
-          Buckets && Buckets->isArray())
-        for (const json::Value &Pair : Buckets->elements())
-          if (Pair.isArray() && Pair.elements().size() == 2 &&
-              Pair.elements()[0].isInt() && Pair.elements()[1].isInt())
-            H->addBucket(static_cast<unsigned>(Pair.elements()[0].asInt()),
-                         static_cast<uint64_t>(Pair.elements()[1].asInt()));
-      if (const json::Value *S = HV.find("sum_ns"); S && S->isInt())
-        H->addSum(static_cast<uint64_t>(S->asInt()));
-      if (const json::Value *M = HV.find("max_ns"); M && M->isInt())
-        H->updateMax(static_cast<uint64_t>(M->asInt()));
-    }
-  }
-
-  const json::Value *Evs = Snapshot.find("events");
-  if (!enabled() || !Evs || !Evs->isArray() || Evs->elements().empty())
-    return;
-
-  uint64_t Pid = 0;
-  if (const json::Value *P = Snapshot.find("pid"); P && P->isInt())
-    Pid = static_cast<uint64_t>(P->asInt());
-
-  // The child's monotonic clock shares no epoch with ours; shift its
-  // timeline so its earliest event lands at RebaseStartNs (typically the
-  // instant we spawned it). Unsigned wraparound makes the shift exact in
-  // both directions.
-  uint64_t MinStart = UINT64_MAX;
-  for (const json::Value &EV : Evs->elements())
-    if (const json::Value *S = EV.find("start_ns"); S && S->isInt())
-      MinStart = std::min(MinStart, static_cast<uint64_t>(S->asInt()));
-  if (MinStart == UINT64_MAX)
-    return;
-  uint64_t Offset = RebaseStartNs - MinStart;
-
-  std::vector<TimedEvent> Foreign;
-  for (const json::Value &EV : Evs->elements()) {
-    if (!EV.isObject())
-      continue;
-    TimedEvent E;
-    if (const json::Value *V = EV.find("path"); V && V->isString())
-      E.Path = V->asString();
-    if (const json::Value *V = EV.find("label"); V && V->isString())
-      E.Label = V->asString();
-    const json::Value *Start = EV.find("start_ns");
-    if (!Start || !Start->isInt())
-      continue;
-    E.StartNs = static_cast<uint64_t>(Start->asInt()) + Offset;
-    if (const json::Value *V = EV.find("dur_ns"); V && V->isInt())
-      E.DurationNs = static_cast<uint64_t>(V->asInt());
-    if (const json::Value *V = EV.find("tid"); V && V->isInt())
-      E.ThreadId = static_cast<uint32_t>(V->asInt());
-    if (const json::Value *V = EV.find("depth"); V && V->isInt())
-      E.Depth = static_cast<uint32_t>(V->asInt());
-    E.Pid = Pid;
-    Foreign.push_back(std::move(E));
-  }
-  recordForeignEvents(std::move(Foreign));
-}
-
-//===----------------------------------------------------------------------===//
 // Exporters
 //===----------------------------------------------------------------------===//
 
@@ -426,30 +274,28 @@ void telemetry::writeChromeTrace(std::ostream &OS) {
   json::Value Root = json::Value::object();
   json::Value Trace = json::Value::array();
 
-  // Metadata first: name every process and thread that appears so merged
-  // parent+child traces read as labeled tracks, not bare pid numbers.
-  std::set<uint64_t> Pids;
-  std::set<std::pair<uint64_t, uint32_t>> Threads;
-  for (const TimedEvent &E : Evs) {
-    Pids.insert(E.Pid);
-    Threads.insert({E.Pid, E.ThreadId});
-  }
-  for (uint64_t Pid : Pids) {
+  // Metadata first: name the process and every thread that appears so
+  // the trace reads as labeled tracks, not bare pid numbers.
+  const int64_t Pid = static_cast<int64_t>(processId());
+  std::set<uint32_t> Threads;
+  for (const TimedEvent &E : Evs)
+    Threads.insert(E.ThreadId);
+  if (!Evs.empty()) {
     json::Value Ev = json::Value::object();
     Ev.set("name", "process_name");
     Ev.set("ph", "M");
-    Ev.set("pid", static_cast<int64_t>(Pid));
+    Ev.set("pid", Pid);
     Ev.set("tid", 0);
     json::Value Args = json::Value::object();
-    Args.set("name", Pid == processId() ? "pirac" : "pirac --worker");
+    Args.set("name", "pirac");
     Ev.set("args", std::move(Args));
     Trace.push(std::move(Ev));
   }
-  for (const auto &[Pid, Tid] : Threads) {
+  for (uint32_t Tid : Threads) {
     json::Value Ev = json::Value::object();
     Ev.set("name", "thread_name");
     Ev.set("ph", "M");
-    Ev.set("pid", static_cast<int64_t>(Pid));
+    Ev.set("pid", Pid);
     Ev.set("tid", static_cast<int64_t>(Tid));
     json::Value Args = json::Value::object();
     Args.set("name", Tid == 0 ? std::string("main")
@@ -467,7 +313,7 @@ void telemetry::writeChromeTrace(std::ostream &OS) {
     Ev.set("ph", "X");
     Ev.set("ts", static_cast<double>(E.StartNs) / 1e3); // microseconds
     Ev.set("dur", static_cast<double>(E.DurationNs) / 1e3);
-    Ev.set("pid", static_cast<int64_t>(E.Pid));
+    Ev.set("pid", Pid);
     Ev.set("tid", static_cast<int64_t>(E.ThreadId));
     json::Value Args = json::Value::object();
     Args.set("path", E.Path);
@@ -498,66 +344,6 @@ bool telemetry::writeChromeTraceFile(const std::string &FilePath,
     return false;
   }
   writeChromeTrace(Out);
-  if (!Out) {
-    Error = "error while writing '" + FilePath + "'";
-    return false;
-  }
-  return true;
-}
-
-void telemetry::writePrometheus(std::ostream &OS) {
-  for (const Counter *C : counters()) {
-    std::string Metric = std::string("pira_") + C->name() + "_total";
-    OS << "# HELP " << Metric << ' ' << C->description() << '\n';
-    OS << "# TYPE " << Metric << " counter\n";
-    OS << Metric << ' ' << C->value() << '\n';
-  }
-  for (const Histogram *H : histograms()) {
-    std::string Metric = std::string("pira_") + H->name() + "_seconds";
-    OS << "# HELP " << Metric << ' ' << H->description() << '\n';
-    OS << "# TYPE " << Metric << " histogram\n";
-    // Cumulative buckets up to the highest populated boundary; the
-    // boundaries are the histogram's inclusive log2 upper bounds,
-    // converted from ns to seconds.
-    unsigned MaxBucket = 0;
-    for (unsigned I = 0; I < Histogram::NumBuckets; ++I)
-      if (H->bucketCount(I))
-        MaxBucket = I;
-    uint64_t Cumulative = 0;
-    for (unsigned I = 0; I <= MaxBucket && I < Histogram::NumBuckets - 1;
-         ++I) {
-      Cumulative += H->bucketCount(I);
-      OS << Metric << "_bucket{le=\"";
-      writeDouble(OS,
-                  static_cast<double>(Histogram::bucketUpperBound(I)) / 1e9);
-      OS << "\"} " << Cumulative << '\n';
-    }
-    OS << Metric << "_bucket{le=\"+Inf\"} " << H->count() << '\n';
-    OS << Metric << "_sum ";
-    writeDouble(OS, static_cast<double>(H->sum()) / 1e9);
-    OS << '\n';
-    OS << Metric << "_count " << H->count() << '\n';
-  }
-  OS << "# EOF\n";
-}
-
-bool telemetry::writeMetricsFile(const std::string &FilePath,
-                                 std::string &Error) {
-  if (FilePath == "-") {
-    writePrometheus(std::cout);
-    std::cout.flush();
-    if (!std::cout) {
-      Error = "error while writing metrics to stdout";
-      return false;
-    }
-    return true;
-  }
-  std::ofstream Out(FilePath);
-  if (!Out) {
-    Error = "cannot open '" + FilePath + "' for writing";
-    return false;
-  }
-  writePrometheus(Out);
   if (!Out) {
     Error = "error while writing '" + FilePath + "'";
     return false;

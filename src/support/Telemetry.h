@@ -24,44 +24,28 @@
 ///     latency histogram (64 power-of-two buckets over nanoseconds).
 ///     Like counters, histograms record regardless of the enable switch
 ///     (a handful of relaxed increments per coarse-grained event), and
-///     their merge — elementwise bucket addition — is commutative, so
-///     distributions from thread-pool workers and sandboxed children
-///     fold together deterministically. Stats reports derive
-///     p50/p90/p99 upper bounds from the buckets.
+///     concurrent records from thread-pool workers commute, so bucket
+///     counts are deterministic for any worker count. Stats reports
+///     derive p50/p90/p99 upper bounds from the buckets.
 ///
 ///   * Chrome trace-event export (writeChromeTrace) — one complete "X"
-///     duration event per finished scope, tagged with the real process
-///     id and a dense thread id, plus "M" metadata events naming every
-///     process and thread, loadable in chrome://tracing or Perfetto.
-///
-///   * Cross-process propagation (snapshotToJson / mergeSnapshot) — a
-///     `pirac --worker` child serializes its counters, histograms, and
-///     trace events into its result document; the parent re-bases the
-///     child's timestamps onto its own clock, keeps the child's pid on
-///     every merged event, and folds counters and histograms into the
-///     process-global registries. Isolated batches therefore report the
-///     same phase counters and nested child phase spans an in-process
-///     run would.
+///     duration event per finished scope, tagged with the process id
+///     and a dense thread id, plus "M" metadata events naming the
+///     process and every thread, loadable in chrome://tracing or
+///     Perfetto.
 ///
 ///   * Aggregated timing (timerAggregates / printTimerReport) — per-path
 ///     call counts and total wall time, the data behind `pirac
 ///     --time-passes` and the "timers" section of stats reports.
 ///
-///   * Prometheus/OpenMetrics export (writePrometheus) — the counter
-///     registry and every histogram in the text exposition format, the
-///     data behind `pirac --metrics-out`.
-///
 /// Thread-safety: counters and histograms are always safe; scope
 /// recording takes one mutex per *finished* scope, and the active-scope
 /// stack is thread-local, so instrumented passes may run concurrently.
-/// mergeSnapshot may be called from pool workers concurrently.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef PIRA_SUPPORT_TELEMETRY_H
 #define PIRA_SUPPORT_TELEMETRY_H
-
-#include "support/Json.h"
 
 #include <array>
 #include <atomic>
@@ -90,12 +74,11 @@ void setEnabled(bool On);
 /// were captured on entry and they record normally when they close.
 void reset();
 
-/// The calling process's pid, cached. Stamped on every recorded event so
-/// merged parent+child traces keep their origin.
+/// The calling process's pid, cached; the Chrome trace's process id.
 uint64_t processId();
 
 /// Monotonic now, ns since the clock epoch — the same clock the timers
-/// use, exposed so callers can re-base foreign timestamps onto it.
+/// use, exposed so callers can record spans by hand.
 uint64_t monotonicNowNs();
 
 //===----------------------------------------------------------------------===//
@@ -139,12 +122,6 @@ private:
 /// All counters registered so far, in registration order.
 const std::vector<Counter *> &counters();
 
-/// Adds \p Delta to the registered counter named \p Name (how child
-/// counter snapshots fold into the parent). False when no such counter
-/// exists — possible only across binary versions, and then the value is
-/// deliberately dropped rather than misattributed.
-bool addToCounter(const std::string &Name, uint64_t Delta);
-
 //===----------------------------------------------------------------------===//
 // Histograms
 //===----------------------------------------------------------------------===//
@@ -152,11 +129,10 @@ bool addToCounter(const std::string &Name, uint64_t Delta);
 /// A fixed-bucket log2 histogram over uint64 values (nanoseconds by
 /// convention). Bucket 0 holds exactly the value 0; bucket i >= 1 holds
 /// [2^(i-1), 2^i). Values at or above 2^62 land in the last bucket.
-/// Everything is relaxed atomics, so recording and merging are safe from
-/// any thread, and merges (elementwise sums plus a max fold) are
-/// commutative — the deterministic-merge property the batch driver's
-/// byte-identity contract leans on. Instances must have static storage
-/// duration (PIRA_HIST arranges this).
+/// Everything is relaxed atomics, so recording is safe from any thread
+/// and concurrent records commute — the property the batch driver's
+/// byte-identity contract leans on for bucket counts. Instances must
+/// have static storage duration (PIRA_HIST arranges this).
 class Histogram {
 public:
   static constexpr unsigned NumBuckets = 64;
@@ -193,21 +169,6 @@ public:
   /// alone. 0 for an empty histogram.
   uint64_t percentileUpperBound(double P) const;
 
-  /// Folds a foreign bucket into this histogram (cross-process merge).
-  void addBucket(unsigned I, uint64_t N) {
-    if (I < NumBuckets && N != 0) {
-      Buckets[I].fetch_add(N, std::memory_order_relaxed);
-      Count.fetch_add(N, std::memory_order_relaxed);
-    }
-  }
-  void addSum(uint64_t S) { Sum.fetch_add(S, std::memory_order_relaxed); }
-  void updateMax(uint64_t V) {
-    uint64_t Cur = Max.load(std::memory_order_relaxed);
-    while (Cur < V &&
-           !Max.compare_exchange_weak(Cur, V, std::memory_order_relaxed))
-      ;
-  }
-
   const char *name() const { return Name; }
   const char *description() const { return Description; }
 
@@ -223,9 +184,6 @@ private:
 
 /// All histograms registered so far, in registration order.
 const std::vector<Histogram *> &histograms();
-
-/// The registered histogram named \p Name, or null.
-Histogram *findHistogram(const std::string &Name);
 
 /// RAII latency recorder: records the enclosing scope's wall time (ns)
 /// into \p H on destruction. Always on, like the histogram itself.
@@ -253,7 +211,6 @@ struct TimedEvent {
   uint64_t DurationNs; ///< Wall time inside the scope.
   uint32_t ThreadId;   ///< Dense per-process thread number.
   uint32_t Depth;      ///< Nesting depth at entry (0 = top level).
-  uint64_t Pid;        ///< Real pid of the recording process.
 };
 
 /// RAII phase timer; see file comment. Label must outlive the scope
@@ -276,9 +233,9 @@ private:
 /// Snapshot of every recorded event, in completion order.
 std::vector<TimedEvent> events();
 
-/// Appends pre-built events (a child's, already tagged with the child's
-/// pid/tid and re-based timestamps) to the global log. No-op while
-/// recording is disabled, mirroring TimeScope.
+/// Appends events built by hand rather than by a TimeScope (the batch
+/// driver's whole-batch span) to the global log. No-op while recording
+/// is disabled, mirroring TimeScope.
 void recordForeignEvents(std::vector<TimedEvent> Events);
 
 /// Per-path aggregate of the recorded events.
@@ -295,52 +252,20 @@ std::vector<TimerAggregate> timerAggregates();
 void printTimerReport(std::ostream &OS);
 
 //===----------------------------------------------------------------------===//
-// Cross-process snapshots
-//===----------------------------------------------------------------------===//
-
-/// Serializes this process's telemetry for transport to a parent: its
-/// pid, every nonzero counter, every nonempty histogram (sparse
-/// buckets), and — when scope recording is enabled — every finished
-/// trace event. The result is deterministic for deterministic work
-/// modulo the timestamp fields.
-json::Value snapshotToJson();
-
-/// Folds a snapshotToJson document into this process's registries:
-/// counters add by name, histograms merge buckets/sum/max by name, and
-/// trace events are appended with the child's pid/tid kept and their
-/// timestamps re-based so the earliest child event lands at
-/// \p RebaseStartNs on this process's clock (events merge only while
-/// recording is enabled). Unknown names are dropped. Safe to call from
-/// concurrent pool workers.
-void mergeSnapshot(const json::Value &Snapshot, uint64_t RebaseStartNs);
-
-//===----------------------------------------------------------------------===//
 // Exporters
 //===----------------------------------------------------------------------===//
 
 /// Writes the recorded events as Chrome trace-event JSON (the
 /// {"traceEvents": [...]} object form). Each finished scope is one
 /// complete "X" event whose name is its leaf label, whose pid/tid are
-/// the real recording process and its dense thread number, and whose
-/// args carry the full path; "M" metadata events name every process
-/// ("pirac" / "pirac --worker") and thread so merged parent+child
-/// traces read cleanly. Loadable in chrome://tracing and Perfetto.
+/// the recording process and its dense thread number, and whose args
+/// carry the full path; "M" metadata events name the process ("pirac")
+/// and every thread. Loadable in chrome://tracing and Perfetto.
 void writeChromeTrace(std::ostream &OS);
 
 /// writeChromeTrace to a file, or to stdout when \p FilePath is "-";
 /// false (with \p Error set) when the sink cannot be written.
 bool writeChromeTraceFile(const std::string &FilePath, std::string &Error);
-
-/// Writes every counter and histogram in the Prometheus/OpenMetrics
-/// text exposition format: counters as `pira_<Name>_total`, histograms
-/// as `pira_<Name>_seconds` with cumulative `_bucket{le="..."}` lines
-/// (log2 boundaries converted to seconds), `_sum`, and `_count`,
-/// terminated by "# EOF".
-void writePrometheus(std::ostream &OS);
-
-/// writePrometheus to a file, or to stdout when \p FilePath is "-";
-/// false (with \p Error set) when the sink cannot be written.
-bool writeMetricsFile(const std::string &FilePath, std::string &Error);
 
 } // namespace telemetry
 } // namespace pira

@@ -112,8 +112,17 @@ deadline::ScopedDeadline::ScopedDeadline(uint64_t BudgetMs)
     : Record(nullptr), Prev(CurrentDeadline) {
   if (BudgetMs == 0)
     return;
-  DeadlineRecord *R =
-      watchdog().arm(Clock::now() + std::chrono::milliseconds(BudgetMs));
+  // Saturate: a budget past the clock's range arms time_point::max(),
+  // which neither expired() nor the monitor ever reaches. The plain sum
+  // would overflow the clock's signed tick count into the past.
+  Clock::time_point Now = Clock::now();
+  auto Headroom = std::chrono::duration_cast<std::chrono::milliseconds>(
+      Clock::time_point::max() - Now);
+  Clock::time_point At =
+      BudgetMs >= static_cast<uint64_t>(Headroom.count())
+          ? Clock::time_point::max()
+          : Now + std::chrono::milliseconds(BudgetMs);
+  DeadlineRecord *R = watchdog().arm(At);
   Record = R;
   CurrentDeadline = R;
 }

@@ -62,7 +62,8 @@ public:
 };
 
 /// Arms a wall-clock deadline of \p BudgetMs for the current thread
-/// (0 arms nothing). Deadlines nest; the innermost one is consulted.
+/// (0 arms nothing; a budget past the clock's range never expires).
+/// Deadlines nest; the innermost one is consulted.
 /// Registration makes the task visible to the watchdog thread, which
 /// marks it expired once the clock passes the deadline.
 class ScopedDeadline {

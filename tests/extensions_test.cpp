@@ -425,6 +425,9 @@ TEST(MachineConfigTest, RejectsBadUnitSpec) {
   EXPECT_FALSE(parseMachineModel("units turbo=2\n", Err).has_value());
   EXPECT_FALSE(parseMachineModel("units fixed=0\n", Err).has_value());
   EXPECT_FALSE(parseMachineModel("units fixed\n", Err).has_value());
+  // 2^32 + 1 would wrap to a valid-looking 1.
+  EXPECT_FALSE(parseMachineModel("units fixed=4294967297\n", Err).has_value());
+  EXPECT_EQ(Err, "line 1: bad unit spec 'fixed=4294967297' (want class=count)");
 }
 
 TEST(MachineConfigTest, RejectsZeroRegisters) {
@@ -436,6 +439,16 @@ TEST(MachineConfigTest, RejectsZeroRegisters) {
   EXPECT_EQ(Err, "line 3: expected 'regs <positive integer>'");
   EXPECT_FALSE(parseMachineModel("width 0\n", Err).has_value());
   EXPECT_EQ(Err, "line 1: expected 'width <positive integer>'");
+  // Out-of-range counts are rejected, never wrapped modulo 2^32 (to 2
+  // registers and width 1 here).
+  EXPECT_FALSE(
+      parseMachineModel("machine big\nregs 4294967298\n", Err).has_value());
+  EXPECT_EQ(Err, "line 2: expected 'regs <positive integer>'");
+  EXPECT_FALSE(parseMachineModel("regs 99999999999999999999\n", Err)
+                   .has_value());
+  EXPECT_EQ(Err, "line 1: expected 'regs <positive integer>'");
+  EXPECT_FALSE(parseMachineModel("width 4294967297\n", Err).has_value());
+  EXPECT_EQ(Err, "line 1: expected 'width <positive integer>'");
   std::optional<MachineModel> One = parseMachineModel("regs 1\n", Err);
   ASSERT_TRUE(One.has_value()) << Err;
   EXPECT_EQ(One->numPhysRegs(), 1u);
@@ -445,6 +458,11 @@ TEST(MachineConfigTest, RejectsBadLatency) {
   std::string Err;
   EXPECT_FALSE(parseMachineModel("latency frobnicate=2\n", Err).has_value());
   EXPECT_FALSE(parseMachineModel("latency load=0\n", Err).has_value());
+  // 2^32 + 3 would wrap to a valid-looking 3.
+  EXPECT_FALSE(
+      parseMachineModel("latency load=4294967299\n", Err).has_value());
+  EXPECT_EQ(Err,
+            "line 1: bad latency spec 'load=4294967299' (want opcode=cycles)");
 }
 
 TEST(MachineConfigTest, RoundTripsEveryPreset) {

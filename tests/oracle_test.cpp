@@ -636,42 +636,6 @@ TEST_F(OracleFaultTest, InjectedDeadlineFailsFastBeforeTheSearch) {
             ErrorCode::DeadlineExceeded);
 }
 
-#ifdef PIRAC_PATH
-TEST(OracleIsolationTest, NodeBudgetDegradesUnderProcessIsolation) {
-  // Same ladder walk, but every rung runs in a sandboxed pirac child
-  // with the wall-clock watchdog armed (far above anything this compile
-  // needs, so the path is exercised without timing sensitivity). The
-  // search-exhausted diagnostic must survive the wire.
-  BatchOptions Opts;
-  Opts.Strategy = StrategyKind::Oracle;
-  Opts.Oracle.NodeBudget = 1;
-  Opts.Jobs = 1;
-  Opts.Isolate = true;
-  Opts.WorkerExe = PIRAC_PATH;
-  Opts.RetryBackoffMs = 1;
-  Opts.ChildTimeoutMs = 60000;
-  std::vector<BatchItem> Batch;
-  Batch.push_back({"wide.pir", wideBlock()});
-  BatchResult BR =
-      compileBatch(Batch, MachineModel::paperTwoUnit(16), Opts);
-  ASSERT_EQ(BR.Results.size(), 1u);
-  ASSERT_TRUE(BR.Results[0].Success) << BR.Results[0].Diag.toString();
-  EXPECT_EQ(BR.Isolated, 1u);
-  EXPECT_EQ(BR.Degraded, 1u);
-  EXPECT_EQ(BR.Timeouts, 0u);
-  EXPECT_EQ(BR.Crashes, 0u);
-  const CompileOutcome &O = BR.Outcomes[0];
-  EXPECT_TRUE(O.Degraded);
-  EXPECT_EQ(O.Used, "alloc-first");
-  EXPECT_TRUE(O.Isolation.Isolated);
-  // One child per attempted rung: the exhausted oracle, the rescuer.
-  EXPECT_GE(O.Isolation.Spawns, 2u);
-  ASSERT_EQ(O.FailedAttempts.size(), 1u);
-  EXPECT_EQ(O.FailedAttempts[0].Rung, "oracle");
-  EXPECT_EQ(O.FailedAttempts[0].Diag.code(), ErrorCode::SearchExhausted);
-}
-#endif // PIRAC_PATH
-
 //===----------------------------------------------------------------------===//
 // Strategy-name table (the list the CLI error message shows)
 //===----------------------------------------------------------------------===//

@@ -24,8 +24,6 @@ BASE_TIMES = {
     "BM_TransitiveClosure/256": 80000.0,
     "BM_TransitiveClosureUnreduced/1024": 1500000.0,
     "BM_TransitiveClosure/1024": 600000.0,
-    "BM_CompileBatch/1/real_time": 200000000.0,
-    "BM_CompileBatchWarmCache/real_time": 8000000.0,
     "BM_PinterColor/256": 1000000.0,
     "BM_PinterColor/1024": 22000000.0,
     "BM_CombinedPipeline/128": 10000000.0,

@@ -6,73 +6,12 @@
 //===----------------------------------------------------------------------===//
 
 #include "machine/MachineModel.h"
-#include "pipeline/Batch.h"
 #include "pipeline/Strategies.h"
 #include "workloads/Kernels.h"
 
 #include <gtest/gtest.h>
 
 using namespace pira;
-
-TEST(PipelineTest, ProgressLineBasicShape) {
-  ProgressSnapshot S;
-  S.Done = 3;
-  S.Total = 10;
-  S.Failed = 1;
-  S.Degraded = 2;
-  S.Crashed = 0;
-  S.ElapsedS = 1.5;
-  EXPECT_EQ(formatProgressLine(S),
-            "pirac: 3/10 done, 1 failed, 2 degraded, 0 crashed"
-            " | 2.0/s | eta 3.5s");
-
-  // Cache segment appears once a lookup happened.
-  S.HasCache = true;
-  S.CacheHits = 1;
-  S.CacheLookups = 4;
-  EXPECT_EQ(formatProgressLine(S),
-            "pirac: 3/10 done, 1 failed, 2 degraded, 0 crashed"
-            " | cache 25.0% | 2.0/s | eta 3.5s");
-
-  // A finished batch drops the ETA but keeps the rate.
-  S.HasCache = false;
-  S.Done = 10;
-  S.Failed = 1;
-  EXPECT_EQ(formatProgressLine(S),
-            "pirac: 10/10 done, 1 failed, 2 degraded, 0 crashed"
-            " | 6.7/s");
-}
-
-TEST(PipelineTest, ProgressLineNeverShowsInfOrNanAtZeroElapsed) {
-  // The first tick of a fast batch can land within the clock's
-  // granularity: items finished but zero (or even negative, on a
-  // misbehaving clock) elapsed time. The rate and ETA divisions must be
-  // skipped, not performed.
-  for (double Elapsed : {0.0, -1.0}) {
-    ProgressSnapshot S;
-    S.Done = 2;
-    S.Total = 10;
-    S.ElapsedS = Elapsed;
-    std::string Line = formatProgressLine(S);
-    EXPECT_EQ(Line, "pirac: 2/10 done, 0 failed, 0 degraded, 0 crashed")
-        << Line;
-    EXPECT_EQ(Line.find("inf"), std::string::npos) << Line;
-    EXPECT_EQ(Line.find("nan"), std::string::npos) << Line;
-  }
-
-  // Zero items done: no rate, no ETA, regardless of elapsed time.
-  ProgressSnapshot S;
-  S.Total = 10;
-  S.ElapsedS = 5.0;
-  EXPECT_EQ(formatProgressLine(S),
-            "pirac: 0/10 done, 0 failed, 0 degraded, 0 crashed");
-
-  // A cache that has seen no lookups contributes no segment (avoiding
-  // its own 0/0).
-  S.HasCache = true;
-  S.CacheLookups = 0;
-  EXPECT_EQ(formatProgressLine(S).find("cache"), std::string::npos);
-}
 
 TEST(PipelineTest, StrategyNames) {
   EXPECT_STREQ(strategyName(StrategyKind::AllocFirst), "alloc-first");

@@ -10,7 +10,7 @@
 #   0  every input compiled and verified clean
 #   1  at least one input failed to compile or verify
 #   2  usage error (bad flag or flag value)
-#   3  internal error (journal/report machinery), incl. digest mismatch
+#   3  internal error (a report that could not be written)
 #
 # Usage: pirac_cli_test.sh /path/to/pirac
 #
@@ -62,14 +62,12 @@ EOF
 # --- exit 0: clean compiles -------------------------------------------------
 expect 0 "clean single function"        -- "$PIRAC" good.pir
 expect 0 "clean batch"                  -- "$PIRAC" good.pir good.pir --jobs 2
-expect 0 "clean isolated batch"         -- "$PIRAC" good.pir good.pir --isolate
-expect 0 "clean journaled batch"        -- "$PIRAC" good.pir good.pir --journal j0.jsonl
-expect 0 "clean resumed batch"          -- "$PIRAC" good.pir good.pir --journal j0.jsonl --resume
 expect 0 "--version"                    -- "$PIRAC" --version
-expect 0 "metrics to file"              -- "$PIRAC" good.pir good.pir --metrics-out m.prom
-expect 0 "metrics to stdout"            -- "$PIRAC" good.pir good.pir --metrics-out -
 expect 0 "stats to stdout"              -- "$PIRAC" good.pir --stats-out -
-expect 0 "progress batch"               -- "$PIRAC" good.pir good.pir --progress
+# A budget past the clock's range saturates to "never expires"; it must
+# not overflow into a deadline that has already passed.
+expect 0 "deadline at UINT64_MAX"       -- "$PIRAC" good.pir \
+                                             --deadline-ms 18446744073709551615
 expect 0 "empty generated tournament"   -- "$PIRAC" --tournament --corpus-count 0 \
                                              --stats-out t0.json
 expect 1 "tournament all inputs bad"    -- "$PIRAC" --tournament bad.pir \
@@ -88,12 +86,12 @@ for f in t0.json t1.json; do
 done
 
 # A stdout sink must leave stdout machine-clean: exactly one parsable
-# OpenMetrics/JSON document, no human chatter mixed in.
-if "$PIRAC" good.pir good.pir --metrics-out - 2> /dev/null | grep -q '^# EOF$' \
-   && ! "$PIRAC" good.pir good.pir --metrics-out - 2> /dev/null | grep -q 'batch of'; then
-  echo "ok: stdout metrics are machine-clean"
+# JSON document, no human chatter mixed in.
+"$PIRAC" good.pir good.pir --stats-out - > stdout.json 2> /dev/null
+if grep -q '"pira.stats"' stdout.json && ! grep -q 'batch of' stdout.json; then
+  echo "ok: stdout stats are machine-clean"
 else
-  echo "FAIL: stdout metrics mixed with human output" >&2
+  echo "FAIL: stdout stats mixed with human output" >&2
   FAILURES=$((FAILURES + 1))
 fi
 
@@ -101,8 +99,6 @@ fi
 expect 1 "unparsable input"             -- "$PIRAC" bad.pir
 expect 1 "unreadable input path"        -- "$PIRAC" no-such-file.pir
 expect 1 "mixed batch still reports 1"  -- "$PIRAC" good.pir bad.pir --jobs 2
-expect 1 "isolated child crash"         -- "$PIRAC" good.pir good.pir --isolate \
-                                             --fault-inject crash.segv:2
 expect 1 "budget rejection"             -- "$PIRAC" good.pir --max-instructions 1
 
 # --- SIGPIPE: a vanished stdout reader is a structured failure --------------
@@ -124,14 +120,14 @@ fi
 # --- exit 2: usage errors ---------------------------------------------------
 expect 2 "unknown flag"                 -- "$PIRAC" --definitely-not-a-flag
 expect 2 "unknown strategy"             -- "$PIRAC" good.pir --strategy bogus
-expect 2 "missing flag value"           -- "$PIRAC" good.pir --retries
-expect 2 "non-numeric flag value"       -- "$PIRAC" good.pir --retries banana
-expect 2 "resume without journal"       -- "$PIRAC" good.pir --resume
+expect 2 "missing flag value"           -- "$PIRAC" good.pir --regs
+expect 2 "non-numeric flag value"       -- "$PIRAC" good.pir --regs banana
 expect 2 "bad fault spec"               -- "$PIRAC" good.pir --fault-inject nope
+# The process-killing fault sites went with process isolation.
+expect 2 "no crash.segv fault site"     -- "$PIRAC" good.pir \
+                                             --fault-inject crash.segv:1
 # Only one report may claim stdout; two "-" sinks would interleave.
 expect 2 "two stdout report sinks"      -- "$PIRAC" good.pir \
-                                             --stats-out - --metrics-out -
-expect 2 "stats+trace both on stdout"   -- "$PIRAC" good.pir \
                                              --stats-out - --trace-out -
 # There is no compile daemon: its flags are unknown options, and "serve"
 # is an ordinary input name.
@@ -139,6 +135,22 @@ expect 2 "no --client flag"             -- "$PIRAC" --client good.pir
 expect 2 "no --cache-remote flag"       -- "$PIRAC" --cache-remote 7400 good.pir
 expect 2 "no --daemon-stats flag"       -- "$PIRAC" --daemon-stats
 expect 2 "no serve subcommand"          -- "$PIRAC" serve --socket d.sock
+# Nor is there a process sandbox, a batch journal, a compilation cache,
+# a metrics exporter or a progress line: their flags, and the worker
+# mode, are unknown options too.
+expect 2 "no --worker mode"             -- "$PIRAC" --worker
+expect 2 "no --isolate flag"            -- "$PIRAC" good.pir good.pir --isolate
+expect 2 "no --retries flag"            -- "$PIRAC" good.pir --retries 1
+expect 2 "no --retry-backoff-ms flag"   -- "$PIRAC" good.pir --retry-backoff-ms 1
+expect 2 "no --child-timeout-ms flag"   -- "$PIRAC" good.pir --child-timeout-ms 1
+expect 2 "no --child-mem-mb flag"       -- "$PIRAC" good.pir --child-mem-mb 1
+expect 2 "no --journal flag"            -- "$PIRAC" good.pir --journal j.jsonl
+expect 2 "no --resume flag"             -- "$PIRAC" good.pir --resume
+expect 2 "no --cache flag"              -- "$PIRAC" good.pir --cache on
+expect 2 "no --cache-dir flag"          -- "$PIRAC" good.pir --cache-dir cdir
+expect 2 "no --cache-max-mb flag"       -- "$PIRAC" good.pir --cache-max-mb 1
+expect 2 "no --metrics-out flag"        -- "$PIRAC" good.pir --metrics-out m.prom
+expect 2 "no --progress flag"           -- "$PIRAC" good.pir good.pir --progress
 
 # --jobs above ThreadPool::MaxWorkers (256) is refused before anything
 # compiles (no stats report is written).
@@ -168,20 +180,25 @@ else
   FAILURES=$((FAILURES + 1))
 fi
 
+# A count past 2^32 is refused the same way, never wrapped (this one
+# would read as 2 registers).
+printf 'machine big\nwidth 2\nregs 4294967298\n' > big.mach
+err=$("$PIRAC" good.pir --machine-file big.mach --stats-out big.json 2>&1 \
+      > /dev/null)
+got=$?
+if [ "$got" -eq 2 ] && printf '%s' "$err" | grep -q 'line 3' \
+   && [ ! -e big.json ]; then
+  echo "ok: regs 2^32+2 machine file (exit 2, line named, nothing compiled)"
+else
+  echo "FAIL: regs 2^32+2 machine file: exit $got, stats file" \
+       "$([ -e big.json ] && echo written || echo absent): $err" >&2
+  FAILURES=$((FAILURES + 1))
+fi
+
 # --- exit 3: internal errors ------------------------------------------------
-# A journal written under one configuration refuses to resume another.
-"$PIRAC" good.pir good.pir --journal j3.jsonl > /dev/null 2>&1
-expect 3 "journal digest mismatch"      -- "$PIRAC" good.pir good.pir \
-                                             --strategy alloc-first \
-                                             --journal j3.jsonl --resume
-# A journal path whose directory cannot exist never opens.
-expect 3 "unwritable journal path"      -- "$PIRAC" good.pir good.pir \
-                                             --journal /no/such/dir/j.jsonl
 # A stats path whose directory cannot exist fails the report write.
 expect 3 "unwritable stats path"        -- "$PIRAC" good.pir \
                                              --stats-out /no/such/dir/s.json
-expect 3 "unwritable metrics path"      -- "$PIRAC" good.pir \
-                                             --metrics-out /no/such/dir/m.prom
 
 if [ "$FAILURES" -ne 0 ]; then
   echo "$FAILURES taxonomy check(s) failed" >&2

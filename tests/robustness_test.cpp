@@ -25,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <sstream>
@@ -165,11 +166,14 @@ TEST_F(FaultTest, SpecParsingAcceptsKnownSitesAndRejectsJunk) {
 
 TEST_F(FaultTest, EverySiteInTheTableIsConfigurable) {
   const std::vector<const char *> &Sites = faultinject::knownSites();
-  EXPECT_EQ(Sites.size(), 14u);
+  EXPECT_EQ(Sites.size(), 10u);
   std::string Error;
   for (const char *Site : Sites)
     EXPECT_TRUE(faultinject::configure(std::string(Site) + ":2", Error))
         << Site << ": " << Error;
+  // The process-killing sites went with process isolation.
+  EXPECT_FALSE(faultinject::configure("crash.segv:1", Error));
+  EXPECT_NE(Error.find("crash.segv"), std::string::npos);
 }
 
 TEST_F(FaultTest, FiringIsAPureFunctionOfTheKey) {
@@ -333,8 +337,15 @@ TEST(ThreadPoolRobustness, SecondaryExceptionsAreCountedNotSilent) {
 TEST(DeadlineTest, NothingArmedNeverExpires) {
   EXPECT_FALSE(deadline::expired());
   EXPECT_NO_THROW(deadline::checkpoint());
-  deadline::ScopedDeadline Unarmed(0); // 0 arms nothing
+  {
+    deadline::ScopedDeadline Unarmed(0); // 0 arms nothing
+    EXPECT_FALSE(deadline::expired());
+  }
+  // A budget past the clock's range saturates to "never"; it must not
+  // overflow into a deadline that has already passed.
+  deadline::ScopedDeadline Endless(UINT64_MAX);
   EXPECT_FALSE(deadline::expired());
+  EXPECT_NO_THROW(deadline::checkpoint());
 }
 
 TEST(DeadlineTest, ExpiryFlipsExpiredAndCheckpointThrows) {
@@ -490,6 +501,29 @@ std::string faultBatchFingerprint(const std::vector<BatchItem> &Batch,
   return OS.str();
 }
 
+/// The trace side of the same contract: every recorded event path plus
+/// every histogram's sample count, order-normalized. Timestamps,
+/// durations and bucket placement are the wall-clock tail and stay out.
+std::string faultBatchTraceFingerprint(const std::vector<BatchItem> &Batch,
+                                       unsigned Jobs) {
+  telemetry::reset();
+  telemetry::setEnabled(true);
+  BatchOptions Opts;
+  Opts.Jobs = Jobs;
+  compileBatch(Batch, MachineModel::rs6000(), Opts);
+  telemetry::setEnabled(false);
+  std::vector<std::string> Paths;
+  for (const telemetry::TimedEvent &E : telemetry::events())
+    Paths.push_back(E.Path);
+  std::sort(Paths.begin(), Paths.end());
+  std::ostringstream OS;
+  for (const std::string &P : Paths)
+    OS << P << '\n';
+  for (const telemetry::Histogram *H : telemetry::histograms())
+    OS << H->name() << '=' << H->count() << '\n';
+  return OS.str();
+}
+
 } // namespace
 
 TEST_F(FaultTest, OneFaultedFunctionNeverStopsTheBatch) {
@@ -544,6 +578,21 @@ TEST_F(FaultTest, FaultInjectedBatchesStayWorkerCountDeterministic) {
   EXPECT_NE(Serial.find("fault-injected"), std::string::npos);
 }
 
+TEST_F(FaultTest, FaultInjectedBatchTraceIsWorkerCountInvariant) {
+  arm("strategy.entry:5,alloc.pinter:3");
+  std::vector<BatchItem> Batch = makeFaultBatch(8);
+  std::string Serial = faultBatchTraceFingerprint(Batch, 1);
+  EXPECT_EQ(Serial, faultBatchTraceFingerprint(Batch, 2));
+  EXPECT_EQ(Serial, faultBatchTraceFingerprint(Batch, 8));
+  telemetry::reset();
+  // The fingerprint saw the whole-batch span and every ladder rung: keys
+  // 0 and 5 fail all three rungs, 3 and 6 degrade on the second, and the
+  // other four take one (6 + 4 + 4).
+  EXPECT_NE(Serial.find("batch/compile\n"), std::string::npos);
+  EXPECT_NE(Serial.find("LadderRungLatency=14\n"), std::string::npos)
+      << Serial;
+}
+
 //===----------------------------------------------------------------------===//
 // Stats report failure sections
 //===----------------------------------------------------------------------===//
@@ -578,4 +627,51 @@ TEST_F(FaultTest, ReportCarriesFailuresDegradationsAndInputFailures) {
   ASSERT_NE(Agg, nullptr);
   EXPECT_EQ(Agg->find("failed")->asInt(), 3) << "2 compile + 1 input";
   EXPECT_EQ(Agg->find("degraded")->asInt(), 2);
+}
+
+namespace {
+
+/// The member names of \p Object, in insertion order.
+std::vector<std::string> keysOf(const json::Value &Object) {
+  std::vector<std::string> Keys;
+  for (const auto &[Key, Value] : Object.members())
+    Keys.push_back(Key);
+  return Keys;
+}
+
+} // namespace
+
+TEST_F(FaultTest, BatchReportHasExactlyTheV6KeySets) {
+  // One degraded function, so the optional "degradation" record shows.
+  arm("alloc.pinter:3");
+  std::vector<BatchItem> Batch = makeFaultBatch(4);
+  MachineModel M = MachineModel::rs6000();
+  BatchOptions Opts;
+  Opts.Jobs = 1;
+  BatchResult BR = compileBatch(Batch, M, Opts);
+  json::Value Report = makeBatchStatsReport(BR, Batch, "combined", M);
+
+  EXPECT_EQ(Report.find("version")->asInt(), 6);
+  EXPECT_EQ(keysOf(Report),
+            (std::vector<std::string>{
+                "schema", "version", "provenance", "strategy", "machine",
+                "functions", "batch", "failures", "degradations",
+                "counters", "histograms", "timers"}))
+      << "no \"cache\" block";
+  EXPECT_EQ(keysOf(*Report.find("batch")),
+            (std::vector<std::string>{
+                "items", "succeeded", "failed", "degraded",
+                "max_registers_used", "spilled_webs", "spill_instructions",
+                "false_deps", "static_cycles", "dyn_cycles",
+                "dyn_instructions"}))
+      << "no isolation tallies";
+  const json::Value *Functions = Report.find("functions");
+  ASSERT_EQ(Functions->elements().size(), 4u);
+  for (const json::Value &Fn : Functions->elements()) {
+    std::vector<std::string> Want = {"name", "pipeline"};
+    if (Fn.has("degradation"))
+      Want.push_back("degradation");
+    EXPECT_EQ(keysOf(Fn), Want) << "no \"isolation\" record";
+  }
+  EXPECT_TRUE(Functions->elements()[0].has("degradation"));
 }

@@ -627,7 +627,7 @@ TEST(JsonLocaleTest, DoubleRoundTripUnderCommaDecimalLocale) {
 }
 
 //===----------------------------------------------------------------------===//
-// SHA-256 (cache keys, journal digests, perfbench check digests)
+// SHA-256 (perfbench check digests)
 //===----------------------------------------------------------------------===//
 
 namespace {

@@ -5,7 +5,7 @@ Compares a fresh BENCH_perf_algorithms.json against a committed baseline
 and fails (exit 1) when a gated metric regresses by more than the
 threshold. The primary gates are *ratios between benchmarks from the
 same run* — the set-based-closure / bitset-closure speedup and the
-cold / warm-cache batch speedup — because a ratio divides out the
+Warshall / one-sweep closure speedup — because a ratio divides out the
 machine: a slow CI runner slows both numerator and denominator, while a
 real regression (say the bitset closure losing its word-parallel inner
 loop) collapses the ratio no matter the host.
@@ -47,8 +47,6 @@ RATIO_GATES = [
      "BM_TransitiveClosureSetBased/256", "BM_TransitiveClosure/256"),
     ("closure_reduction_speedup_1024",
      "BM_TransitiveClosureUnreduced/1024", "BM_TransitiveClosure/1024"),
-    ("warm_cache_speedup",
-     "BM_CompileBatch/1/real_time", "BM_CompileBatchWarmCache/real_time"),
 ]
 
 # Hard floors on the *fresh* ratio itself, enforced in addition to the
