@@ -256,6 +256,32 @@ void BM_ChaitinColor(benchmark::State &State) {
 BENCHMARK(BM_ChaitinColor)
     ->Arg(32)->Arg(128)->Arg(256)->Arg(512)->Arg(1024);
 
+void BM_InterferenceGraph(benchmark::State &State) {
+  // Round 1's shape: every value still in a register, so the live sets
+  // are wide and the graph dense.
+  Function F = makeBlock(static_cast<unsigned>(State.range(0)));
+  Webs W(F);
+  for (auto _ : State) {
+    InterferenceGraph IG(F, W);
+    benchmark::DoNotOptimize(IG.graph().numEdges());
+  }
+}
+BENCHMARK(BM_InterferenceGraph)->Arg(256)->Arg(1024);
+
+void BM_InterferenceGraphSpilled(benchmark::State &State) {
+  // Rounds 2 and 3's shape: the symbolic code of an alloc-first compile
+  // after spill-everywhere, about three times the input, with thousands
+  // of short-lived reload webs and a live set of a dozen.
+  Function F =
+      allocFirstBlock(static_cast<unsigned>(State.range(0))).SymbolicTwin;
+  Webs W(F);
+  for (auto _ : State) {
+    InterferenceGraph IG(F, W);
+    benchmark::DoNotOptimize(IG.graph().numEdges());
+  }
+}
+BENCHMARK(BM_InterferenceGraphSpilled)->Arg(256)->Arg(1024);
+
 void BM_PinterColor(benchmark::State &State) {
   Function F = makeBlock(static_cast<unsigned>(State.range(0)));
   MachineModel M = MachineModel::rs6000(16);

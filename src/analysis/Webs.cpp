@@ -10,8 +10,8 @@
 #include "ir/Function.h"
 #include "support/BitVector.h"
 
-#include <cassert>
 #include <numeric>
+#include <span>
 
 using namespace pira;
 
@@ -52,53 +52,76 @@ Webs::Webs(const Function &F) {
   unsigned NumBlocks = F.numBlocks();
   unsigned NumRegs = F.numRegs();
 
+  // Global instruction ids and the operand offsets of each instruction.
+  BlockStart.resize(NumBlocks + 1);
+  unsigned NumInsts = 0, NumUses = 0;
+  for (unsigned B = 0; B != NumBlocks; ++B) {
+    BlockStart[B] = NumInsts;
+    NumInsts += F.block(B).size();
+  }
+  BlockStart[NumBlocks] = NumInsts;
+  UseStart.resize(NumInsts + 1);
+  for (unsigned B = 0, Id = 0; B != NumBlocks; ++B)
+    for (const Instruction &Inst : F.block(B).instructions()) {
+      UseStart[Id++] = NumUses;
+      NumUses += static_cast<unsigned>(Inst.uses().size());
+    }
+  UseStart[NumInsts] = NumUses;
+
   // Enumerate defs: one virtual entry def per register first (so a web
   // with id order starting at real defs stays deterministic), then real
-  // defs in program order.
+  // defs in program order. Until the webs are numbered, DefWebAt holds
+  // each instruction's def record.
   std::vector<DefRecord> Defs;
-  Defs.reserve(NumRegs + F.totalInstructions());
+  Defs.reserve(NumRegs + NumInsts);
   for (Reg R = 0; R != NumRegs; ++R)
     Defs.push_back({R, /*Virtual=*/true, 0, 0});
-
-  DefIndexAt.resize(NumBlocks);
-  UseWebAt.resize(NumBlocks);
+  DefWebAt.assign(NumInsts, NoWeb);
   for (unsigned B = 0; B != NumBlocks; ++B) {
     const BasicBlock &BB = F.block(B);
-    DefIndexAt[B].assign(BB.size(), -1);
-    UseWebAt[B].resize(BB.size());
     for (unsigned I = 0, E = BB.size(); I != E; ++I) {
       const Instruction &Inst = BB.inst(I);
-      UseWebAt[B][I].assign(Inst.uses().size(), 0);
       if (!Inst.hasDef())
         continue;
-      DefIndexAt[B][I] = static_cast<int>(Defs.size());
+      DefWebAt[BlockStart[B] + I] = static_cast<unsigned>(Defs.size());
       Defs.push_back({Inst.def(), /*Virtual=*/false, B, I});
     }
   }
   unsigned NumDefs = static_cast<unsigned>(Defs.size());
 
+  // The defs of each register in id order, as offsets plus values.
+  std::vector<unsigned> RegStart(NumRegs + 1, 0);
+  for (const DefRecord &D : Defs)
+    ++RegStart[D.R + 1];
+  for (Reg R = 0; R != NumRegs; ++R)
+    RegStart[R + 1] += RegStart[R];
+  std::vector<unsigned> RegDefs(NumDefs);
+  {
+    std::vector<unsigned> Fill(RegStart.begin(), RegStart.end() - 1);
+    for (unsigned D = 0; D != NumDefs; ++D)
+      RegDefs[Fill[Defs[D].R]++] = D;
+  }
+  auto DefsOfReg = [&](Reg R) {
+    return std::span<const unsigned>(RegDefs.data() + RegStart[R],
+                                     RegStart[R + 1] - RegStart[R]);
+  };
+
   // Per-block Gen (downward-exposed defs) and Kill (all other defs of the
   // registers the block writes).
   std::vector<BitVector> Gen(NumBlocks, BitVector(NumDefs));
   std::vector<BitVector> Kill(NumBlocks, BitVector(NumDefs));
-  std::vector<std::vector<unsigned>> DefsOfReg(NumRegs);
-  for (unsigned D = 0; D != NumDefs; ++D)
-    DefsOfReg[Defs[D].R].push_back(D);
-
-  for (unsigned B = 0; B != NumBlocks; ++B) {
-    const BasicBlock &BB = F.block(B);
-    for (unsigned I = 0, E = BB.size(); I != E; ++I) {
-      if (DefIndexAt[B][I] < 0)
+  for (unsigned B = 0; B != NumBlocks; ++B)
+    for (unsigned Id = BlockStart[B], E = BlockStart[B + 1]; Id != E; ++Id) {
+      unsigned D = DefWebAt[Id];
+      if (D == NoWeb)
         continue;
-      unsigned D = static_cast<unsigned>(DefIndexAt[B][I]);
-      for (unsigned Other : DefsOfReg[Defs[D].R]) {
+      for (unsigned Other : DefsOfReg(Defs[D].R)) {
         Gen[B].reset(Other);
         Kill[B].set(Other);
       }
       Gen[B].set(D);
       Kill[B].reset(D);
     }
-  }
 
   // Entry fact: every virtual def reaches the entry.
   BitVector EntryFact(NumDefs);
@@ -129,17 +152,18 @@ Webs::Webs(const Function &F) {
   }
 
   // Bind each use to its reaching defs and union them. Remember one
-  // representative def per use operand for later web lookup.
+  // representative def per use operand for later web lookup; UseWebs
+  // holds it until the webs are numbered.
   UnionFind UF(NumDefs);
-  std::vector<std::vector<std::vector<unsigned>>> UseDefAt(NumBlocks);
+  UseWebs.resize(NumUses);
+  // LocalDef[R]: def index of the latest in-block def of R seen so far.
+  // Each block clears the entries it set.
+  std::vector<int> LocalDef(NumRegs, -1);
   for (unsigned B = 0; B != NumBlocks; ++B) {
     const BasicBlock &BB = F.block(B);
-    UseDefAt[B].resize(BB.size());
-    // LocalDef[R]: def index of the latest in-block def of R seen so far.
-    std::vector<int> LocalDef(NumRegs, -1);
     for (unsigned I = 0, E = BB.size(); I != E; ++I) {
       const Instruction &Inst = BB.inst(I);
-      UseDefAt[B][I].assign(Inst.uses().size(), 0);
+      unsigned Id = BlockStart[B] + I;
       for (unsigned Op = 0, OE = static_cast<unsigned>(Inst.uses().size());
            Op != OE; ++Op) {
         Reg R = Inst.uses()[Op];
@@ -147,7 +171,7 @@ Webs::Webs(const Function &F) {
         if (LocalDef[R] >= 0) {
           First = static_cast<unsigned>(LocalDef[R]);
         } else {
-          for (unsigned D : DefsOfReg[R]) {
+          for (unsigned D : DefsOfReg(R)) {
             if (!ReachIn[B].test(D))
               continue;
             if (First == ~0u)
@@ -160,11 +184,14 @@ Webs::Webs(const Function &F) {
           if (First == ~0u)
             First = R;
         }
-        UseDefAt[B][I][Op] = First;
+        UseWebs[UseStart[Id] + Op] = First;
       }
-      if (DefIndexAt[B][I] >= 0)
-        LocalDef[Inst.def()] = DefIndexAt[B][I];
+      if (DefWebAt[Id] != NoWeb)
+        LocalDef[Inst.def()] = static_cast<int>(DefWebAt[Id]);
     }
+    for (const Instruction &Inst : BB.instructions())
+      if (Inst.hasDef())
+        LocalDef[Inst.def()] = -1;
   }
 
   // A virtual entry def whose web has no real def and no bound use is an
@@ -172,14 +199,13 @@ Webs::Webs(const Function &F) {
   BitVector RootReferenced(NumDefs);
   for (unsigned D = NumRegs; D != NumDefs; ++D)
     RootReferenced.set(UF.find(D));
-  for (unsigned B = 0; B != NumBlocks; ++B)
-    for (unsigned I = 0, E = F.block(B).size(); I != E; ++I)
-      for (unsigned D : UseDefAt[B][I])
-        RootReferenced.set(UF.find(D));
+  for (unsigned D : UseWebs)
+    RootReferenced.set(UF.find(D));
 
   // Number webs densely in order of first def id; fill the public tables.
-  DefWeb.assign(NumDefs, ~0u);
+  std::vector<unsigned> DefWeb(NumDefs, NoWeb);
   std::vector<int> RootToWeb(NumDefs, -1);
+  WebDefStart.assign(1, 0);
   for (unsigned D = 0; D != NumDefs; ++D) {
     unsigned Root = UF.find(D);
     if (!RootReferenced.test(Root))
@@ -187,40 +213,33 @@ Webs::Webs(const Function &F) {
     if (RootToWeb[Root] < 0) {
       RootToWeb[Root] = static_cast<int>(WebRegs.size());
       WebRegs.push_back(Defs[D].R);
-      WebDefs.emplace_back();
+      WebDefStart.push_back(0);
       WebHasEntryDef.push_back(false);
-      WebUseCounts.push_back(0);
     }
     unsigned Web = static_cast<unsigned>(RootToWeb[Root]);
     DefWeb[D] = Web;
     if (Defs[D].Virtual)
       WebHasEntryDef[Web] = true;
     else
-      WebDefs[Web].push_back({Defs[D].Block, Defs[D].Inst});
+      ++WebDefStart[Web + 1];
+  }
+  unsigned NumWebs = numWebs();
+  for (unsigned Web = 0; Web != NumWebs; ++Web)
+    WebDefStart[Web + 1] += WebDefStart[Web];
+  // Real defs arrive in program order, so each web's sites do too.
+  WebDefSites.resize(WebDefStart[NumWebs]);
+  {
+    std::vector<unsigned> Fill(WebDefStart.begin(), WebDefStart.end() - 1);
+    for (unsigned D = NumRegs; D != NumDefs; ++D)
+      WebDefSites[Fill[DefWeb[D]]++] = {Defs[D].Block, Defs[D].Inst};
   }
 
-  for (unsigned B = 0; B != NumBlocks; ++B)
-    for (unsigned I = 0, E = F.block(B).size(); I != E; ++I)
-      for (unsigned Op = 0,
-                    OE = static_cast<unsigned>(UseDefAt[B][I].size());
-           Op != OE; ++Op) {
-        unsigned Web = DefWeb[UseDefAt[B][I][Op]];
-        UseWebAt[B][I][Op] = Web;
-        ++WebUseCounts[Web];
-      }
-}
-
-unsigned Webs::webOfDef(unsigned Block, unsigned Inst) const {
-  assert(Block < DefIndexAt.size() && Inst < DefIndexAt[Block].size() &&
-         "instruction out of range");
-  int D = DefIndexAt[Block][Inst];
-  assert(D >= 0 && "instruction has no def");
-  return DefWeb[static_cast<unsigned>(D)];
-}
-
-unsigned Webs::webOfUse(unsigned Block, unsigned Inst,
-                        unsigned OpIdx) const {
-  assert(Block < UseWebAt.size() && Inst < UseWebAt[Block].size() &&
-         OpIdx < UseWebAt[Block][Inst].size() && "use operand out of range");
-  return UseWebAt[Block][Inst][OpIdx];
+  for (unsigned &Web : DefWebAt)
+    if (Web != NoWeb)
+      Web = DefWeb[Web];
+  WebUseCounts.assign(NumWebs, 0);
+  for (unsigned &Web : UseWebs) {
+    Web = DefWeb[Web];
+    ++WebUseCounts[Web];
+  }
 }

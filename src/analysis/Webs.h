@@ -23,6 +23,8 @@
 
 #include "ir/Instruction.h"
 
+#include <cassert>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -35,6 +37,11 @@ using DefSite = std::pair<unsigned, unsigned>;
 
 /// Partitions definitions into webs via reaching-definitions dataflow and
 /// union-find over shared uses.
+///
+/// Every table is flat: an instruction's global id is its block's first
+/// id plus its index, and the use operands of all instructions, the
+/// definitions of each web and (during construction) the definitions of
+/// each register each sit in one offsets-plus-values array.
 class Webs {
 public:
   /// Runs the analysis on \p F.
@@ -49,15 +56,31 @@ public:
 
   /// Returns the web of the value defined by instruction \p Inst of block
   /// \p Block (which must have a def).
-  unsigned webOfDef(unsigned Block, unsigned Inst) const;
+  unsigned webOfDef(unsigned Block, unsigned Inst) const {
+    unsigned Web = DefWebAt[instId(Block, Inst)];
+    assert(Web != NoWeb && "instruction has no def");
+    return Web;
+  }
 
   /// Returns the web supplying use operand \p OpIdx of instruction
   /// \p Inst in block \p Block.
-  unsigned webOfUse(unsigned Block, unsigned Inst, unsigned OpIdx) const;
+  unsigned webOfUse(unsigned Block, unsigned Inst, unsigned OpIdx) const {
+    std::span<const unsigned> Uses = websOfUses(Block, Inst);
+    assert(OpIdx < Uses.size() && "use operand out of range");
+    return Uses[OpIdx];
+  }
+
+  /// The webs of every use operand of instruction \p Inst in block
+  /// \p Block, in operand order.
+  std::span<const unsigned> websOfUses(unsigned Block, unsigned Inst) const {
+    unsigned Id = instId(Block, Inst);
+    return {UseWebs.data() + UseStart[Id], UseStart[Id + 1] - UseStart[Id]};
+  }
 
   /// Real definition sites of \p Web in program order.
-  const std::vector<DefSite> &defsOfWeb(unsigned Web) const {
-    return WebDefs[Web];
+  std::span<const DefSite> defsOfWeb(unsigned Web) const {
+    return {WebDefSites.data() + WebDefStart[Web],
+            WebDefStart[Web + 1] - WebDefStart[Web]};
   }
 
   /// True when the web's value may flow in at function entry (it contains
@@ -68,13 +91,23 @@ public:
   unsigned numUsesOfWeb(unsigned Web) const { return WebUseCounts[Web]; }
 
 private:
-  // Dense maps keyed by (block, inst): index of the def record, and for
-  // each use operand its web. Built once in the constructor.
-  std::vector<std::vector<int>> DefIndexAt;           // -1 when no def
-  std::vector<std::vector<std::vector<unsigned>>> UseWebAt;
-  std::vector<unsigned> DefWeb;                       // def record -> web
+  /// DefWebAt entry of an instruction that defines nothing.
+  static constexpr unsigned NoWeb = ~0u;
+
+  unsigned instId(unsigned Block, unsigned Inst) const {
+    assert(Block + 1 < BlockStart.size() &&
+           Inst < BlockStart[Block + 1] - BlockStart[Block] &&
+           "instruction out of range");
+    return BlockStart[Block] + Inst;
+  }
+
+  std::vector<unsigned> BlockStart;  // block -> its first global id; N + 1
+  std::vector<unsigned> DefWebAt;    // global id -> web defined, or NoWeb
+  std::vector<unsigned> UseStart;    // global id -> first operand in UseWebs
+  std::vector<unsigned> UseWebs;     // use operand -> web
   std::vector<Reg> WebRegs;
-  std::vector<std::vector<DefSite>> WebDefs;
+  std::vector<unsigned> WebDefStart; // web -> first site in WebDefSites
+  std::vector<DefSite> WebDefSites;
   std::vector<bool> WebHasEntryDef;
   std::vector<unsigned> WebUseCounts;
 };

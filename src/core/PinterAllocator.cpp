@@ -72,13 +72,23 @@ PinterStats pira::pinterAllocate(Function &F, unsigned NumRegs,
     }
 
     PIRA_TIME_SCOPE("alloc/round");
-    Webs W(F);
-    InterferenceGraph IG(F, W);
+    Webs W = [&] {
+      PIRA_TIME_SCOPE("alloc/webs");
+      return Webs(F);
+    }();
+    InterferenceGraph IG = [&] {
+      PIRA_TIME_SCOPE("alloc/interference");
+      return InterferenceGraph(F, W);
+    }();
     ParallelInterferenceGraph PIG(F, W, IG, Machine, Opts.UseRegions);
-    std::vector<double> Costs = computeSpillCosts(F, W);
-    for (unsigned Web = 0, E = W.numWebs(); Web != E; ++Web)
-      if (NoSpillRegs.count(W.webRegister(Web)))
-        Costs[Web] = Infinite;
+    std::vector<double> Costs = [&] {
+      PIRA_TIME_SCOPE("alloc/spill-costs");
+      std::vector<double> C = computeSpillCosts(F, W);
+      for (unsigned Web = 0, E = W.numWebs(); Web != E; ++Web)
+        if (NoSpillRegs.count(W.webRegister(Web)))
+          C[Web] = Infinite;
+      return C;
+    }();
 
     Allocation A = pinterColor(PIG, Costs, NumRegs, Opts);
     Stats.ParallelEdgesDropped += A.ParallelEdgesDropped;

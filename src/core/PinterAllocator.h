@@ -46,7 +46,9 @@ class ParallelInterferenceGraph;
 /// pinterColor sums h*'s edge weights from per-web neighbour counts
 /// rather than edge by edge. The two agree bit for bit when both weights
 /// are integers, as every in-tree setting is; other weights may round
-/// differently in the last place.
+/// differently in the last place. Each weight must be 0 or >= 1, and
+/// each cost >= 0, +inf or NaN: step 4's heap relies on h* never falling
+/// (colorGraph in regalloc/ColoringEngine.h asserts it).
 struct PinterOptions {
   /// Weight of pure interference edges in h* (spill avoidance).
   double InterferenceWeight = 1.0;

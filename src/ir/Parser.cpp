@@ -11,6 +11,9 @@
 #include "support/FaultInjection.h"
 
 #include <cctype>
+#include <charconv>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -30,8 +33,9 @@ enum class TokKind {
 
 struct Token {
   TokKind Kind = TokKind::End;
-  std::string Text;   // identifier spelling or punct char
+  std::string Text;   // spelling: identifier, punct char, or digits
   int64_t Value = 0;  // integer value / register number
+  bool OutOfRange = false; // the digits do not fit int64_t
   bool PhysicalReg = false;
   unsigned Line = 1;
 };
@@ -95,8 +99,17 @@ private:
       T.Text = "%";
       return T;
     }
-    T.Value = std::stoll(std::string(Text.substr(Start, Pos - Start)));
+    lexValue(T, Start);
     return T;
+  }
+
+  /// Reads Text[Start, Pos) into \p T. Digits past int64_t's range set
+  /// OutOfRange instead of throwing or wrapping; the parser reports them.
+  void lexValue(Token &T, size_t Start) {
+    T.Text = std::string(Text.substr(Start, Pos - Start));
+    T.OutOfRange =
+        std::from_chars(Text.data() + Start, Text.data() + Pos, T.Value).ec ==
+        std::errc::result_out_of_range;
   }
 
   Token lexInt() {
@@ -114,7 +127,7 @@ private:
       T.Text = "-";
       return T;
     }
-    T.Value = std::stoll(std::string(Text.substr(Start, Pos - Start)));
+    lexValue(T, Start);
     return T;
   }
 
@@ -187,7 +200,21 @@ private:
   bool parseInt(int64_t &Out) {
     if (Tok.Kind != TokKind::Integer)
       return fail("expected integer");
+    if (Tok.OutOfRange)
+      return fail("integer " + Tok.Text + " out of range");
     Out = Tok.Value;
+    advance();
+    return true;
+  }
+
+  /// Parses a count or size that must fit `unsigned`; \p What names it.
+  bool parseCount(unsigned &Out, const std::string &What) {
+    if (Tok.Kind != TokKind::Integer || Tok.Value < 0)
+      return fail("bad " + What);
+    if (Tok.OutOfRange ||
+        static_cast<uint64_t>(Tok.Value) > std::numeric_limits<unsigned>::max())
+      return fail(What + " " + Tok.Text + " out of range");
+    Out = static_cast<unsigned>(Tok.Value);
     advance();
     return true;
   }
@@ -195,6 +222,9 @@ private:
   bool parseReg(Reg &Out) {
     if (Tok.Kind != TokKind::Reg)
       return fail("expected register");
+    // Every id below NoReg names a register; NoReg itself means none.
+    if (Tok.OutOfRange || static_cast<uint64_t>(Tok.Value) >= NoReg)
+      return fail("register number " + Tok.Text + " out of range");
     if (!SawAnyReg && !HeaderPhysical) {
       Physical = Tok.PhysicalReg;
       F.setAllocated(Physical);
@@ -223,12 +253,8 @@ private:
       return fail("expected @name");
     F.setName(Tok.Text.substr(1));
     advance();
-    if (!expectIdent("regs"))
+    if (!expectIdent("regs") || !parseCount(DeclaredRegs, "register count"))
       return false;
-    int64_t Regs = 0;
-    if (!parseInt(Regs) || Regs < 0)
-      return fail("bad register count");
-    DeclaredRegs = static_cast<unsigned>(Regs);
     if (Tok.Kind == TokKind::Ident && Tok.Text == "physical") {
       Physical = true;
       HeaderPhysical = true;
@@ -241,10 +267,10 @@ private:
   bool parseArray() {
     advance(); // 'array'
     std::string Name;
-    int64_t Size = 0;
-    if (!parseName(Name) || !parseInt(Size) || Size < 0)
+    unsigned Size = 0;
+    if (!parseName(Name) || !parseCount(Size, "array size"))
       return false;
-    F.declareArray(Name, static_cast<unsigned>(Size));
+    F.declareArray(Name, Size);
     return true;
   }
 

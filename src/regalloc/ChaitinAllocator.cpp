@@ -78,12 +78,22 @@ AllocStats pira::chaitinAllocate(Function &F, unsigned NumRegs,
     deadline::checkpoint();
     ++Stats.Rounds;
     ++NumChaitinRounds;
-    Webs W(F);
-    InterferenceGraph IG(F, W);
-    std::vector<double> Costs = computeSpillCosts(F, W);
-    for (unsigned Web = 0, E = W.numWebs(); Web != E; ++Web)
-      if (NoSpillRegs.count(W.webRegister(Web)))
-        Costs[Web] = Infinite;
+    Webs W = [&] {
+      PIRA_TIME_SCOPE("alloc/webs");
+      return Webs(F);
+    }();
+    InterferenceGraph IG = [&] {
+      PIRA_TIME_SCOPE("alloc/interference");
+      return InterferenceGraph(F, W);
+    }();
+    std::vector<double> Costs = [&] {
+      PIRA_TIME_SCOPE("alloc/spill-costs");
+      std::vector<double> C = computeSpillCosts(F, W);
+      for (unsigned Web = 0, E = W.numWebs(); Web != E; ++Web)
+        if (NoSpillRegs.count(W.webRegister(Web)))
+          C[Web] = Infinite;
+      return C;
+    }();
 
     Allocation A = [&] {
       PIRA_TIME_SCOPE("alloc/coloring");

@@ -11,9 +11,12 @@
 #include "support/UndirectedGraph.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <cmath>
 #include <cstdint>
 #include <limits>
+#include <tuple>
 #include <utility>
 
 using namespace pira;
@@ -54,6 +57,64 @@ public:
 private:
   unsigned Leaves = 1;
   std::vector<uint64_t> Nodes;
+};
+
+/// Binary min-heap of (h*, vertex) entries for step 4. Its top can be
+/// raised in place: a stale key is re-keyed with one sift down rather
+/// than a pop and a push.
+class SpillHeap {
+public:
+  /// h* as the bit pattern of a non-negative double, which orders as the
+  /// double does but compares as an integer, then the vertex.
+  struct Entry {
+    uint64_t Key;
+    unsigned V;
+
+    bool operator<(const Entry &RHS) const {
+      return std::tie(Key, V) < std::tie(RHS.Key, RHS.V);
+    }
+  };
+
+  void assign(std::vector<Entry> Entries) {
+    Heap = std::move(Entries);
+    for (size_t I = Heap.size() / 2; I-- != 0;)
+      siftDown(I);
+  }
+
+  bool empty() const { return Heap.empty(); }
+  const Entry &top() const { return Heap.front(); }
+
+  void pop() {
+    Heap.front() = Heap.back();
+    Heap.pop_back();
+    if (!Heap.empty())
+      siftDown(0);
+  }
+
+  /// Raises the top's key to \p Key. \returns true when it stays on top.
+  bool raiseTop(uint64_t Key) {
+    assert(Key >= Heap.front().Key && "keys only rise");
+    Heap.front().Key = Key;
+    return siftDown(0) == 0;
+  }
+
+private:
+  /// Sifts entry \p I down to its place. \returns that place.
+  size_t siftDown(size_t I) {
+    size_t N = Heap.size();
+    Entry Moving = Heap[I];
+    for (size_t Child = 2 * I + 1; Child < N; Child = 2 * I + 1) {
+      Child += Child + 1 < N && Heap[Child + 1] < Heap[Child];
+      if (!(Heap[Child] < Moving))
+        break;
+      Heap[I] = Heap[Child];
+      I = Child;
+    }
+    Heap[I] = Moving;
+    return I;
+  }
+
+  std::vector<Entry> Heap;
 };
 
 /// The coloring procedure over incrementally maintained worklists. Each
@@ -109,6 +170,8 @@ public:
                                   Allocation &Out) {
     assert(Costs.size() == Interf.numVertices() &&
            "cost vector size mismatch");
+    assert(meetsHeapPrecondition(Costs, WI, WP) &&
+           "a cost is negative or a weight lies in (0, 1)");
     std::vector<unsigned> Stack;
     unsigned Cursor = 0;
     while (Remaining != 0) {
@@ -188,6 +251,16 @@ public:
   }
 
 private:
+  /// colorGraph's precondition (ColoringEngine.h): every cost is >= 0,
+  /// +inf or NaN, and each weight is 0 or >= 1.
+  static bool meetsHeapPrecondition(const std::vector<double> &Costs,
+                                    double WI, double WP) {
+    auto WeightOk = [](double W) { return W == 0.0 || W >= 1.0; };
+    return WeightOk(WI) && WeightOk(WP) &&
+           std::none_of(Costs.begin(), Costs.end(),
+                        [](double C) { return C < 0.0; });
+  }
+
   /// Removes every vertex the lowest-index repeated sweep would remove,
   /// starting at \p Cursor, pushing them on \p Stack in sweep order.
   void simplify(std::vector<unsigned> &Stack, unsigned Cursor) {
@@ -212,27 +285,62 @@ private:
     return Key == MinTree::Absent ? ~0u : static_cast<unsigned>(Key);
   }
 
-  /// Step 4: the present vertex of least h* (then index); the first
-  /// survivor seeds the choice so all-infinite costs still progress, and
+  /// Step 4: the present vertex of least h* (then index). The first
+  /// survivor seeds the choice, so all-infinite costs still progress, and
   /// a NaN h* (an infinite cost over an overflowed Σw) never replaces it.
-  /// Without a family nP = nB = 0, so Σw is nI * wI plus two zeros: with
-  /// weights (1, 1), Chaitin's double(degree) exactly.
+  /// Under colorGraph's precondition h* never falls while a coloring runs
+  /// (DESIGN.md §5), so a lazy min-heap of (h*, index) keys answers the
+  /// scan: a stale key at the top is raised to its vertex's current h*,
+  /// and the first top still current is the scan's choice, ties going to
+  /// the lowest index. A NaN first survivor is the scan's choice
+  /// outright; any other NaN ranks as +inf, where the scan never prefers
+  /// it to the lower-indexed seed, and it can only turn into +inf.
   unsigned spillCandidate(const std::vector<double> &Costs, double WI,
-                          double WP) const {
-    unsigned Spill = ~0u;
-    double BestH = std::numeric_limits<double>::infinity();
-    Present.forEachSetBit([&](unsigned V) {
-      const Counts &C = Num[V];
-      double WeightSum = C.I * WI + C.P * WP + C.B * (WI + WP);
-      // All surviving vertices have degree >= r >= 1, but guard against a
-      // zero weight sum from degenerate weight settings.
-      double H = WeightSum > 0.0 ? Costs[V] / WeightSum : Costs[V];
-      if (Spill == ~0u || H < BestH) {
-        BestH = H;
-        Spill = V;
+                          double WP) {
+    assert(Remaining != 0 && "no survivors to choose from");
+    unsigned First = static_cast<unsigned>(Present.findFirst());
+    if (std::isnan(hStar(First, Costs, WI, WP)))
+      return First;
+    if (!HeapBuilt) {
+      std::vector<SpillHeap::Entry> Entries;
+      Entries.reserve(Remaining);
+      Present.forEachSetBit([&](unsigned V) {
+        Entries.push_back({rank(hStar(V, Costs, WI, WP)), V});
+      });
+      Spills.assign(std::move(Entries));
+      HeapBuilt = true;
+    }
+    while (!Spills.empty()) {
+      auto [Key, V] = Spills.top();
+      if (!Present.test(V)) {
+        Spills.pop();
+        continue;
       }
-    });
-    return Spill;
+      uint64_t Now = rank(hStar(V, Costs, WI, WP));
+      if (Now == Key || Spills.raiseTop(Now)) {
+        Spills.pop();
+        return V;
+      }
+    }
+    return ~0u;
+  }
+
+  /// h* of \p V. Without a family nP = nB = 0, so Σw is nI * wI plus two
+  /// zeros: with weights (1, 1), Chaitin's double(degree) exactly.
+  double hStar(unsigned V, const std::vector<double> &Costs, double WI,
+               double WP) const {
+    const Counts &C = Num[V];
+    double WeightSum = C.I * WI + C.P * WP + C.B * (WI + WP);
+    // All surviving vertices have degree >= r >= 1, but guard against a
+    // zero weight sum from degenerate weight settings.
+    return WeightSum > 0.0 ? Costs[V] / WeightSum : Costs[V];
+  }
+
+  /// The heap key of an h* that is not the first survivor's: NaN ranks
+  /// as +inf, and + 0.0 turns -0.0 into +0.0, whose bits order first.
+  static uint64_t rank(double H) {
+    return std::bit_cast<uint64_t>(
+        std::isnan(H) ? std::numeric_limits<double>::infinity() : H + 0.0);
   }
 
   /// Removes \p V. For a step 3 victim, each partner loses the one count
@@ -359,6 +467,10 @@ private:
   BitVector Low;
   BitVector Scratch;
   std::vector<Counts> Num;
+
+  // Step 4's lazy (h*, index) min-heap, built at the first spill choice.
+  SpillHeap Spills;
+  bool HeapBuilt = false;
 
   // Step 3 state, built only with a family.
   MinTree Victims;

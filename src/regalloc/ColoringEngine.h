@@ -15,7 +15,8 @@
 ///      least degree (then index) among those of interference degree < r
 ///      and drop its parallel-only edges, cheapest benefit first, until
 ///      it simplifies.
-///   4. Otherwise choose the vertex of least h* = cost / Σw (then index).
+///   4. Otherwise choose the vertex of least h* = cost / Σw (then index),
+///      from a lazy min-heap of (h*, index) keys.
 ///
 /// Chaitin's allocator is this loop with no family: step 3 never fires,
 /// and h* with every weight 1 is Chaitin's cost / degree bit for bit.
@@ -68,7 +69,16 @@ struct ParallelFamily {
 /// Colors \p Interference, plus \p Family when non-null, with \p NumRegs
 /// colors (at least 1). Step 4 weighs an interference edge
 /// \p InterferenceWeight, a parallel edge \p ParallelWeight and an edge
-/// in both the sum. A cost may be infinite. Each step-4 choice lands on
+/// in both the sum.
+///
+/// Precondition, asserted once per call: every cost is >= 0, +inf or
+/// NaN, and each weight is 0 or >= 1. Then Σw never rises as neighbours
+/// leave and a positive Σw is >= 1, so no vertex's h* ever falls, which
+/// is what lets step 4 pop its choice from a lazy heap rather than scan
+/// every survivor (DESIGN.md §5). Costs from computeSpillCosts, +inf
+/// for pinned webs, and the in-tree weights 0, 1, 2 and 4 all qualify.
+///
+/// A cost may be infinite. Each step-4 choice lands on
 /// the returned SpilledWebs, in order; a vertex of infinite cost is
 /// chosen only once every survivor's cost is infinite. When nothing was
 /// chosen, select colors in reverse removal order against the combined
@@ -81,7 +91,8 @@ Allocation colorGraph(const UndirectedGraph &Interference,
 
 /// Briggs's removal order for \p G: colorGraph's loop with no family,
 /// except that each step-4 choice is pushed on the returned stack in its
-/// turn rather than spilled.
+/// turn rather than spilled. colorGraph's precondition on \p Costs
+/// applies.
 std::vector<unsigned> optimisticRemovalOrder(const UndirectedGraph &G,
                                              const std::vector<double> &Costs,
                                              unsigned NumRegs);

@@ -27,14 +27,10 @@ InterferenceGraph::InterferenceGraph(const Function &F, const Webs &W) {
   for (unsigned B = 0; B != NumBlocks; ++B) {
     const BasicBlock &BB = F.block(B);
     for (unsigned I = 0, E = BB.size(); I != E; ++I) {
-      const Instruction &Inst = BB.inst(I);
-      for (unsigned Op = 0, OE = static_cast<unsigned>(Inst.uses().size());
-           Op != OE; ++Op) {
-        unsigned Web = W.webOfUse(B, I, Op);
+      for (unsigned Web : W.websOfUses(B, I))
         if (!DefW[B].test(Web))
           UseW[B].set(Web);
-      }
-      if (Inst.hasDef())
+      if (BB.inst(I).hasDef())
         DefW[B].set(W.webOfDef(B, I));
     }
   }
@@ -71,26 +67,47 @@ InterferenceGraph::InterferenceGraph(const Function &F, const Webs &W) {
 
   // Interference: walk each block backward; at a definition, the defined
   // web conflicts with everything currently live (minus itself). A value
-  // whose last use feeds this very instruction is no longer in Live, which
-  // implements the paper's open interval endpoint.
+  // whose last use feeds this very instruction is no longer live, which
+  // implements the paper's open interval endpoint. The live set is a
+  // list with a position per web, so a def costs its edges, a def or use
+  // leaves or joins in O(1), and the pressure is the list's length. Edges
+  // arrive in list order, not index order; addEdge makes the matrix, the
+  // degrees and the edge count independent of that order.
+  constexpr unsigned NotLive = ~0u;
+  std::vector<unsigned> Live;
+  std::vector<unsigned> PosOf(NumWebs, NotLive);
+  auto Join = [&](unsigned Web) {
+    if (PosOf[Web] != NotLive)
+      return;
+    PosOf[Web] = static_cast<unsigned>(Live.size());
+    Live.push_back(Web);
+  };
+  auto Leave = [&](unsigned Web) {
+    unsigned Pos = PosOf[Web];
+    if (Pos == NotLive)
+      return;
+    PosOf[Live.back()] = Pos;
+    Live[Pos] = Live.back();
+    Live.pop_back();
+    PosOf[Web] = NotLive;
+  };
   for (unsigned B = 0; B != NumBlocks; ++B) {
     const BasicBlock &BB = F.block(B);
-    BitVector Live = LiveOutW[B];
-    MaxPressure = std::max(MaxPressure, Live.count());
+    LiveOutW[B].forEachSetBit(Join);
+    MaxPressure = std::max(MaxPressure, static_cast<unsigned>(Live.size()));
     for (unsigned I = BB.size(); I-- != 0;) {
-      const Instruction &Inst = BB.inst(I);
-      if (Inst.hasDef()) {
+      if (BB.inst(I).hasDef()) {
         unsigned DefWeb = W.webOfDef(B, I);
-        for (int Other = Live.findFirst(); Other != -1;
-             Other = Live.findNext(static_cast<unsigned>(Other)))
-          if (static_cast<unsigned>(Other) != DefWeb)
-            Graph.addEdge(DefWeb, static_cast<unsigned>(Other));
-        Live.reset(DefWeb);
+        Leave(DefWeb);
+        for (unsigned Other : Live)
+          Graph.addEdge(DefWeb, Other);
       }
-      for (unsigned Op = 0, OE = static_cast<unsigned>(Inst.uses().size());
-           Op != OE; ++Op)
-        Live.set(W.webOfUse(B, I, Op));
-      MaxPressure = std::max(MaxPressure, Live.count());
+      for (unsigned Web : W.websOfUses(B, I))
+        Join(Web);
+      MaxPressure = std::max(MaxPressure, static_cast<unsigned>(Live.size()));
     }
+    for (unsigned Web : Live)
+      PosOf[Web] = NotLive;
+    Live.clear();
   }
 }

@@ -11,8 +11,8 @@
 #include "ir/Function.h"
 #include "support/Telemetry.h"
 
-#include <cassert>
-#include <map>
+#include <algorithm>
+#include <span>
 
 using namespace pira;
 
@@ -28,8 +28,9 @@ SpillCode pira::insertSpillCode(Function &F, const Webs &W,
   PIRA_TIME_SCOPE("spill/insert");
 
   // Assign slots past any slots earlier rounds claimed.
+  constexpr unsigned NoSlot = ~0u;
   unsigned FirstSlot = F.arraySize(SpillArrayName);
-  std::map<unsigned, unsigned> SlotOfWeb;
+  std::vector<unsigned> SlotOfWeb(W.numWebs(), NoSlot);
   for (unsigned I = 0, E = static_cast<unsigned>(SpillWebs.size()); I != E;
        ++I) {
     SlotOfWeb[SpillWebs[I]] = FirstSlot + I;
@@ -38,22 +39,33 @@ SpillCode pira::insertSpillCode(Function &F, const Webs &W,
   F.declareArray(SpillArrayName,
                  FirstSlot + static_cast<unsigned>(SpillWebs.size()));
 
+  // Spill code copies one load and one store whose array name is
+  // interned once; each copy takes its own register and slot.
+  Instruction LoadProto(Opcode::Load, NoReg, {});
+  LoadProto.setArraySymbol(SpillArrayName);
+  Instruction StoreProto(Opcode::Store, NoReg, {NoReg});
+  StoreProto.setArraySymbol(SpillArrayName);
   auto MakeLoad = [&](unsigned Slot) {
+    // Fresh registers only grow, so each lands at the set's end.
     Reg Fresh = F.makeReg();
-    NoSpillRegs.insert(Fresh);
-    Instruction L(Opcode::Load, Fresh, {}, static_cast<int64_t>(Slot));
-    L.setArraySymbol(SpillArrayName);
+    NoSpillRegs.insert(NoSpillRegs.end(), Fresh);
+    Instruction L = LoadProto;
+    L.setDef(Fresh);
+    L.setImm(static_cast<int64_t>(Slot));
     ++Code.Loads;
     return std::pair<Instruction, Reg>(std::move(L), Fresh);
   };
   auto MakeStore = [&](unsigned Slot, Reg Value) {
-    Instruction S(Opcode::Store, NoReg, {Value},
-                  static_cast<int64_t>(Slot));
-    S.setArraySymbol(SpillArrayName);
+    Instruction S = StoreProto;
+    S.setUse(0, Value);
+    S.setImm(static_cast<int64_t>(Slot));
     ++Code.Stores;
     return S;
   };
 
+  // The reloads of the instruction being rewritten, one per distinct
+  // spilled web it reads: a handful at most, so a linear search.
+  std::vector<std::pair<unsigned, Reg>> ReloadOfWeb;
   for (unsigned B = 0, NB = F.numBlocks(); B != NB; ++B) {
     BasicBlock &BB = F.block(B);
     std::vector<Instruction> NewInsts;
@@ -67,38 +79,34 @@ SpillCode pira::insertSpillCode(Function &F, const Webs &W,
           NewInsts.push_back(
               MakeStore(SlotOfWeb[Web], W.webRegister(Web)));
 
+    // W reads no instruction, so each one moves out of the old block.
     for (unsigned I = 0, E = BB.size(); I != E; ++I) {
-      Instruction Inst = BB.inst(I);
+      Instruction Inst = std::move(BB.inst(I));
 
-      // One reload per distinct spilled web feeding this instruction.
-      std::map<unsigned, Reg> ReloadOfWeb;
-      for (unsigned Op = 0, OE = static_cast<unsigned>(Inst.uses().size());
+      ReloadOfWeb.clear();
+      std::span<const unsigned> UseWebs = W.websOfUses(B, I);
+      for (unsigned Op = 0, OE = static_cast<unsigned>(UseWebs.size());
            Op != OE; ++Op) {
-        unsigned Web = W.webOfUse(B, I, Op);
-        auto SlotIt = SlotOfWeb.find(Web);
-        if (SlotIt == SlotOfWeb.end())
+        unsigned Web = UseWebs[Op];
+        if (SlotOfWeb[Web] == NoSlot)
           continue;
-        auto ReloadIt = ReloadOfWeb.find(Web);
-        if (ReloadIt == ReloadOfWeb.end()) {
-          auto [L, Fresh] = MakeLoad(SlotIt->second);
+        auto Reload = std::find_if(
+            ReloadOfWeb.begin(), ReloadOfWeb.end(),
+            [Web](const std::pair<unsigned, Reg> &P) { return P.first == Web; });
+        if (Reload == ReloadOfWeb.end()) {
+          auto [L, Fresh] = MakeLoad(SlotOfWeb[Web]);
           NewInsts.push_back(std::move(L));
-          ReloadIt = ReloadOfWeb.emplace(Web, Fresh).first;
+          ReloadOfWeb.emplace_back(Web, Fresh);
+          Reload = ReloadOfWeb.end() - 1;
         }
-        Inst.setUse(Op, ReloadIt->second);
+        Inst.setUse(Op, Reload->second);
       }
 
-      bool StoreAfter = false;
-      unsigned Slot = 0;
-      if (Inst.hasDef()) {
-        auto It = SlotOfWeb.find(W.webOfDef(B, I));
-        if (It != SlotOfWeb.end()) {
-          StoreAfter = true;
-          Slot = It->second;
-        }
-      }
+      unsigned Slot =
+          Inst.hasDef() ? SlotOfWeb[W.webOfDef(B, I)] : NoSlot;
       Reg DefReg = Inst.hasDef() ? Inst.def() : NoReg;
       NewInsts.push_back(std::move(Inst));
-      if (StoreAfter)
+      if (Slot != NoSlot)
         NewInsts.push_back(MakeStore(Slot, DefReg));
     }
     BB.instructions() = std::move(NewInsts);

@@ -10,6 +10,7 @@
 #include "support/Telemetry.h"
 
 #include <atomic>
+#include <charconv>
 #include <cstdlib>
 #include <mutex>
 #include <utility>
@@ -71,13 +72,15 @@ bool parseSpec(std::string_view Spec,
       Error = "unknown fault site '" + Site + "'";
       return false;
     }
+    // Digits only, and within uint64_t: a count past 2^64 - 1 is refused
+    // rather than wrapped.
+    std::string_view Digits = Entry.substr(Colon + 1);
     uint64_t N = 0;
-    for (char C : Entry.substr(Colon + 1)) {
-      if (C < '0' || C > '9') {
-        Error = "bad fault count in '" + std::string(Entry) + "'";
-        return false;
-      }
-      N = N * 10 + static_cast<uint64_t>(C - '0');
+    auto [End, Ec] =
+        std::from_chars(Digits.data(), Digits.data() + Digits.size(), N);
+    if (Ec != std::errc() || End != Digits.data() + Digits.size()) {
+      Error = "bad fault count in '" + std::string(Entry) + "'";
+      return false;
     }
     if (N == 0) {
       Error = "fault count must be positive in '" + std::string(Entry) + "'";

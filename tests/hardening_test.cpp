@@ -60,6 +60,33 @@ const std::pair<const char *, const char *> MalformedCorpus[] = {
      "func @f regs 4 {\nblock e:\n  ret %s0\n  %s0 = li 1\n}\n"},
     {"register-out-of-space",
      "func @f regs 2 {\nblock e:\n  %s7 = li 1\n  ret %s7\n}\n"},
+    // Integer literals past their field's range: the first five once
+    // threw out of the lexer, the last four wrapped into valid input.
+    {"immediate-past-int64",
+     "func @f regs 4 {\nblock e:\n  %s0 = li 99999999999999999999\n"
+     "  ret %s0\n}\n"},
+    {"array-size-past-int64",
+     "func @f regs 4 {\n  array a 99999999999999999999\nblock e:\n"
+     "  %s0 = li 1\n  ret %s0\n}\n"},
+    {"offset-past-int64",
+     "func @f regs 4 {\n  array a 4\nblock e:\n  %s0 = li 1\n"
+     "  store a[99999999999999999999], %s0\n  ret %s0\n}\n"},
+    {"register-id-past-int64",
+     "func @f regs 4 {\nblock e:\n  %s99999999999999999999 = li 7\n"
+     "  ret %s0\n}\n"},
+    {"register-count-past-int64",
+     "func @f regs 99999999999999999999 {\nblock e:\n  %s0 = li 1\n"
+     "  ret %s0\n}\n"},
+    {"register-count-past-unsigned",
+     "func @f regs 4294967297 {\nblock e:\n  %s0 = li 7\n  ret %s0\n}\n"},
+    {"array-size-past-unsigned",
+     "func @f regs 4 {\n  array a 4294967300\nblock e:\n"
+     "  %s0 = load a[3]\n  ret %s0\n}\n"},
+    {"register-id-past-unsigned",
+     "func @f regs 4 {\nblock e:\n  %s4294967297 = li 7\n"
+     "  ret %s4294967297\n}\n"},
+    {"register-count-two-to-the-32",
+     "func @f regs 4294967296 {\nblock e:\n  ret\n}\n"},
 };
 
 } // namespace

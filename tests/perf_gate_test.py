@@ -6,8 +6,9 @@ Usage: perf_gate_test.py PATH/TO/perf_gate.py
 Cases by exit code: a fresh report equal to the baseline passes (0); a
 scaling or layer ratio over its hard ceiling fails (1) even though it is
 within the threshold of the baseline's, once for BM_PinterColor and once
-for each schedule-layer, PIG-layer, Theorem 1 check, IPS and Chaitin
-coloring gate; a report missing a gated row is unusable (2).
+for each schedule-layer, PIG-layer, Theorem 1 check, IPS, Chaitin
+coloring and interference gate; a report missing a gated row is
+unusable (2).
 """
 
 import json
@@ -44,13 +45,16 @@ BASE_TIMES = {
     "BM_ChaitinColor/1024": 17600000.0,
     "BM_Ips/256": 350000.0,
     "BM_Ips/1024": 2100000.0,
+    "BM_InterferenceGraph/1024": 3000000.0,
+    "BM_InterferenceGraphSpilled/1024": 900000.0,
 }
 
-# One fresh ratio per schedule-layer, PIG-layer, check and coloring gate,
-# over the gate's hard ceiling but within the threshold of the baseline
-# ratio above (9.6, 7.2, 7.2, 17, 14, 14, 15, 6.0 and 0.8, whose limits
-# are 12, 9, 9, 21.25, 17.5, 17.5, 18.75, 7.5 and 1.0): (gate label,
-# numerator bench, denominator bench, fresh ratio).
+# One fresh ratio per schedule-layer, PIG-layer, check, coloring and
+# interference gate, over the gate's hard ceiling but within the
+# threshold of the baseline ratio above (9.6, 7.2, 7.2, 17, 14, 14, 15,
+# 6.0, 0.8 and 0.3, whose limits are 12, 9, 9, 21.25, 17.5, 17.5, 18.75,
+# 7.5, 1.0 and 0.375): (gate label, numerator bench, denominator bench,
+# fresh ratio).
 OVER_CEILING = [
     ("depgraph_scaling",
      "BM_DependenceGraph/4096", "BM_DependenceGraph/1024", 11.8),
@@ -72,6 +76,8 @@ OVER_CEILING = [
     ("ips_scaling", "BM_Ips/1024", "BM_Ips/256", 7.2),
     ("chaitin_over_pinter_color_1024",
      "BM_ChaitinColor/1024", "BM_PinterColor/1024", 0.95),
+    ("interference_spilled_over_dense_1024",
+     "BM_InterferenceGraphSpilled/1024", "BM_InterferenceGraph/1024", 0.36),
 ]
 
 # (gate label, a benchmark it reads): dropping the row from the fresh
@@ -83,6 +89,8 @@ MISSING_ROW = [
     ("false_dep_check_over_depgraph", "BM_FalseDepCheck/1024"),
     ("ips_scaling", "BM_Ips/256"),
     ("chaitin_over_pinter_color_1024", "BM_ChaitinColor/1024"),
+    ("interference_spilled_over_dense_1024",
+     "BM_InterferenceGraphSpilled/1024"),
 ]
 
 

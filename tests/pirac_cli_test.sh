@@ -101,6 +101,25 @@ expect 1 "unreadable input path"        -- "$PIRAC" no-such-file.pir
 expect 1 "mixed batch still reports 1"  -- "$PIRAC" good.pir bad.pir --jobs 2
 expect 1 "budget rejection"             -- "$PIRAC" good.pir --max-instructions 1
 
+# An integer literal past its field's range is a parse error that names
+# its line: no abort from the lexer, no silent wrap.
+cat > huge.pir <<'EOF'
+func @huge regs 4 {
+block entry:
+  %s0 = li 99999999999999999999
+  ret %s0
+}
+EOF
+err=$("$PIRAC" huge.pir 2>&1 > /dev/null)
+got=$?
+if [ "$got" -eq 1 ] && printf '%s' "$err" | grep -q 'line 3' \
+   && printf '%s' "$err" | grep -q 'out of range'; then
+  echo "ok: out-of-range immediate (exit 1, line named)"
+else
+  echo "FAIL: out-of-range immediate: exit $got: $err" >&2
+  FAILURES=$((FAILURES + 1))
+fi
+
 # --- SIGPIPE: a vanished stdout reader is a structured failure --------------
 # With SIGPIPE ignored process-wide, a --stats-out - pipe whose reader
 # quits early must surface as a report-write failure (exit 3), never as
@@ -123,6 +142,17 @@ expect 2 "unknown strategy"             -- "$PIRAC" good.pir --strategy bogus
 expect 2 "missing flag value"           -- "$PIRAC" good.pir --regs
 expect 2 "non-numeric flag value"       -- "$PIRAC" good.pir --regs banana
 expect 2 "bad fault spec"               -- "$PIRAC" good.pir --fault-inject nope
+# A fault count past 2^64 - 1 is refused, never wrapped (2^64 + 1 would
+# read as a count of 1).
+err=$("$PIRAC" good.pir --fault-inject alloc.pinter:18446744073709551617 \
+      2>&1 > /dev/null)
+got=$?
+if [ "$got" -eq 2 ] && printf '%s' "$err" | grep -q 'bad fault count'; then
+  echo "ok: fault count 2^64+1 (exit 2, bad fault count)"
+else
+  echo "FAIL: fault count 2^64+1: exit $got: $err" >&2
+  FAILURES=$((FAILURES + 1))
+fi
 # The process-killing fault sites went with process isolation.
 expect 2 "no crash.segv fault site"     -- "$PIRAC" good.pir \
                                              --fault-inject crash.segv:1

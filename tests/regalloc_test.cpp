@@ -222,6 +222,12 @@ TEST(ColoringEngineTest, OverflowingWeightSumKeepsTheFirstSurvivor) {
   EXPECT_EQ(colorGraph(G, {4.0, 3.0, 2.0, 1.0}, 2, nullptr, 1e308)
                 .SpilledWebs,
             (Spills{0, 1}));
+  // A NaN first survivor among zeros: the scan keeps vertex 0, then
+  // takes the lowest of the zeros. Step 4's heap must test the first
+  // survivor before its minimum, or it would spill 1 and 2.
+  EXPECT_EQ(colorGraph(G, {Inf, 1.0, 1.0, 1.0}, 2, nullptr, 1e308)
+                .SpilledWebs,
+            (Spills{0, 1}));
 }
 
 TEST(ChaitinColorTest, EmptyGraphColorsTrivially) {

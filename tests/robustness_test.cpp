@@ -154,8 +154,20 @@ TEST_F(FaultTest, SpecParsingAcceptsKnownSitesAndRejectsJunk) {
   EXPECT_FALSE(faultinject::configure("alloc.pinter:0", Error));
   EXPECT_FALSE(faultinject::configure("alloc.pinter", Error));
   EXPECT_FALSE(faultinject::configure("alloc.pinter:x", Error));
+  // Counts past 2^64 - 1 are refused, never wrapped (2^64 would wrap to
+  // 0 and 2^64 + 1 to 1).
+  for (const char *Spec : {"alloc.pinter:18446744073709551616",
+                           "alloc.pinter:18446744073709551617"}) {
+    EXPECT_FALSE(faultinject::configure(Spec, Error)) << Spec;
+    EXPECT_NE(Error.find("bad fault count"), std::string::npos)
+        << Spec << ": " << Error;
+  }
   EXPECT_TRUE(faultinject::enabled());
   EXPECT_TRUE(faultinject::shouldFire("strategy.entry"));
+  // The largest count is accepted.
+  EXPECT_TRUE(faultinject::configure("alloc.pinter:18446744073709551615",
+                                     Error))
+      << Error;
 
   // An empty spec and reset() both disarm.
   EXPECT_TRUE(faultinject::configure("", Error));

@@ -368,6 +368,19 @@ TEST_F(TelemetryTest, OnlyStrategiesThatBuildAPigChargePigTelemetry) {
     ADD_FAILURE() << "no counter " << Name;
     return 0;
   };
+  // Both allocators time each round's webs, interference graph and spill
+  // costs, so every round's time is attributed below the allocator.
+  const char *RoundLayers[] = {"alloc/webs", "alloc/interference",
+                               "alloc/spill-costs"};
+  auto sawUnder = [](const std::string &Parent, const std::string &Child) {
+    for (const telemetry::TimerAggregate &T : telemetry::timerAggregates()) {
+      size_t At = T.Path.find(Parent + "/" + Child);
+      if (At != std::string::npos &&
+          At + Parent.size() + 1 + Child.size() == T.Path.size())
+        return true;
+    }
+    return false;
+  };
   Function F = dotProduct(4);
   MachineModel M = MachineModel::rs6000(8);
   for (StrategyKind Kind : {StrategyKind::AllocFirst, StrategyKind::SchedFirst,
@@ -382,6 +395,9 @@ TEST_F(TelemetryTest, OnlyStrategiesThatBuildAPigChargePigTelemetry) {
       SawCheck |= T.Path.find("analysis/falsedeps") != std::string::npos;
     }
     EXPECT_TRUE(SawCheck) << strategyName(Kind);
+    for (const char *Layer : RoundLayers)
+      EXPECT_TRUE(sawUnder("alloc/chaitin", Layer))
+          << strategyName(Kind) << " " << Layer;
     for (const char *Name : PigCounters)
       EXPECT_EQ(counterValue(Name), 0u) << strategyName(Kind) << " " << Name;
   }
@@ -397,6 +413,8 @@ TEST_F(TelemetryTest, OnlyStrategiesThatBuildAPigChargePigTelemetry) {
   }
   EXPECT_TRUE(SawPigClosure);
   EXPECT_GT(counterValue("NumFdgParallelPairs"), 0u);
+  for (const char *Layer : RoundLayers)
+    EXPECT_TRUE(sawUnder("alloc/pinter/alloc/round", Layer)) << Layer;
 }
 
 TEST_F(TelemetryTest, PipelineFailureReasonsAreNeverSilent) {

@@ -23,7 +23,12 @@ cannot (both are bounded by their Gs builds). Likewise Chaitin's
 coloring is Section 4's with no parallel family, so timing it in
 Section 4 colorings of the same block separates the worklist engine
 from a rescanning loop, which a size ratio cannot (round 1's dense
-graphs make both quadratic).
+graphs make both quadratic). One layer gate instead divides one layer
+by itself on two inputs: the interference build on the spill-everywhere
+code of an alloc-first compile by the build on its input. A build that
+scans the whole live bit row at every def pays for the spilled code's
+five times as many webs; one that walks the live webs as a list pays
+for its edges, and the spilled code has a tenth as many.
 
 Absolute wall-clock gates (--absolute) are also available for
 same-machine comparisons, e.g. a developer re-running the suite before
@@ -85,12 +90,18 @@ SCALING_GATES = [
 # (label, layer benchmark, reference-layer benchmark on the same code).
 # Lower is better, gated like the scaling gates. The Theorem 1 check is
 # timed in schedule-graph builds; Chaitin's coloring, which is Section 4
-# with no parallel family, in Section 4 colorings of the same block.
+# with no parallel family, in Section 4 colorings of the same block. The
+# interference build on spilled code (about five times the webs, a dozen
+# live at a time) is timed in builds on round 1's dense input: walking
+# the live webs as a list reads about a fifth there, scanning the live
+# bit row at every def about half.
 LAYER_GATES = [
     ("false_dep_check_over_depgraph",
      "BM_FalseDepCheck/1024", "BM_DependenceGraphAllocated/1024"),
     ("chaitin_over_pinter_color_1024",
      "BM_ChaitinColor/1024", "BM_PinterColor/1024"),
+    ("interference_spilled_over_dense_1024",
+     "BM_InterferenceGraphSpilled/1024", "BM_InterferenceGraph/1024"),
 ]
 
 # Hard ceilings on the fresh scaling and layer ratios, the counterpart of
@@ -111,6 +122,7 @@ CEILINGS = {
     "false_dep_check_over_depgraph": 18.0,
     "ips_scaling": 7.0,
     "chaitin_over_pinter_color_1024": 0.90,
+    "interference_spilled_over_dense_1024": 0.35,
 }
 
 
