@@ -39,6 +39,13 @@
 // work; a size ratio of Chaitin's alone would not tell a rescanning form
 // from the engine, because round 1's dense graphs make both quadratic.
 //
+// BM_Simulate times the cycle-accurate simulator on the store loop
+// a[i] = i (alloc-first on rs6000(8)) at 1024 and 4096 slots, and
+// BM_SimulateKernels on the 16 kernels compiled combined on rs6000(6).
+// The simulator costs what the instructions it retires cost, so the
+// simulate_scaling gate (4096 / 1024) reads about 4; a drain that scans
+// every slot ever stored at each block entry reads well over 10.
+//
 // A custom main wraps the console reporter so every run also lands in
 // BENCH_perf_algorithms.json ("pira.bench" schema) with the
 // PIRA_BENCH_SEED in effect recorded, keeping the perf trajectory
@@ -66,6 +73,8 @@
 #include "sched/IntegratedPrepass.h"
 #include "sched/ListScheduler.h"
 #include "sched/PreScheduler.h"
+#include "sim/SuperscalarSim.h"
+#include "workloads/Kernels.h"
 #include "workloads/RandomProgram.h"
 
 #include <benchmark/benchmark.h>
@@ -372,6 +381,45 @@ void BM_CombinedPipeline(benchmark::State &State) {
 }
 BENCHMARK(BM_CombinedPipeline)
     ->Arg(32)->Arg(128)->Arg(256)->Arg(512)->Arg(1024);
+
+/// One simulation of \p R's final code under its schedule: the work
+/// runAndMeasure's dynamic cycle count pays for.
+void simulateOnce(const PipelineResult &R, const MachineModel &M,
+                  const ExecState &Initial) {
+  SimResult Sim = simulate(R.Final, R.Sched, M, Initial);
+  benchmark::DoNotOptimize(Sim.Cycles);
+}
+
+void BM_Simulate(benchmark::State &State) {
+  // The store loop a[i] = i over State.range(0) slots, alloc-first on
+  // rs6000(8): one block entry and one stored slot per iteration.
+  MachineModel M = MachineModel::rs6000(8);
+  PipelineResult R = runStrategy(
+      StrategyKind::AllocFirst,
+      storeLoop(static_cast<unsigned>(State.range(0))), M);
+  ExecState Initial =
+      makeInitialState(R.Final, pira::bench::benchSeed(4242));
+  for (auto _ : State)
+    simulateOnce(R, M, Initial);
+}
+BENCHMARK(BM_Simulate)->Arg(1024)->Arg(4096);
+
+void BM_SimulateKernels(benchmark::State &State) {
+  // The 16 kernels, combined on rs6000(6): small loop functions, the
+  // simulations kernel-suite measures.
+  MachineModel M = MachineModel::rs6000(6);
+  std::vector<std::pair<PipelineResult, ExecState>> Compiled;
+  for (const auto &[Name, Kernel] : standardKernelSuite()) {
+    PipelineResult R = runStrategy(StrategyKind::Combined, Kernel, M);
+    ExecState Initial =
+        makeInitialState(R.Final, pira::bench::benchSeed(4242));
+    Compiled.emplace_back(std::move(R), std::move(Initial));
+  }
+  for (auto _ : State)
+    for (const auto &[R, Initial] : Compiled)
+      simulateOnce(R, M, Initial);
+}
+BENCHMARK(BM_SimulateKernels);
 
 void BM_Oracle(benchmark::State &State) {
   // The exact branch-and-bound search on a tournament-corpus block.

@@ -9,6 +9,7 @@
 
 #include "ir/Function.h"
 #include "support/Rng.h"
+#include "support/ThreadPool.h"
 
 #include <cassert>
 
@@ -51,12 +52,23 @@ ExecState pira::makeInitialState(const Function &F, uint64_t Seed) {
   return State;
 }
 
-bool pira::resolveAddress(const Instruction &I, const ExecState &State,
-                          std::string &Array, size_t &Slot) {
+std::vector<int64_t> *ArrayTable::lookup(Symbol Name) {
+  for (const auto &[Known, Data] : Resolved)
+    if (Known == Name)
+      return Data;
+  auto It = State.Arrays.find(*Name);
+  std::vector<int64_t> *Data =
+      It == State.Arrays.end() || It->second.empty() ? nullptr : &It->second;
+  Resolved.emplace_back(Name, Data);
+  return Data;
+}
+
+int64_t *pira::resolveAddress(const Instruction &I,
+                              const std::vector<int64_t> &Regs,
+                              std::vector<int64_t> *Array) {
   assert(I.isMemory() && "not a memory instruction");
-  auto It = State.Arrays.find(I.arraySymbol());
-  if (It == State.Arrays.end() || It->second.empty())
-    return false;
+  if (Array == nullptr)
+    return nullptr;
   Reg Index = NoReg;
   if (I.opcode() == Opcode::Load)
     Index = I.uses().empty() ? NoReg : I.uses()[0];
@@ -64,34 +76,24 @@ bool pira::resolveAddress(const Instruction &I, const ExecState &State,
     Index = I.uses().size() > 1 ? I.uses()[1] : NoReg;
   int64_t Addr = I.imm();
   if (Index != NoReg)
-    Addr = wrapAdd(Addr, State.Regs[Index]);
-  int64_t Size = static_cast<int64_t>(It->second.size());
-  Addr %= Size;
-  if (Addr < 0)
-    Addr += Size;
-  Array = I.arraySymbol();
-  Slot = static_cast<size_t>(Addr);
-  return true;
+    Addr = wrapAdd(Addr, Regs[Index]);
+  int64_t Size = static_cast<int64_t>(Array->size());
+  // An in-range address is its own residue; skip the division.
+  if (static_cast<uint64_t>(Addr) >= static_cast<uint64_t>(Size)) {
+    Addr %= Size;
+    if (Addr < 0)
+      Addr += Size;
+  }
+  return &(*Array)[static_cast<size_t>(Addr)];
 }
 
-/// Resolves a memory operand to an element slot, wrapping modulo the array
-/// size so execution is total.
-static int64_t *addressSlot(const Instruction &I, ExecState &State) {
-  std::string Array;
-  size_t Slot = 0;
-  if (!resolveAddress(I, State, Array, Slot))
-    return nullptr;
-  return &State.Arrays[Array][Slot];
-}
-
-void pira::executeInstruction(const Instruction &I, const Function &F,
-                              ExecState &State) {
-  (void)F;
+void pira::executeInstruction(const Instruction &I, std::vector<int64_t> &Regs,
+                              int64_t *Slot) {
   auto U = [&](unsigned Idx) -> int64_t {
     assert(Idx < I.uses().size() && "operand index out of range");
-    return State.Regs[I.uses()[Idx]];
+    return Regs[I.uses()[Idx]];
   };
-  auto SetDef = [&](int64_t V) { State.Regs[I.def()] = V; };
+  auto SetDef = [&](int64_t V) { Regs[I.def()] = V; };
 
   switch (I.opcode()) {
   case Opcode::LoadImm:
@@ -147,16 +149,13 @@ void pira::executeInstruction(const Instruction &I, const Function &F,
   case Opcode::FMA:
     SetDef(wrapAdd(wrapMul(U(0), U(1)), U(2)));
     break;
-  case Opcode::Load: {
-    int64_t *Slot = addressSlot(I, State);
+  case Opcode::Load:
     SetDef(Slot != nullptr ? *Slot : 0);
     break;
-  }
-  case Opcode::Store: {
-    if (int64_t *Slot = addressSlot(I, State))
+  case Opcode::Store:
+    if (Slot != nullptr)
       *Slot = U(0);
     break;
-  }
   case Opcode::Br:
   case Opcode::CondBr:
   case Opcode::Ret:
@@ -178,6 +177,7 @@ ExecResult pira::interpret(const Function &F, ExecState Initial,
     return Result;
   }
 
+  ArrayTable Arrays(State);
   unsigned Block = 0;
   unsigned Idx = 0;
   while (Result.Steps < MaxSteps) {
@@ -187,10 +187,16 @@ ExecResult pira::interpret(const Function &F, ExecState Initial,
       return Result;
     }
     const Instruction &I = BB.inst(Idx);
-    ++Result.Steps;
+    if ((++Result.Steps & 4095) == 0)
+      deadline::checkpoint();
 
-    if (!I.isTerminator()) {
-      executeInstruction(I, F, State);
+    const OpcodeInfo &Info = I.info();
+    if (!Info.IsTerminator) {
+      int64_t *Slot =
+          Info.IsMemory
+              ? resolveAddress(I, State.Regs, Arrays.lookup(I.arraySymbolId()))
+              : nullptr;
+      executeInstruction(I, State.Regs, Slot);
       ++Idx;
       continue;
     }

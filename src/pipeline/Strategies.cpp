@@ -315,32 +315,30 @@ PipelineResult pira::runAndMeasure(StrategyKind Kind, const Function &Input,
   if (!R.Success)
     return R;
 
-  // Ground truth: sequential interpretation of the *input* code.
+  // Ground truth: sequential interpretation of the *input* code. The
+  // final code touches the same arrays plus spillmem, so its initial
+  // state copies the input's arrays and starts spill memory zeroed.
   PIRA_TIME_SCOPE("sim/measure");
   faultinject::maybeThrow("sim.measure");
   deadline::checkpoint();
   ExecState Initial = makeInitialState(Input, Seed);
+  ExecState SimInitial;
+  SimInitial.Regs.assign(R.Final.numRegs(), 0);
+  for (const ArrayDecl &A : R.Final.arrays()) {
+    auto It = Initial.Arrays.find(A.Name);
+    SimInitial.Arrays[A.Name] = It != Initial.Arrays.end()
+                                    ? It->second
+                                    : std::vector<int64_t>(A.Size, 0);
+  }
   ExecResult Ref = [&] {
     PIRA_TIME_SCOPE("sim/reference");
-    return interpret(Input, Initial);
+    return interpret(Input, std::move(Initial));
   }();
   if (!Ref.Completed) {
     ++NumPipelineFailures;
     fail(R, ErrorCode::SimFailure, "sim/reference",
          "reference interpretation failed: " + Ref.Error);
     return R;
-  }
-
-  // The final code touches the same arrays plus spillmem; build its
-  // initial state from the same seed (same array contents for shared
-  // arrays, spillmem zeroed).
-  ExecState SimInitial = makeInitialState(R.Final, Seed);
-  for (auto &[Name, Data] : SimInitial.Arrays) {
-    auto It = Initial.Arrays.find(Name);
-    if (It != Initial.Arrays.end())
-      Data = It->second;
-    else
-      Data.assign(Data.size(), 0); // spill memory starts cold
   }
 
   SimResult Sim = simulate(R.Final, R.Sched, Machine, std::move(SimInitial));

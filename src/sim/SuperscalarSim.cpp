@@ -11,9 +11,12 @@
 #include "machine/MachineModel.h"
 #include "sched/Schedule.h"
 #include "support/Telemetry.h"
+#include "support/ThreadPool.h"
 
-#include <map>
+#include <algorithm>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 using namespace pira;
 
@@ -22,10 +25,39 @@ PIRA_STAT(NumSimInstructions, "Instructions retired across simulated runs");
 
 namespace {
 
-/// Tracks when each register and memory slot becomes readable.
-struct Scoreboard {
-  std::vector<uint64_t> RegReadyAt;
-  std::map<std::pair<std::string, size_t>, uint64_t> MemReadyAt;
+/// One instruction of a block plan, with its opcode's properties read
+/// once.
+struct PlannedInst {
+  const Instruction *Inst;
+  std::vector<int64_t> *Array; ///< Memory ops: the storage addressed, null
+                               ///< when absent or empty (ArrayTable).
+  unsigned Index;              ///< Position in the block, for diagnostics.
+  unsigned Latency;            ///< Issue-to-result latency of its opcode.
+  unsigned Unit;               ///< Its UnitKind, as an index.
+  bool IsTerminator;
+  bool HasDef;
+};
+
+/// A block's schedule laid out for replay, built at the block's first
+/// entry and reused by every later one.
+struct BlockPlan {
+  bool Built = false;
+  /// The block's instructions in (cycle, index) order.
+  std::vector<PlannedInst> Insts;
+  /// Cycle C issues Insts[CycleEnd[C - 1], CycleEnd[C]) (from 0 for C = 0).
+  std::vector<unsigned> CycleEnd;
+  /// The first cycle that exceeds the issue width or a unit count
+  /// (~0u when none), and its diagnostic. It is reported only when
+  /// execution reaches that cycle, so a hazard earlier in the block
+  /// still wins.
+  unsigned BadCycle = ~0u;
+  std::string BadError;
+};
+
+/// A store of the current block entry that may still be in flight.
+struct PendingStore {
+  const int64_t *Slot;
+  uint64_t ReadyAt;
 };
 
 } // namespace
@@ -37,6 +69,69 @@ static std::string diag(const Function &F, unsigned Block, unsigned Inst,
   OS << "block " << F.block(Block).name() << ", inst " << Inst << ": "
      << Msg;
   return OS.str();
+}
+
+/// Lays out block \p Block's schedule: its instructions in (cycle, index)
+/// order, each cycle's structural verdict (issue width first, then each
+/// unit class in order), and each memory instruction's array. \returns
+/// the diagnostic of a schedule that does not fit the block, else empty.
+static std::string buildPlan(const Function &F, unsigned Block,
+                             const BlockSchedule &BS,
+                             const MachineModel &Machine, ArrayTable &Arrays,
+                             BlockPlan &P) {
+  const BasicBlock &BB = F.block(Block);
+  if (BS.CycleOf.size() != BB.size())
+    return diag(F, Block, 0, "schedule does not match block size");
+  unsigned N = static_cast<unsigned>(BB.size());
+  unsigned Makespan = BS.Makespan;
+  // Counting sort by cycle, ascending index within a cycle: CycleEnd
+  // holds each cycle's count, then its start while placing, then its end.
+  P.CycleEnd.assign(Makespan, 0);
+  for (unsigned I = 0; I != N; ++I) {
+    if (BS.CycleOf[I] >= Makespan)
+      return diag(F, Block, I, "schedule cycle out of range");
+    ++P.CycleEnd[BS.CycleOf[I]];
+  }
+  unsigned Start = 0;
+  for (unsigned &Offset : P.CycleEnd)
+    Start += std::exchange(Offset, Start);
+  P.Insts.resize(N);
+  for (unsigned I = 0; I != N; ++I) {
+    const Instruction &Inst = BB.inst(I);
+    const OpcodeInfo &Info = Inst.info();
+    P.Insts[P.CycleEnd[BS.CycleOf[I]]++] = {
+        &Inst,
+        Info.IsMemory ? Arrays.lookup(Inst.arraySymbolId()) : nullptr,
+        I,
+        Machine.latency(Inst.opcode()),
+        static_cast<unsigned>(Info.Unit),
+        Info.IsTerminator,
+        Info.HasDef};
+  }
+
+  // Only the first violating cycle can ever be reported: the run stops
+  // there.
+  for (unsigned C = 0, Begin = 0; C != Makespan; Begin = P.CycleEnd[C++]) {
+    unsigned End = P.CycleEnd[C];
+    unsigned First = Begin != End ? P.Insts[Begin].Index : 0;
+    std::array<unsigned, NumUnitKinds> PerUnit{};
+    for (unsigned J = Begin; J != End; ++J)
+      ++PerUnit[P.Insts[J].Unit];
+    std::string Error;
+    if (End - Begin > Machine.issueWidth())
+      Error = "issue width exceeded";
+    for (unsigned K = 0; K != NumUnitKinds && Error.empty(); ++K)
+      if (PerUnit[K] > Machine.units(static_cast<UnitKind>(K)))
+        Error = std::string("unit overcommitted: ") +
+                unitKindName(static_cast<UnitKind>(K));
+    if (!Error.empty()) {
+      P.BadCycle = C;
+      P.BadError = diag(F, Block, First, Error);
+      break;
+    }
+  }
+  P.Built = true;
+  return std::string();
 }
 
 static SimResult simulateImpl(const Function &F, const FunctionSchedule &Sched,
@@ -53,79 +148,80 @@ static SimResult simulateImpl(const Function &F, const FunctionSchedule &Sched,
     return R;
   }
 
-  Scoreboard Board;
-  Board.RegReadyAt.assign(F.numRegs(), 0);
+  ArrayTable Arrays(State);
+  std::vector<BlockPlan> Plans(F.numBlocks());
+  // When each register becomes readable: its latest write's landing time.
+  std::vector<uint64_t> RegReadyAt(F.numRegs(), 0);
+  // The latest store's landing time, which is also the largest, and the
+  // current block entry's stores that may still be in flight, oldest
+  // first (DESIGN §5, "The simulator at the cost of what it retires").
+  const uint64_t StoreLatency = Machine.latency(Opcode::Store);
+  uint64_t StoreReadyAt = 0;
+  std::vector<PendingStore> InFlight;
 
   unsigned Block = 0;
+  uint64_t Entries = 0;
   while (R.Cycles < MaxCycles) {
+    if ((++Entries & 255) == 0)
+      deadline::checkpoint();
     const BasicBlock &BB = F.block(Block);
-    const BlockSchedule &BS = Sched.Blocks[Block];
-    if (BS.CycleOf.size() != BB.size()) {
-      R.Error = diag(F, Block, 0, "schedule does not match block size");
-      return R;
+    BlockPlan &P = Plans[Block];
+    if (!P.Built) {
+      R.Error = buildPlan(F, Block, Sched.Blocks[Block], Machine, Arrays, P);
+      if (!R.Error.empty())
+        return R;
     }
-    std::vector<std::vector<unsigned>> Groups = BS.groupsByCycle();
     // Block schedules assume every operand is ready on entry; the
     // machine stalls at the boundary until in-flight results (register
     // and memory) drain. Intra-block hazards below remain hard errors —
     // they indicate scheduler bugs, not boundary effects.
-    uint64_t Base = R.Cycles;
-    for (uint64_t Ready : Board.RegReadyAt)
-      Base = std::max(Base, Ready);
-    for (const auto &[Slot, Ready] : Board.MemReadyAt)
+    uint64_t Base = std::max(R.Cycles, StoreReadyAt);
+    for (uint64_t Ready : RegReadyAt)
       Base = std::max(Base, Ready);
     R.BoundaryStalls += Base - R.Cycles;
+    InFlight.clear();
+    size_t Oldest = 0;
     int NextBlock = -1;
 
-    for (unsigned C = 0, CE = BS.Makespan; C != CE; ++C) {
-      uint64_t Abs = Base + C;
-      // Structural legality of the cycle.
-      unsigned Width = 0;
-      std::array<unsigned, NumUnitKinds> PerUnit{};
-      for (unsigned I : Groups[C]) {
-        ++Width;
-        ++PerUnit[static_cast<unsigned>(BB.inst(I).unit())];
-      }
-      if (Width > Machine.issueWidth()) {
-        R.Error = diag(F, Block, Groups[C].empty() ? 0 : Groups[C][0],
-                       "issue width exceeded");
+    const unsigned Makespan = static_cast<unsigned>(P.CycleEnd.size());
+    for (unsigned C = 0, Begin = 0; C != Makespan; Begin = P.CycleEnd[C++]) {
+      if (C == P.BadCycle) {
+        R.Error = P.BadError;
         return R;
       }
-      for (unsigned K = 0; K != NumUnitKinds; ++K)
-        if (PerUnit[K] > Machine.units(static_cast<UnitKind>(K))) {
-          R.Error = diag(F, Block, Groups[C].empty() ? 0 : Groups[C][0],
-                         std::string("unit overcommitted: ") +
-                             unitKindName(static_cast<UnitKind>(K)));
-          return R;
-        }
-
+      uint64_t Abs = Base + C;
       // Execute the group in program order (reads-before-writes across
       // anti dependences is preserved because an anti edge always points
       // from the earlier instruction to the later one).
-      for (unsigned I : Groups[C]) {
-        const Instruction &Inst = BB.inst(I);
+      for (unsigned J = Begin, End = P.CycleEnd[C]; J != End; ++J) {
+        const PlannedInst &PI = P.Insts[J];
+        const Instruction &Inst = *PI.Inst;
         for (Reg U : Inst.uses())
-          if (Board.RegReadyAt[U] > Abs) {
+          if (RegReadyAt[U] > Abs) {
             R.Error =
-                diag(F, Block, I, "register operand read before ready");
+                diag(F, Block, PI.Index, "register operand read before ready");
             return R;
           }
-        std::string Array;
-        size_t Slot = 0;
-        bool HasAddr = Inst.isMemory() &&
-                       resolveAddress(Inst, State, Array, Slot);
-        if (HasAddr && Inst.opcode() == Opcode::Load) {
-          auto It = Board.MemReadyAt.find({Array, Slot});
-          if (It != Board.MemReadyAt.end() && It->second > Abs) {
-            R.Error = diag(F, Block, I, "memory read before store ready");
-            return R;
+        int64_t *Slot = nullptr;
+        if (PI.Array != nullptr) {
+          Slot = resolveAddress(Inst, State.Regs, PI.Array);
+          if (Inst.opcode() == Opcode::Load) {
+            while (Oldest != InFlight.size() &&
+                   InFlight[Oldest].ReadyAt <= Abs)
+              ++Oldest;
+            for (size_t S = Oldest; S != InFlight.size(); ++S)
+              if (InFlight[S].Slot == Slot) {
+                R.Error =
+                    diag(F, Block, PI.Index, "memory read before store ready");
+                return R;
+              }
           }
         }
 
         ++R.Instructions;
-        ++R.UnitIssues[static_cast<unsigned>(Inst.unit())];
+        ++R.UnitIssues[PI.Unit];
 
-        if (Inst.isTerminator()) {
+        if (PI.IsTerminator) {
           switch (Inst.opcode()) {
           case Opcode::Br:
             NextBlock = static_cast<int>(Inst.targets()[0]);
@@ -143,23 +239,23 @@ static SimResult simulateImpl(const Function &F, const FunctionSchedule &Sched,
             }
             break;
           default:
-            R.Error = diag(F, Block, I, "unknown terminator");
+            R.Error = diag(F, Block, PI.Index, "unknown terminator");
             return R;
           }
           continue;
         }
 
-        executeInstruction(Inst, F, State);
-        if (Inst.hasDef())
-          Board.RegReadyAt[Inst.def()] =
-              Abs + Machine.latency(Inst.opcode());
-        if (HasAddr && Inst.opcode() == Opcode::Store)
-          Board.MemReadyAt[{Array, Slot}] =
-              Abs + Machine.latency(Opcode::Store);
+        executeInstruction(Inst, State.Regs, Slot);
+        if (PI.HasDef)
+          RegReadyAt[Inst.def()] = Abs + PI.Latency;
+        if (Slot != nullptr && Inst.opcode() == Opcode::Store) {
+          StoreReadyAt = Abs + StoreLatency;
+          InFlight.push_back({Slot, StoreReadyAt});
+        }
       }
     }
 
-    R.Cycles = Base + BS.Makespan;
+    R.Cycles = Base + Makespan;
     if (R.Completed)
       return R;
     if (NextBlock < 0) {

@@ -58,10 +58,17 @@ struct SimResult {
 
 /// Runs \p F under \p Sched on \p Machine starting from \p Initial.
 ///
-/// Every block entry replays that block's cycle groups. Violations
-/// (per-cycle unit/width overflow, operand read before the producer's
-/// latency elapsed, memory read before an in-flight store completes)
-/// abort the run with a diagnostic in SimResult::Error.
+/// Every block entry replays that block's cycle groups, laid out once at
+/// its first entry. Violations (per-cycle unit/width overflow, operand
+/// read before the producer's latency elapsed, memory read before an
+/// in-flight store completes, a schedule cycle past the block's
+/// makespan) abort the run with a diagnostic in SimResult::Error.
+/// Loads and stores address memory by the interpreter's rule
+/// (resolveAddress: wrap modulo the array size; an absent or empty
+/// array reads zero and drops stores), so a divergence from
+/// interpret() is a scheduling or allocation bug, not an addressing
+/// one. Polls the armed deadline every 256 block entries and throws
+/// deadline::DeadlineExceededError once it has passed.
 SimResult simulate(const Function &F, const FunctionSchedule &Sched,
                    const MachineModel &Machine, ExecState Initial,
                    uint64_t MaxCycles = 1u << 22);

@@ -505,6 +505,25 @@ Function pira::twoLoops() {
   return F;
 }
 
+Function pira::storeLoop(unsigned Slots) {
+  Function F("fill");
+  IRBuilder B(F);
+  B.startBlock("entry");
+  Reg I = B.loadImm(0);
+  Reg N = B.loadImm(Slots);
+  Reg One = B.loadImm(1);
+  B.br(1);
+
+  B.startBlock("loop");
+  B.store("a", I, I, 0);
+  loopTail(B, I, One, N, 1, 2);
+
+  B.startBlock("exit");
+  B.ret(I);
+  F.declareArray("a", Slots);
+  return F;
+}
+
 std::vector<std::pair<std::string, Function>> pira::standardKernelSuite() {
   std::vector<std::pair<std::string, Function>> Suite;
   Suite.emplace_back("example1", paperExample1());

@@ -90,6 +90,12 @@ Function convolve5(unsigned Unroll = 1);
 /// exercises multi-loop CFGs and per-loop live ranges.
 Function twoLoops();
 
+/// Fills a \p Slots-element array with a[i] = i, one store per
+/// iteration, and returns the final index. Not in the kernel suite: it
+/// exists to time simulation against the number of memory slots a loop
+/// stores.
+Function storeLoop(unsigned Slots);
+
 /// A named kernel suite used by the strategy benchmarks: pairs of
 /// (name, program).
 std::vector<std::pair<std::string, Function>> standardKernelSuite();

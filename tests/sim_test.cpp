@@ -12,9 +12,13 @@
 #include "regalloc/ChaitinAllocator.h"
 #include "sched/ListScheduler.h"
 #include "sim/SuperscalarSim.h"
+#include "support/ThreadPool.h"
 #include "workloads/Kernels.h"
 
 #include <gtest/gtest.h>
+
+#include <chrono>
+#include <thread>
 
 using namespace pira;
 
@@ -226,4 +230,50 @@ TEST(SimTest, CycleBudgetStopsRunaway) {
                          /*MaxCycles=*/64);
   EXPECT_FALSE(R.Completed);
   EXPECT_NE(R.Error.find("budget"), std::string::npos);
+}
+
+TEST(SimTest, OutOfRangeScheduleCycleIsADiagnostic) {
+  // A cycle past the block's makespan is a scheduler bug the simulator
+  // must report, in every build, rather than index past its cycle table.
+  Function F("t");
+  F.setNumRegs(1);
+  F.setAllocated(true);
+  F.addBlock("e");
+  F.block(0).append(Instruction(Opcode::LoadImm, 0, {}, 1));
+  F.block(0).append(Instruction(Opcode::Ret, NoReg, {0}));
+  BlockSchedule BS;
+  BS.CycleOf = {0, 3};
+  BS.Makespan = 2;
+  FunctionSchedule S;
+  S.Blocks.push_back(BS);
+  SimResult R =
+      simulate(F, S, MachineModel::rs6000(8), makeInitialState(F, 1));
+  EXPECT_FALSE(R.Completed);
+  EXPECT_EQ(R.Error, "block e, inst 1: schedule cycle out of range");
+}
+
+TEST(SimTest, ExpiredDeadlineStopsSimulationAndInterpretation) {
+  // 4,096 iterations: past the simulator's 256-entry and the
+  // interpreter's 4,096-step polling intervals.
+  Function Loop = storeLoop(4096);
+  MachineModel M = MachineModel::rs6000(8);
+  Function F;
+  FunctionSchedule S;
+  compileFor(Loop, M, F, S);
+  {
+    deadline::ScopedDeadline Passed(1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    ASSERT_TRUE(deadline::expired());
+    EXPECT_THROW(simulate(F, S, M, makeInitialState(F, 1)),
+                 deadline::DeadlineExceededError);
+    EXPECT_THROW(interpret(Loop, makeInitialState(Loop, 1)),
+                 deadline::DeadlineExceededError);
+  }
+  SimResult Sim = simulate(F, S, M, makeInitialState(F, 1));
+  ExecResult Ref = interpret(Loop, makeInitialState(Loop, 1));
+  ASSERT_TRUE(Sim.Completed) << Sim.Error;
+  ASSERT_TRUE(Ref.Completed) << Ref.Error;
+  EXPECT_EQ(Sim.ReturnValue, 4096);
+  EXPECT_EQ(Ref.ReturnValue, 4096);
+  EXPECT_EQ(Sim.Final.Arrays.at("a"), Ref.Final.Arrays.at("a"));
 }

@@ -85,6 +85,8 @@ SCALING_GATES = [
      "BM_PreSchedule/1024", "BM_PreSchedule/256"),
     ("ips_scaling",
      "BM_Ips/1024", "BM_Ips/256"),
+    ("simulate_scaling",
+     "BM_Simulate/4096", "BM_Simulate/1024"),
 ]
 
 # (label, layer benchmark, reference-layer benchmark on the same code).
@@ -107,9 +109,12 @@ LAYER_GATES = [
 # Hard ceilings on the fresh scaling and layer ratios, the counterpart of
 # RATIO_FLOORS. Per 4x of block size a linear layer reads about 4, a
 # quadratic one about 16 and a cubic one about 64; each ceiling keeps at
-# least 25% headroom over the measured runs (EXPERIMENTS.md P1e–P1i).
+# least 25% headroom over the measured runs (EXPERIMENTS.md P1e–P1l).
 # Symbolic Gs cannot read 4: its memory edges grow quadratically with
-# the block (one 32-element array).
+# the block (one 32-element array). simulate_scaling grows the store
+# loop's slots, not a block: a simulator that costs what it retires
+# reads about 4, one that rescans every slot ever stored at each block
+# entry about 14.
 CEILINGS = {
     "pinter_color_scaling": 24.0,
     "combined_scaling": 33.0,
@@ -121,6 +126,7 @@ CEILINGS = {
     "preschedule_scaling": 20.0,
     "false_dep_check_over_depgraph": 18.0,
     "ips_scaling": 7.0,
+    "simulate_scaling": 6.0,
     "chaitin_over_pinter_color_1024": 0.90,
     "interference_spilled_over_dense_1024": 0.35,
 }
