@@ -20,9 +20,11 @@
 // false-dependence check and every phased strategy's final scheduling
 // see, and the shape on which a pairwise memory scan or a rescanning
 // scheduler grows quadratically. BM_FalseDepCheck runs both entry points
-// of that check on the same compile's output and symbolic twin; it
+// of that check on the same compile's output and symbolic twin; each
 // builds two schedule graphs per block, so it is gated in units of
 // BM_DependenceGraphAllocated rather than against itself at 256.
+// BM_CompileTail runs the tail as a compile does: one allocated graph per
+// block shared by the list scheduler and a one-pass check.
 // Likewise BM_PigConstructionSpilled builds the PIG of block 0 after one
 // combined color/spill round on rs6000(12): the code, roughly three
 // times the input, on which rounds 2 and 3 of a combined compile rebuild
@@ -344,6 +346,29 @@ void BM_ListSchedulerAllocated(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_ListSchedulerAllocated)->Arg(256)->Arg(1024);
+
+void BM_CompileTail(benchmark::State &State) {
+  // The tail as a compile runs it, on the alloc-first output: per block,
+  // one allocated Gs, the list scheduler from it, and the one-pass
+  // Theorem 1 check on it. BM_ListSchedulerAllocated plus
+  // BM_FalseDepCheck is the same work through the entry points, which
+  // build five graphs per block to this loop's two.
+  PipelineResult R = allocFirstBlock(static_cast<unsigned>(State.range(0)));
+  MachineModel M = MachineModel::rs6000(12);
+  for (auto _ : State) {
+    FunctionSchedule S;
+    FalseDepChecker Check(R.SymbolicTwin, R.Final, M);
+    for (unsigned B = 0, NB = R.Final.numBlocks(); B != NB; ++B) {
+      DependenceGraph G(R.Final, B, M);
+      S.Blocks.push_back(scheduleBlockFor(R.Final, B, G, M));
+      Check.checkBlock(B, G);
+    }
+    benchmark::DoNotOptimize(S.totalMakespan());
+    benchmark::DoNotOptimize(Check.falseDeps().size());
+    benchmark::DoNotOptimize(Check.antiOrderingLosses());
+  }
+}
+BENCHMARK(BM_CompileTail)->Arg(256)->Arg(1024);
 
 void BM_PreSchedule(benchmark::State &State) {
   // Section 4's EP pre-ordering of the symbolic input, on a fresh copy

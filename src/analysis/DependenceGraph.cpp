@@ -9,6 +9,7 @@
 
 #include "ir/Function.h"
 #include "machine/MachineModel.h"
+#include "support/Telemetry.h"
 
 #include <algorithm>
 #include <cassert>
@@ -16,6 +17,8 @@
 #include <tuple>
 
 using namespace pira;
+
+PIRA_STAT(NumScheduleGraphsBuilt, "Block schedule graphs (Gs) built");
 
 const char *pira::depKindName(DepKind Kind) {
   switch (Kind) {
@@ -49,21 +52,25 @@ void DependenceGraph::addEdge(unsigned From, unsigned To, DepKind Kind,
   // constraint is kept.
   assert((Edges.empty() || Edges.back().To <= To) &&
          "edges into one node must be added in one run");
-  if (LastTo[From] == To) {
-    DepEdge &E = Edges[LastEdge[From]];
+  unsigned &Last = LastEdge[From];
+  if (Last != NoNode && Edges[Last].To == To) {
+    DepEdge &E = Edges[Last];
     if (E.Latency < Latency)
       E.Latency = Latency;
     return;
   }
-  LastTo[From] = To;
-  LastEdge[From] = static_cast<unsigned>(Edges.size());
+  Last = static_cast<unsigned>(Edges.size());
   Edges.push_back({From, To, Kind, Latency});
 }
 
 void DependenceGraph::buildCsr() {
   unsigned NumEdges = static_cast<unsigned>(Edges.size());
-  unsigned *SOff = Storage.allocateZeroed<unsigned>(NumNodes + 1);
-  unsigned *POff = Storage.allocateZeroed<unsigned>(NumNodes + 1);
+  // Uninitialized but for the offsets, which count.
+  Csr.reset(new unsigned[2 * (size_t(NumNodes) + 1) + NumEdges]);
+  unsigned *SOff = Csr.get();
+  unsigned *POff = SOff + NumNodes + 1;
+  unsigned *SIdx = POff + NumNodes + 1;
+  std::fill(SOff, SIdx, 0u);
   for (const DepEdge &E : Edges) {
     ++SOff[E.From + 1];
     ++POff[E.To + 1];
@@ -72,23 +79,15 @@ void DependenceGraph::buildCsr() {
     SOff[I + 1] += SOff[I];
     POff[I + 1] += POff[I];
   }
-  unsigned *SIdx = Storage.allocate<unsigned>(NumEdges);
-  unsigned *PIdx = Storage.allocate<unsigned>(NumEdges);
-  {
-    // Stable fill in edge-insertion order, matching the order the old
-    // per-node vectors accumulated.
-    std::vector<unsigned> SFill(SOff, SOff + NumNodes);
-    std::vector<unsigned> PFill(POff, POff + NumNodes);
-    for (unsigned EI = 0; EI != NumEdges; ++EI) {
-      SIdx[SFill[Edges[EI].From]++] = EI;
-      PIdx[PFill[Edges[EI].To]++] = EI;
-    }
-  }
+  // Stable fill in edge-insertion order. Each node's offset advances to
+  // the next node's start; shifting the offsets up one restores them.
+  for (unsigned EI = 0; EI != NumEdges; ++EI)
+    SIdx[SOff[Edges[EI].From]++] = EI;
+  std::copy_backward(SOff, SOff + NumNodes, SOff + NumNodes + 1);
+  SOff[0] = 0;
   SuccOff = SOff;
   SuccIdx = SIdx;
   PredOff = POff;
-  PredIdx = PIdx;
-  LastTo = {};
   LastEdge = {};
 }
 
@@ -165,14 +164,15 @@ struct MemOpList {
 struct MemOpKeys {
   unsigned Inst;
   unsigned Array;
-  unsigned Group; ///< The array and the index register (NoReg: direct).
+  unsigned Group; ///< The array, the index register (NoReg: direct) and
+                  ///< the register's reaching def: one index value.
   unsigned Slot;  ///< The group and an in-bounds offset, or the group's
                   ///< one slot for all out-of-bounds offsets.
   bool InBounds;
 };
 
-/// The memory ops of one block, bucketed per array, per index register
-/// and per in-bounds offset.
+/// The memory ops of one block, bucketed per array, per index value and
+/// per in-bounds offset.
 struct MemBuckets {
   std::vector<MemOpKeys> Ops; ///< In block order.
   std::vector<unsigned> OutOfBoundsSlot; ///< Per group; NoNode if none.
@@ -182,29 +182,48 @@ struct MemBuckets {
 
 } // namespace
 
-/// Buckets the memory ops of \p BB by sorting them on (array, index
-/// register, offset). Each array's size is looked up once.
-static MemBuckets bucketMemoryOps(const Function &F, const BasicBlock &BB) {
+/// Buckets the \p NumMemOps memory ops of \p BB by sorting them on
+/// (array, index register, the index register's reaching def, offset): a
+/// redefinition of the index register starts a new group, since offsets
+/// compare only under one index value. Each array's size is looked up
+/// once. \p LastDef is scratch indexed by register, all NoNode on entry
+/// and on return.
+static MemBuckets bucketMemoryOps(const Function &F, const BasicBlock &BB,
+                                  unsigned NumMemOps,
+                                  std::vector<unsigned> &LastDef) {
   struct SortKey {
     Symbol Array;
     Reg Index;
+    unsigned IndexDef; ///< NoNode: the value the block was entered with.
     int64_t Offset;
     unsigned Op;
   };
   MemBuckets Out;
+  if (NumMemOps == 0)
+    return Out;
   std::vector<SortKey> Keys;
+  Keys.reserve(NumMemOps);
+  Out.Ops.reserve(NumMemOps);
   for (unsigned I = 0, E = BB.size(); I != E; ++I) {
     const Instruction &Inst = BB.inst(I);
-    if (!Inst.isMemory())
-      continue;
-    Keys.push_back({Inst.arraySymbolId(), memoryIndexReg(Inst), Inst.imm(),
-                    static_cast<unsigned>(Out.Ops.size())});
-    Out.Ops.push_back({I, 0, 0, 0, false});
+    if (Inst.isMemory()) {
+      Reg Index = memoryIndexReg(Inst);
+      Keys.push_back({Inst.arraySymbolId(), Index,
+                      Index == NoReg ? NoNode : LastDef[Index], Inst.imm(),
+                      static_cast<unsigned>(Out.Ops.size())});
+      Out.Ops.push_back({I, 0, 0, 0, false});
+    }
+    if (Inst.hasDef())
+      LastDef[Inst.def()] = I;
   }
+  for (const Instruction &Inst : BB.instructions())
+    if (Inst.hasDef())
+      LastDef[Inst.def()] = NoNode;
   std::sort(Keys.begin(), Keys.end(), [](const SortKey &X, const SortKey &Y) {
     if (X.Array != Y.Array)
       return std::less<Symbol>()(X.Array, Y.Array);
-    return std::tie(X.Index, X.Offset) < std::tie(Y.Index, Y.Offset);
+    return std::tie(X.Index, X.IndexDef, X.Offset) <
+           std::tie(Y.Index, Y.IndexDef, Y.Offset);
   });
 
   unsigned Size = 0;
@@ -213,7 +232,8 @@ static MemBuckets bucketMemoryOps(const Function &F, const BasicBlock &BB) {
   for (const SortKey &Key : Keys) {
     MemOpKeys &Op = Out.Ops[Key.Op];
     bool NewArray = !Prev || Prev->Array != Key.Array;
-    bool NewGroup = NewArray || Prev->Index != Key.Index;
+    bool NewGroup = NewArray || Prev->Index != Key.Index ||
+                    Prev->IndexDef != Key.IndexDef;
     if (NewArray) {
       ++Out.NumArrays;
       Size = F.arraySize(*Key.Array);
@@ -241,10 +261,10 @@ static MemBuckets bucketMemoryOps(const Function &F, const BasicBlock &BB) {
 
 DependenceGraph::DependenceGraph(const Function &F, unsigned BlockIdx,
                                  const MachineModel &Machine) {
+  ++NumScheduleGraphsBuilt;
   const BasicBlock &BB = F.block(BlockIdx);
   NumNodes = BB.size();
-  LastTo.assign(NumNodes, NoNode);
-  LastEdge.assign(NumNodes, 0);
+  LastEdge.assign(NumNodes, NoNode);
 
   // LastDef[R] / readers since that def, for register dependences. These
   // track *positions*, so the same construction serves symbolic code (no
@@ -252,12 +272,14 @@ DependenceGraph::DependenceGraph(const Function &F, unsigned BlockIdx,
   // are flat tables indexed by register; reader lists keep read order.
   unsigned RegLimit = 0;
   size_t NumUses = 0;
+  unsigned NumMemOps = 0;
   for (const Instruction &Inst : BB.instructions()) {
     if (Inst.hasDef())
       RegLimit = std::max(RegLimit, Inst.def() + 1);
     for (Reg U : Inst.uses())
       RegLimit = std::max(RegLimit, U + 1);
     NumUses += Inst.uses().size();
+    NumMemOps += Inst.isMemory();
   }
   std::vector<unsigned> LastDef(RegLimit, NoNode);
   std::vector<ListPool::List> Readers(RegLimit);
@@ -265,7 +287,7 @@ DependenceGraph::DependenceGraph(const Function &F, unsigned BlockIdx,
   // Memory ops, bucketed. Each op enters its group's and its slot's lists
   // (a store twice each: All and Stores), and each group enters its
   // array's two lists at most once: at most six entries per op.
-  MemBuckets Mem = bucketMemoryOps(F, BB);
+  MemBuckets Mem = bucketMemoryOps(F, BB, NumMemOps, LastDef);
   std::vector<MemOpList> Groups(Mem.OutOfBoundsSlot.size());
   std::vector<MemOpList> Slots(Mem.NumSlots);
   struct ArrayGroups {
@@ -276,6 +298,8 @@ DependenceGraph::DependenceGraph(const Function &F, unsigned BlockIdx,
   ListPool Pool(NumUses + 6 * Mem.Ops.size());
   std::vector<unsigned> Conflicts;
   unsigned NextMemOp = 0;
+  // Room for every flow and control edge, one allocation for most blocks.
+  Edges.reserve(NumUses + NumNodes);
 
   for (unsigned I = 0; I != NumNodes; ++I) {
     const Instruction &Inst = BB.inst(I);
@@ -308,7 +332,7 @@ DependenceGraph::DependenceGraph(const Function &F, unsigned BlockIdx,
 
     // Memory ordering: every prior memory op that may touch the same slot
     // (memoryProvablyDisjoint fails), unless both are loads. Within one
-    // array that is every op through another index register, plus, through
+    // array that is every op through another index value, plus, through
     // the same one, the ops at the same in-bounds offset and the
     // out-of-bounds ops, or all of them when this op is itself out of
     // bounds (always so for an undeclared or empty array). Edges go in in
@@ -419,27 +443,5 @@ bool DependenceGraph::hasEdge(unsigned From, unsigned To) const {
   for (unsigned EI : succEdges(From))
     if (Edges[EI].To == To)
       return true;
-  return false;
-}
-
-bool DependenceGraph::hasPath(unsigned From, unsigned To) const {
-  assert(From < NumNodes && To < NumNodes && "node out of range");
-  // Small scope; a DFS avoids building the full closure.
-  std::vector<unsigned> Stack = {From};
-  BitVector Seen(NumNodes);
-  Seen.set(From);
-  while (!Stack.empty()) {
-    unsigned Node = Stack.back();
-    Stack.pop_back();
-    for (unsigned EI : succEdges(Node)) {
-      unsigned Next = Edges[EI].To;
-      if (Next == To)
-        return true;
-      if (!Seen.test(Next)) {
-        Seen.set(Next);
-        Stack.push_back(Next);
-      }
-    }
-  }
   return false;
 }

@@ -19,18 +19,21 @@
 /// one-sweep closures behind reachability() and ancestors(), and the
 /// Theorem 1 check's bounded backward walks, rely on this invariant.
 ///
-/// Adjacency is stored in CSR form (flat offset/index arrays in an arena,
-/// returned as spans): one contiguous allocation instead of one vector per
-/// node, built once after construction. Nothing of size N^2 is kept.
+/// Adjacency is stored in CSR form, built once after construction: one
+/// buffer of exactly the successor and predecessor offsets and the
+/// successor edge indices. Edges are stored grouped by target, so a
+/// node's incoming edges are one run of edge indices and need no index
+/// array. Nothing of size N^2 is kept.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef PIRA_ANALYSIS_DEPENDENCEGRAPH_H
 #define PIRA_ANALYSIS_DEPENDENCEGRAPH_H
 
-#include "support/Arena.h"
 #include "support/BitMatrix.h"
 
+#include <memory>
+#include <ranges>
 #include <span>
 #include <utility>
 #include <vector>
@@ -65,6 +68,11 @@ const char *depKindName(DepKind Kind);
 /// identity, and equal index values shift both offsets alike. Anything
 /// else (an undeclared or empty array, different index registers, an
 /// offset out of bounds) may alias.
+///
+/// Precondition: the shared index register holds one value at both
+/// accesses, that is, no def of it lies between them. The instructions
+/// alone cannot tell; a caller that orders two accesses of one array
+/// through a register redefined in between must treat them as aliasing.
 bool memoryProvablyDisjoint(const Function &F, const Instruction &A,
                             const Instruction &B);
 
@@ -109,9 +117,9 @@ public:
   }
 
   /// Returns the indices into edges() of edges entering \p Node, in
-  /// insertion order.
-  std::span<const unsigned> predEdges(unsigned Node) const {
-    return {PredIdx + PredOff[Node], PredOff[Node + 1] - PredOff[Node]};
+  /// insertion order: one run, since edges() is grouped by target.
+  std::ranges::iota_view<unsigned, unsigned> predEdges(unsigned Node) const {
+    return std::views::iota(PredOff[Node], PredOff[Node + 1]);
   }
 
   /// Returns true when an edge (\p From, \p To) of any kind exists. A
@@ -130,10 +138,6 @@ public:
   /// over predEdges(), so nothing is transposed.
   BitMatrix ancestors() const;
 
-  /// Returns true when a nonempty directed path \p From -> \p To exists.
-  /// Convenience over reachability() for one-off queries.
-  bool hasPath(unsigned From, unsigned To) const;
-
 private:
   void addEdge(unsigned From, unsigned To, DepKind Kind, unsigned Latency);
   /// Freezes the per-node edge lists into CSR arrays; called once at the
@@ -141,18 +145,18 @@ private:
   void buildCsr();
 
   unsigned NumNodes = 0;
+  /// Grouped by target, ascending; in insertion order within a target.
   std::vector<DepEdge> Edges;
 
-  /// CSR adjacency over edge indices, arena-backed.
-  Arena Storage;
+  /// CSR adjacency over edge indices: SuccOff and PredOff (N + 1 each)
+  /// and SuccIdx (one per edge), in one buffer of exactly that size.
+  std::unique_ptr<unsigned[]> Csr;
   const unsigned *SuccOff = nullptr;
   const unsigned *SuccIdx = nullptr;
   const unsigned *PredOff = nullptr;
-  const unsigned *PredIdx = nullptr;
 
   /// Construction-only duplicate detection (freed by buildCsr): the
-  /// target and the index of the last edge each node added.
-  std::vector<unsigned> LastTo;
+  /// index of the last edge each node added, or ~0u.
   std::vector<unsigned> LastEdge;
 };
 

@@ -7,6 +7,7 @@
 
 #include "pipeline/Strategies.h"
 
+#include "analysis/DependenceGraph.h"
 #include "analysis/Webs.h"
 #include "core/FalseDepChecker.h"
 #include "ir/Verifier.h"
@@ -23,6 +24,7 @@
 
 #include <iterator>
 #include <numeric>
+#include <optional>
 #include <set>
 
 using namespace pira;
@@ -120,13 +122,15 @@ static void fail(PipelineResult &R, ErrorCode Code, std::string Phase,
   R.Diag = Status::error(Code, std::move(Phase), std::move(Message));
 }
 
-/// Shared tail: schedule the allocated code, count false dependences,
-/// verify structure. A verification failure here leaves the dynamic
-/// fields at their defaults, so the error spells out that the run died
-/// before simulation — a JSON report must never show Success == false
-/// with an empty (or misleading) Error. \p KeepSchedule preserves a
-/// schedule the strategy already computed (the oracle's proven-optimal
-/// cycle assignment must not be replaced by the list scheduler's).
+/// Shared tail: verify structure, then, block by block, build the
+/// allocated schedule graph once, list-schedule the block from it and
+/// run the Theorem 1 check on it, so one graph is alive at a time. A
+/// verification failure here leaves the dynamic fields at their
+/// defaults, so the error spells out that the run died before simulation
+/// — a JSON report must never show Success == false with an empty (or
+/// misleading) Error. \p KeepSchedule preserves a schedule the strategy
+/// already computed (the oracle's proven-optimal cycle assignment must
+/// not be replaced by the list scheduler's).
 static void finishPipeline(PipelineResult &R, const MachineModel &Machine,
                            bool KeepSchedule = false) {
   std::string VerifyError;
@@ -147,16 +151,28 @@ static void finishPipeline(PipelineResult &R, const MachineModel &Machine,
   }
   faultinject::maybeThrow("sched.final");
   deadline::checkpoint();
-  if (!KeepSchedule)
-    R.Sched = scheduleFunction(R.Final, Machine);
-  R.StaticCycles = R.Sched.totalMakespan();
-  {
-    PIRA_TIME_SCOPE("analysis/falsedeps");
-    R.FalseDeps = static_cast<unsigned>(
-        findFalseDependences(R.SymbolicTwin, R.Final, Machine).size());
-    R.AntiOrderingLosses =
-        countAntiOrderingLosses(R.SymbolicTwin, R.Final, Machine);
+  if (!KeepSchedule) {
+    R.Sched.Blocks.clear();
+    R.Sched.Blocks.reserve(R.Final.numBlocks());
   }
+  FalseDepChecker Check(R.SymbolicTwin, R.Final, Machine);
+  for (unsigned B = 0, NB = R.Final.numBlocks(); B != NB; ++B) {
+    std::optional<DependenceGraph> G;
+    if (!KeepSchedule) {
+      PIRA_TIME_SCOPE("sched/list");
+      G.emplace(R.Final, B, Machine);
+      R.Sched.Blocks.push_back(scheduleBlockFor(R.Final, B, *G, Machine));
+    }
+    PIRA_TIME_SCOPE("analysis/falsedeps");
+    if (!Check.needsGraphs())
+      continue;
+    if (!G)
+      G.emplace(R.Final, B, Machine);
+    Check.checkBlock(B, *G);
+  }
+  R.StaticCycles = R.Sched.totalMakespan();
+  R.FalseDeps = static_cast<unsigned>(Check.falseDeps().size());
+  R.AntiOrderingLosses = Check.antiOrderingLosses();
 }
 
 PipelineResult pira::runStrategy(StrategyKind Kind, const Function &Input,

@@ -52,17 +52,27 @@ BlockSchedule pira::scheduleBlockFor(const Function &F, unsigned BlockIdx,
   };
   auto HeapLess = [&](unsigned A, unsigned B) { return Before(B, A); };
 
-  // Ready[k]: nodes of unit kind k whose predecessors have all issued and
-  // whose operands are ready by this cycle, as a heap with the best node
-  // on top. Pending: nodes whose predecessors have all issued but whose
-  // operands are not ready yet, as a min-heap on ReadyAt.
-  std::array<std::vector<unsigned>, NumUnitKinds> Ready;
+  // Ready heap k: nodes of unit kind k whose predecessors have all
+  // issued and whose operands are ready by this cycle, with the best node
+  // on top. A node is ready once, so the heaps share one buffer of N,
+  // heap k in [Start[k], Start[k] + Size[k]). Pending: nodes whose
+  // predecessors have all issued but whose operands are not ready yet,
+  // as a min-heap on ReadyAt.
+  std::vector<unsigned> ReadyBuf(N);
+  std::array<unsigned, NumUnitKinds + 1> Start{};
+  std::array<unsigned, NumUnitKinds> Size{};
+  for (unsigned V = 0; V != N; ++V)
+    ++Start[KindOf(V) + 1];
+  for (unsigned K = 0; K != NumUnitKinds; ++K)
+    Start[K + 1] += Start[K];
+  auto HeapBegin = [&](unsigned K) { return ReadyBuf.begin() + Start[K]; };
   using PendingNode = std::pair<unsigned, unsigned>; // (ReadyAt, node)
   std::vector<PendingNode> Pending;
+  Pending.reserve(N);
   auto MakeReady = [&](unsigned V) {
-    std::vector<unsigned> &Heap = Ready[KindOf(V)];
-    Heap.push_back(V);
-    std::push_heap(Heap.begin(), Heap.end(), HeapLess);
+    unsigned K = KindOf(V);
+    HeapBegin(K)[Size[K]++] = V;
+    std::push_heap(HeapBegin(K), HeapBegin(K) + Size[K], HeapLess);
   };
   for (unsigned V = 0; V != N; ++V)
     if (PredsLeft[V] == 0)
@@ -79,8 +89,8 @@ BlockSchedule pira::scheduleBlockFor(const Function &F, unsigned BlockIdx,
       MakeReady(Pending.back().second);
       Pending.pop_back();
     }
-    bool AnyReady = std::any_of(Ready.begin(), Ready.end(),
-                                [](const auto &H) { return !H.empty(); });
+    bool AnyReady = std::any_of(Size.begin(), Size.end(),
+                                [](unsigned S) { return S != 0; });
     if (!AnyReady) {
       // Nothing can issue until the next pending node's operands arrive.
       assert(!Pending.empty() && "unissued nodes but none pending");
@@ -99,19 +109,20 @@ BlockSchedule pira::scheduleBlockFor(const Function &F, unsigned BlockIdx,
     while (SlotsLeft != 0) {
       unsigned Best = ~0u;
       for (unsigned K = 0; K != NumUnitKinds; ++K)
-        if (UnitsLeft[K] != 0 && !Ready[K].empty() &&
-            (Best == ~0u || Before(Ready[K].front(), Best)))
-          Best = Ready[K].front();
+        if (UnitsLeft[K] != 0 && Size[K] != 0 &&
+            (Best == ~0u || Before(*HeapBegin(K), Best)))
+          Best = *HeapBegin(K);
       if (Best == ~0u)
         break;
 
-      std::vector<unsigned> &Heap = Ready[KindOf(Best)];
-      std::pop_heap(Heap.begin(), Heap.end(), HeapLess);
-      Heap.pop_back();
+      unsigned BestKind = KindOf(Best);
+      std::pop_heap(HeapBegin(BestKind), HeapBegin(BestKind) + Size[BestKind],
+                    HeapLess);
+      --Size[BestKind];
       Out.CycleOf[Best] = Cycle;
       --Remaining;
       --SlotsLeft;
-      --UnitsLeft[KindOf(Best)];
+      --UnitsLeft[BestKind];
       for (unsigned EI : G.succEdges(Best)) {
         const DepEdge &E = G.edges()[EI];
         ReadyAt[E.To] = std::max(ReadyAt[E.To], Cycle + E.Latency);

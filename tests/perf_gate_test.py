@@ -9,6 +9,11 @@ within the threshold of the baseline's, once for BM_PinterColor and once
 for each schedule-layer, PIG-layer, Theorem 1 check, IPS, Chaitin
 coloring, interference and simulator gate; a report missing a gated row
 is unusable (2).
+
+Repeated rows of one benchmark gate on their median: one outlying
+repetition of five passes (0), three fail (1). google-benchmark's
+summary rows (_mean, _median, _stddev, _cv) are ignored, even a zero
+_stddev or an outlying _mean (0).
 """
 
 import json
@@ -98,24 +103,35 @@ MISSING_ROW = [
 ]
 
 
-def report(times):
+def report(rows):
+    """A report of (name, time) rows, or of a {name: time} dict."""
+    if isinstance(rows, dict):
+        rows = rows.items()
     return {
         "schema": "pira.bench",
         "version": 2,
         "bench": "perf_algorithms",
         "provenance": {"build_type": "Release", "ndebug": False},
         "results": [{"name": n, "iterations": 1, "real_time_ns": t,
-                     "cpu_time_ns": t} for n, t in times.items()],
+                     "cpu_time_ns": t} for n, t in rows],
     }
 
 
-def run_gate(gate, tmp, fresh_times):
+def repeated(times, count, overrides):
+    """\p count rows of every benchmark in \p times, repetition by
+    repetition as an interleaved run writes them; \p overrides maps a
+    (name, repetition) to the time that row reads instead."""
+    return [(n, overrides.get((n, rep), t))
+            for rep in range(count) for n, t in times.items()]
+
+
+def run_gate(gate, tmp, fresh_rows):
     base = os.path.join(tmp, "base.json")
     fresh = os.path.join(tmp, "fresh.json")
     with open(base, "w", encoding="utf-8") as f:
         json.dump(report(BASE_TIMES), f)
     with open(fresh, "w", encoding="utf-8") as f:
-        json.dump(report(fresh_times), f)
+        json.dump(report(fresh_rows), f)
     proc = subprocess.run([sys.executable, gate, base, fresh],
                           capture_output=True, text=True)
     return proc.returncode, proc.stdout + proc.stderr
@@ -154,11 +170,37 @@ def main():
                 failures.append("missing %s row: exit %d\n%s"
                                 % (label, code, out))
 
+        # Five repetitions; the last reads BM_PinterColor/1024 at 25x its
+        # 256 row, over the ceiling. The median ignores one such row ...
+        slow = 25 * BASE_TIMES["BM_PinterColor/256"]
+        one = {("BM_PinterColor/1024", 4): slow}
+        code, out = run_gate(gate, tmp, repeated(BASE_TIMES, 5, one))
+        if code != 0:
+            failures.append("one slow repetition of five: exit %d\n%s"
+                            % (code, out))
+        # ... but not three.
+        three = {("BM_PinterColor/1024", r): slow for r in (0, 2, 4)}
+        code, out = run_gate(gate, tmp, repeated(BASE_TIMES, 5, three))
+        if code != 1 or "pinter_color_scaling" not in out:
+            failures.append("three slow repetitions of five: exit %d\n%s"
+                            % (code, out))
+
+        # Summary rows after the repetitions: a zero _stddev would be an
+        # unusable time, and the _mean an over-ceiling one.
+        rows = repeated(BASE_TIMES, 3, {})
+        for name, t in BASE_TIMES.items():
+            mean = slow if name == "BM_PinterColor/1024" else t
+            rows += [(name + "_mean", mean), (name + "_median", t),
+                     (name + "_stddev", 0.0), (name + "_cv", 0.0)]
+        code, out = run_gate(gate, tmp, rows)
+        if code != 0:
+            failures.append("summary rows: exit %d\n%s" % (code, out))
+
     for f in failures:
         print("FAIL: " + f, file=sys.stderr)
     if not failures:
         print("perf_gate_test: %d cases pass"
-              % (2 + len(OVER_CEILING) + len(MISSING_ROW)))
+              % (5 + len(OVER_CEILING) + len(MISSING_ROW)))
     return 1 if failures else 0
 
 

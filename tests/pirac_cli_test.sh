@@ -73,6 +73,30 @@ expect 0 "empty generated tournament"   -- "$PIRAC" --tournament --corpus-count 
 expect 1 "tournament all inputs bad"    -- "$PIRAC" --tournament bad.pir \
                                              --stats-out t1.json
 
+# A store and a load of one array slot through an index register that is
+# rewritten between them (a[3 + 1], then a[-3 + 7]) stay ordered by a
+# memory edge with the store's latency, so every strategy compiles it
+# with no fallback rung.
+cat > redef.pir <<'EOF'
+func @redef regs 8 {
+  array a 16
+block entry:
+  %s1 = li 3
+  %s2 = li 7
+  store a[%s1 + 1], %s2
+  %s1 = neg %s1
+  %s4 = load a[%s1 + 7]
+  %s5 = add %s4, %s2
+  ret %s5
+}
+EOF
+printf 'machine wide\nwidth 4\nregs 3\nunits fixed=2 float=1 mem=2 branch=1 move=2\nlatency store=3\n' \
+  > wide.mach
+for strategy in alloc-first sched-first goodman-hsu-ips combined; do
+  expect 0 "redefined index, $strategy" -- "$PIRAC" redef.pir \
+    --machine-file wide.mach --strategy "$strategy" --no-degrade
+done
+
 # Both empty-corpus tournaments must still emit a valid zero-row
 # pira.tournament report — never fall back to a generated corpus.
 for f in t0.json t1.json; do

@@ -96,9 +96,19 @@ ReferenceGraph::ReferenceGraph(const Function &F, unsigned BlockIdx,
   std::map<Reg, unsigned> LastDef;
   std::map<Reg, std::vector<unsigned>> ReadersSinceDef;
   std::vector<unsigned> MemOps;
+  // IndexDef[I]: the def that the index register of memory op I reads,
+  // or NumNodes for a direct access or the value the block starts with.
+  std::map<unsigned, unsigned> IndexDef;
 
   for (unsigned I = 0; I != NumNodes; ++I) {
     const Instruction &Inst = BB.inst(I);
+    if (Inst.isMemory()) {
+      Reg Index = Inst.opcode() == Opcode::Load
+                      ? (Inst.uses().empty() ? NoReg : Inst.uses()[0])
+                      : (Inst.uses().size() > 1 ? Inst.uses()[1] : NoReg);
+      auto It = LastDef.find(Index);
+      IndexDef[I] = It == LastDef.end() ? NumNodes : It->second;
+    }
 
     // Flow dependences: latest prior def of each used register.
     for (Reg U : Inst.uses()) {
@@ -128,7 +138,9 @@ ReferenceGraph::ReferenceGraph(const Function &F, unsigned BlockIdx,
     }
 
     // Memory ordering: any prior memory op that may touch the same slot,
-    // unless both are loads.
+    // unless both are loads. The disjointness rule holds only while the
+    // index register keeps one value: a def of it between the two ops
+    // leaves them aliasing unless their arrays differ.
     if (Inst.isMemory()) {
       bool IsLoad = Inst.opcode() == Opcode::Load;
       for (unsigned Prev : MemOps) {
@@ -136,7 +148,10 @@ ReferenceGraph::ReferenceGraph(const Function &F, unsigned BlockIdx,
         bool PrevIsLoad = PrevInst.opcode() == Opcode::Load;
         if (IsLoad && PrevIsLoad)
           continue;
-        if (memoryProvablyDisjoint(F, PrevInst, Inst))
+        bool OneIndexValue = IndexDef[Prev] == IndexDef[I];
+        if (memoryProvablyDisjoint(F, PrevInst, Inst) &&
+            (OneIndexValue ||
+             PrevInst.arraySymbolId() != Inst.arraySymbolId()))
           continue;
         addEdge(Prev, I, DepKind::Memory,
                 Machine.latency(PrevInst.opcode()));
@@ -420,7 +435,8 @@ namespace {
 
 /// Hand-built memory corner cases, one family per block. Arrays `u` and
 /// `z` have size 0: `u` is only used (the parser declares it empty), `z`
-/// is declared so.
+/// is declared so. Block `redefined` rewrites an index register between
+/// accesses at distinct in-bounds offsets, which then may alias.
 const char *const MemoryCorners = R"(func @mem regs 12 {
   array a 8
   array z 0
@@ -462,6 +478,15 @@ block indexed:
   store a[2], %s10
   %s2 = load a[%s2]
   store a[%s2], %s2
+  br redefined
+block redefined:
+  store a[%s0 + 1], %s1
+  %s0 = neg %s0
+  %s3 = load a[%s0 + 7]
+  store a[%s0 + 2], %s3
+  %s0 = add %s0, %s0
+  store a[%s0 + 3], %s3
+  %s4 = load a[%s0 + 1]
   br loads
 block loads:
   %s3 = load a[1]

@@ -7,7 +7,6 @@
 
 #include "ClosureOracle.h"
 
-#include "support/Arena.h"
 #include "support/BitMatrix.h"
 #include "support/BitVector.h"
 #include "support/DotWriter.h"
@@ -688,7 +687,7 @@ TEST(ThreadPoolTest, PiraJobsAboveTheCapIsIgnored) {
 }
 
 //===----------------------------------------------------------------------===//
-// SmallVector / Arena / string interner (the data-oriented IR layer)
+// SmallVector / string interner (the data-oriented IR layer)
 //===----------------------------------------------------------------------===//
 
 TEST(SmallVectorTest, InlineThenSpill) {
@@ -737,27 +736,6 @@ TEST(SmallVectorTest, CopyMoveAndEquality) {
   for (unsigned X : F)
     Sum += X;
   EXPECT_EQ(Sum, 10u);
-}
-
-TEST(ArenaTest, BumpAllocationAndAlignment) {
-  Arena A(/*ChunkBytes=*/256);
-  unsigned *P = A.allocate<unsigned>(10);
-  for (unsigned I = 0; I < 10; ++I)
-    P[I] = I;
-  uint64_t *Q = A.allocateZeroed<uint64_t>(4);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(Q) % alignof(uint64_t), 0u);
-  for (unsigned I = 0; I < 4; ++I)
-    EXPECT_EQ(Q[I], 0u);
-  // Earlier allocations survive chunk growth.
-  for (unsigned I = 0; I < 50; ++I)
-    (void)A.allocate<uint64_t>(16); // each 128 bytes; forces new chunks
-  for (unsigned I = 0; I < 10; ++I)
-    EXPECT_EQ(P[I], I);
-  EXPECT_GT(A.bytesAllocated(), 256u);
-  // An allocation larger than the chunk size still succeeds.
-  char *Big = A.allocate<char>(4096);
-  Big[4095] = 'x';
-  EXPECT_EQ(Big[4095], 'x');
 }
 
 TEST(StringInternerTest, PointerIdentityPerContent) {

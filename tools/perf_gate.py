@@ -34,13 +34,23 @@ Absolute wall-clock gates (--absolute) are also available for
 same-machine comparisons, e.g. a developer re-running the suite before
 and after a change on one box.
 
+A report may hold several rows of one benchmark, as a run with
+--benchmark_repetitions=N writes them; each benchmark then reads the
+median of its rows, so one preempted repetition cannot fail a gate.
+google-benchmark's own summary rows of such a run (names ending in
+_mean, _median, _stddev or _cv) are ignored.
+
 Exit codes: 0 all gates pass, 1 regression, 2 usage / unreadable or
 mismatched inputs.
 """
 
 import argparse
 import json
+import statistics
 import sys
+
+# Name suffixes of google-benchmark's summary rows over repetitions.
+AGGREGATE_SUFFIXES = ("_mean", "_median", "_stddev", "_cv")
 
 # (label, numerator benchmark, denominator benchmark). Higher is better
 # for both: the numerator is the slow reference, the denominator the
@@ -145,9 +155,9 @@ def load_report(path):
         fail_usage("cannot read %s: %s" % (path, e))
     if doc.get("schema") != "pira.bench":
         fail_usage("%s is not a pira.bench report" % path)
-    times = {}
+    samples = {}
     for row in doc.get("results", []):
-        if "error" in row:
+        if "error" in row or row.get("name", "").endswith(AGGREGATE_SUFFIXES):
             continue
         try:
             value = float(row["real_time_ns"])
@@ -160,7 +170,9 @@ def load_report(path):
             # broken producer, so refuse the report outright.
             fail_usage("%s: benchmark %r reports non-positive time %r"
                        % (path, row.get("name", "?"), value))
-        times[row["name"]] = value
+        samples.setdefault(row["name"], []).append(value)
+    times = {name: statistics.median(values)
+             for name, values in samples.items()}
     if not times:
         fail_usage("%s has no usable benchmark results" % path)
     return doc, times
