@@ -91,9 +91,7 @@ void DependenceGraph::buildCsr() {
   LastEdge = {};
 }
 
-/// Returns the index register of memory instruction \p I, or NoReg for a
-/// direct access.
-static Reg memoryIndexReg(const Instruction &I) {
+Reg pira::memoryIndexReg(const Instruction &I) {
   if (I.opcode() == Opcode::Load)
     return I.uses().empty() ? NoReg : I.uses()[0];
   return I.uses().size() > 1 ? I.uses()[1] : NoReg;

@@ -30,6 +30,7 @@
 #ifndef PIRA_ANALYSIS_DEPENDENCEGRAPH_H
 #define PIRA_ANALYSIS_DEPENDENCEGRAPH_H
 
+#include "ir/Instruction.h"
 #include "support/BitMatrix.h"
 
 #include <memory>
@@ -42,7 +43,6 @@ namespace pira {
 
 class BasicBlock;
 class Function;
-class Instruction;
 class MachineModel;
 
 /// Classifies why one instruction must precede another.
@@ -75,6 +75,10 @@ const char *depKindName(DepKind Kind);
 /// through a register redefined in between must treat them as aliasing.
 bool memoryProvablyDisjoint(const Function &F, const Instruction &A,
                             const Instruction &B);
+
+/// Returns the index register of memory instruction \p I, or NoReg for a
+/// direct access.
+Reg memoryIndexReg(const Instruction &I);
 
 /// One precedence edge of the schedule graph.
 struct DepEdge {

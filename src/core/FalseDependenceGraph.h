@@ -16,7 +16,8 @@
 /// lists exactly the instruction pairs that may issue in the same cycle.
 ///
 /// This dense form serves the graph dumps, the figures and the augmented
-/// PIG. The PIG itself complements Et in web space and never builds Ef
+/// PIG. The PIG itself keeps Ef as per-(block, unit kind) groups of webs
+/// minus their Et pairs and never builds Ef
 /// (core/ParallelInterferenceGraph.h).
 ///
 //===----------------------------------------------------------------------===//

@@ -25,6 +25,7 @@
 #define PIRA_CORE_PARALLELINTERFERENCEGRAPH_H
 
 #include "regalloc/ColoringEngine.h"
+#include "support/BitMatrix.h"
 #include "support/UndirectedGraph.h"
 
 #include <vector>
@@ -39,38 +40,53 @@ class Webs;
 /// The PIG over webs, keeping the two edge families separate so the
 /// Section-4 heuristics can weigh them differently (Lemmas 2 and 3).
 ///
-/// Both families are bit rows; no per-pair list is kept. The parallel
-/// rows come from Et, the sparse side: each def's descendants, ancestors
-/// and single-unit class are mapped to webs and complemented there, so no
-/// block's Ef is built. A web with one defining instruction has that
-/// instruction's critical-path height, and a parallel edge between two
-/// such webs in one block has benefit H(def A) + H(def B). Only the edges
-/// whose benefit is not that sum are listed (explicitEdges()).
+/// The parallel family is kept as the complement of Et, never as
+/// adjacency (ParallelFamily in regalloc/ColoringEngine.h): per-(block,
+/// unit kind) groups of the webs with one def, per such web its Et
+/// pairs, and an explicit list of the edges with a multi-def end or
+/// across blocks. Every count is arithmetic on that form, so nothing of
+/// size N^2 is built; parallel() and combined() build the adjacency on
+/// request, for the figures, the DOT dumps and the tests.
+///
+/// Er is not copied: the PIG refers to \p IG's graph, which must outlive
+/// it, as the arrays family() views must outlive the coloring.
 class ParallelInterferenceGraph {
 public:
   /// defHeight() of a web with several defining instructions, or none.
   static constexpr unsigned NoHeight = ParallelFamily::NoHeight;
 
   /// Builds the PIG of \p F. \p IG must be the interference graph of the
-  /// same function/web partition. When \p UseRegions is true, parallel
-  /// edges are additionally collected across plausible block pairs.
+  /// same function/web partition and outlive the PIG. When \p UseRegions
+  /// is true, parallel edges are additionally collected across plausible
+  /// block pairs.
   ParallelInterferenceGraph(const Function &F, const Webs &W,
                             const InterferenceGraph &IG,
                             const MachineModel &Machine,
                             bool UseRegions = false);
 
+  /// A temporary \p IG would not outlive the PIG.
+  ParallelInterferenceGraph(const Function &F, const Webs &W,
+                            const InterferenceGraph &&IG,
+                            const MachineModel &Machine,
+                            bool UseRegions = false) = delete;
+
   /// Returns the number of vertices (webs).
   unsigned numWebs() const { return Interference.numVertices(); }
 
-  /// The interference family Er.
+  /// The interference family Er: \p IG's graph.
   const UndirectedGraph &interference() const { return Interference; }
 
-  /// The parallel family: web pairs whose defining instructions may issue
-  /// in the same cycle somewhere. May overlap Er (Lemma 3 edges).
-  const UndirectedGraph &parallel() const { return Parallel; }
+  /// The parallel family as adjacency: web pairs whose defining
+  /// instructions may issue in the same cycle somewhere. May overlap Er
+  /// (Lemma 3 edges). Built on each call in O(N^2).
+  UndirectedGraph parallel() const;
 
-  /// The full edge set E = Er ∪ parallel, as one graph.
-  const UndirectedGraph &combined() const { return Combined; }
+  /// The full edge set E = Er ∪ parallel, as one graph. Built on each
+  /// call in O(N^2).
+  UndirectedGraph combined() const;
+
+  /// The parallel family in group form, for the Section 4 coloring.
+  ParallelFamily family() const;
 
   /// Scheduling benefit of parallel edge {\p A, \p B}: the largest summed
   /// critical-path height over the instruction pairs that induced it.
@@ -85,24 +101,47 @@ public:
   /// defHeight() of every web, indexed by web.
   const std::vector<unsigned> &defHeights() const { return DefHeight; }
 
-  /// The parallel edges whose benefit is not the defHeight() sum of their
-  /// ends, sorted by (A, B), each carrying the largest benefit any
-  /// inducing pair gave it: every edge with a multi-def end, and every
-  /// region edge (cross-block, benefit 1). Includes the Lemma 3 edges
-  /// that are also interference edges.
+  /// The parallel edges that are not implicit: every edge with a
+  /// multi-def end, and every region edge (cross-block, benefit 1),
+  /// sorted by (A, B), each carrying the largest benefit any inducing
+  /// pair gave it. Includes the Lemma 3 edges that are also interference
+  /// edges.
   const std::vector<ParallelEdge> &explicitEdges() const { return Explicit; }
 
   /// Number of parallel edges that are not interference edges.
-  unsigned numParallelOnlyEdges() const {
-    return Combined.numEdges() - Interference.numEdges();
+  unsigned numParallelOnlyEdges() const { return NumParallel - NumLemma3; }
+
+  /// Number of parallel edges that are also interference edges (Ef ∩ Er,
+  /// the edges that weigh twice in h*, Lemma 3).
+  unsigned numLemma3Edges() const { return NumLemma3; }
+
+  /// Number of Et pairs: pairs of webs with one def each, defined in one
+  /// block by instructions whose unit kinds may co-issue, that the
+  /// closure of Gs relates. The implicit edges are the compatible pairs
+  /// less these.
+  unsigned numEtPairs() const {
+    return static_cast<unsigned>(EtPartners.size() / 2);
   }
 
 private:
-  UndirectedGraph Interference;
-  UndirectedGraph Parallel;
-  UndirectedGraph Combined;
+  /// True when {\p A, \p B} (A != B) is an implicit edge: two members
+  /// of compatible groups that form no Et pair.
+  bool isImplicitEdge(unsigned A, unsigned B) const;
+
+  /// The parallel rows, Er's rows added when \p WithInterference.
+  BitMatrix parallelRows(bool WithInterference) const;
+
+  const UndirectedGraph &Interference;
   std::vector<unsigned> DefHeight;
+  std::vector<unsigned> GroupOf;
+  std::vector<unsigned> CompatibleStart;
+  std::vector<unsigned> Compatible;
+  std::vector<unsigned> EtStart;
+  std::vector<unsigned> EtPartners;
   std::vector<ParallelEdge> Explicit;
+  std::vector<unsigned> BothDegree;
+  unsigned NumParallel = 0;
+  unsigned NumLemma3 = 0;
 };
 
 } // namespace pira

@@ -36,8 +36,7 @@ Allocation pira::pinterColor(const ParallelInterferenceGraph &PIG,
                              unsigned NumRegs, const PinterOptions &Opts) {
   PIRA_TIME_SCOPE("pig/coloring");
   assert(Costs.size() == PIG.numWebs() && "cost vector size mismatch");
-  ParallelFamily Family{PIG.parallel(), PIG.combined(), PIG.defHeights(),
-                        PIG.explicitEdges()};
+  ParallelFamily Family = PIG.family();
   Allocation Out =
       colorGraph(PIG.interference(), Costs, NumRegs, &Family,
                  Opts.InterferenceWeight, Opts.ParallelWeight);

@@ -35,25 +35,38 @@ RegionFalseDeps::RegionFalseDeps(const Function &F, const Webs &W,
   BlockReach.transitiveClosure();
 
   std::set<unsigned> InRegion(Blocks.begin(), Blocks.end());
-  auto InterveningStoreTo = [&](unsigned From, unsigned To,
-                                const std::string &Array) {
+  auto Intervening = [&](unsigned From, unsigned To, auto &&Pred) {
     for (unsigned P = 0, E = F.numBlocks(); P != E; ++P) {
       if (InRegion.count(P) || !BlockReach.test(From, P) ||
           !BlockReach.test(P, To))
         continue;
       for (const Instruction &I : F.block(P).instructions())
-        if (I.opcode() == Opcode::Store && I.arraySymbol() == Array)
+        if (Pred(I))
           return true;
     }
     return false;
   };
+
+  // Two accesses through one index register see one value only when no
+  // def of it lies between them, memoryProvablyDisjoint's precondition.
+  // In region order that is a def at or after the earlier access, which
+  // reads its index before it writes.
+  IndexDefBefore.assign(N, NoDef);
+  std::vector<unsigned> LastDef(F.numRegs(), NoDef);
+  for (unsigned A = 0; A != N; ++A) {
+    const Instruction &I = instAt(A);
+    if (I.isMemory() && memoryIndexReg(I) != NoReg)
+      IndexDefBefore[A] = LastDef[memoryIndexReg(I)];
+    if (I.hasDef())
+      LastDef[I.def()] = A;
+  }
 
   for (unsigned A = 0; A != N; ++A) {
     const Instruction &IA = instAt(A);
     for (unsigned B = A + 1; B != N; ++B) {
       const Instruction &IB = instAt(B);
       bool SameBlock = Nodes[A].first == Nodes[B].first;
-      if (orders(W, A, IA, B, IB, SameBlock, InterveningStoreTo))
+      if (orders(W, A, IA, B, IB, SameBlock, Intervening))
         Deps.set(A, B);
     }
   }
@@ -76,11 +89,11 @@ const Instruction &RegionFalseDeps::instAt(unsigned Node) const {
   return F.block(Nodes[Node].first).inst(Nodes[Node].second);
 }
 
-template <typename BarrierFn>
+template <typename InterveningFn>
 bool RegionFalseDeps::orders(const Webs &W, unsigned A, const Instruction &IA,
                              unsigned B, const Instruction &IB,
                              bool SameBlock,
-                             BarrierFn &&InterveningStoreTo) const {
+                             InterveningFn &&Intervening) const {
   auto [BlockA, InstA] = Nodes[A];
   auto [BlockB, InstB] = Nodes[B];
 
@@ -104,13 +117,28 @@ bool RegionFalseDeps::orders(const Webs &W, unsigned A, const Instruction &IA,
         return true;
   }
 
+  auto StoreTo = [](const std::string &Array) {
+    return [&Array](const Instruction &I) {
+      return I.opcode() == Opcode::Store && I.arraySymbol() == Array;
+    };
+  };
   // Memory ordering (loads commute; everything else is conservative,
-  // plus a barrier when a block between the two writes the array).
+  // plus a barrier when a block between the two writes the array). Two
+  // accesses of one array through an index register redefined between
+  // them may alias whatever their offsets.
   if (IA.isMemory() && IB.isMemory() &&
       !(IA.opcode() == Opcode::Load && IB.opcode() == Opcode::Load)) {
     if (!memoryProvablyDisjoint(F, IA, IB))
       return true;
-    if (!SameBlock && InterveningStoreTo(BlockA, BlockB, IA.arraySymbol()))
+    if (!SameBlock && Intervening(BlockA, BlockB, StoreTo(IA.arraySymbol())))
+      return true;
+    Reg Index = memoryIndexReg(IA);
+    if (IA.arraySymbol() == IB.arraySymbol() && Index != NoReg &&
+        ((IndexDefBefore[B] != NoDef && IndexDefBefore[B] >= A) ||
+         (!SameBlock &&
+          Intervening(BlockA, BlockB, [Index](const Instruction &I) {
+            return I.def() == Index;
+          }))))
       return true;
   }
   // A store is also ordered against intervening writes of its array even
@@ -118,7 +146,7 @@ bool RegionFalseDeps::orders(const Webs &W, unsigned A, const Instruction &IA,
   // above; loads pairs need the barrier too when crossing blocks.
   if (IA.isMemory() && IB.isMemory() && !SameBlock &&
       IA.arraySymbol() == IB.arraySymbol() &&
-      InterveningStoreTo(BlockA, BlockB, IA.arraySymbol()))
+      Intervening(BlockA, BlockB, StoreTo(IA.arraySymbol())))
     return true;
 
   // Control: anything precedes its own block's terminator; terminators

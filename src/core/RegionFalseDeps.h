@@ -48,14 +48,22 @@ public:
 
 private:
   /// Decides whether region node A must precede region node B (A earlier
-  /// in region order).
-  template <typename BarrierFn>
+  /// in region order). \p Intervening(From, To, Pred) tells whether a
+  /// block outside the region that lies on a path from block From to
+  /// block To holds an instruction satisfying Pred.
+  template <typename InterveningFn>
   bool orders(const Webs &W, unsigned A, const Instruction &IA, unsigned B,
               const Instruction &IB, bool SameBlock,
-              BarrierFn &&InterveningStoreTo) const;
+              InterveningFn &&Intervening) const;
 
   const Function &F;
   std::vector<std::pair<unsigned, unsigned>> Nodes;
+  /// IndexDefBefore entry of a node whose index register has no def
+  /// before it in the region.
+  static constexpr unsigned NoDef = ~0u;
+  /// Per memory node with an index register, the region position of that
+  /// register's latest def before the node, or NoDef.
+  std::vector<unsigned> IndexDefBefore;
   BitMatrix Deps;
 };
 

@@ -46,24 +46,43 @@ struct ParallelEdge {
 };
 
 /// The parallel edge family Section 4 colors beside the interference
-/// graph (the PIG's, see core/ParallelInterferenceGraph.h). A view: the
-/// graphs and arrays must outlive the coloring that reads them.
+/// graph (the PIG's, see core/ParallelInterferenceGraph.h), kept in the
+/// paper's form: Ef is the complement of Et.
+///
+/// A *member* is a web with exactly one defining instruction; its group
+/// is that instruction's (block, unit kind). A group is compatible with
+/// the other groups of its block, and with itself unless its unit kind
+/// has one unit. Two members are joined by an *implicit* parallel edge
+/// when their groups are compatible and their defs are no Et pair (the
+/// closure of Gs relates them); its benefit is the sum of their
+/// DefHeight entries. Every other parallel edge is listed in Explicit.
+/// No explicit edge joins two members of one block, so the two parts
+/// never overlap.
+///
+/// A view: the arrays must outlive the coloring that reads them.
 struct ParallelFamily {
-  /// DefHeight entry of a web whose parallel edges all carry an explicit
-  /// benefit.
+  /// DefHeight entry of a web that is no member.
   static constexpr unsigned NoHeight = ~0u;
+  /// GroupOf entry of a web that is no member.
+  static constexpr unsigned NoGroup = ~0u;
 
-  /// Web pairs whose defining instructions may issue in one cycle. May
-  /// overlap the interference graph.
-  const UndirectedGraph &Parallel;
-  /// Interference | Parallel.
-  const UndirectedGraph &Combined;
+  /// Per web, its group, or NoGroup.
+  std::span<const unsigned> GroupOf;
+  /// Per group G, the groups compatible with it, ascending:
+  /// Compatible[CompatibleStart[G] .. CompatibleStart[G + 1]).
+  std::span<const unsigned> CompatibleStart;
+  std::span<const unsigned> Compatible;
+  /// Per web V, the members it forms an Et pair with, ascending:
+  /// EtPartners[EtStart[V] .. EtStart[V + 1]). Empty for a non-member.
+  std::span<const unsigned> EtStart;
+  std::span<const unsigned> EtPartners;
   /// Per web, the height of its only defining instruction, or NoHeight.
-  /// A parallel edge between two webs with heights that Explicit does not
-  /// list has benefit DefHeight[A] + DefHeight[B].
   std::span<const unsigned> DefHeight;
-  /// The parallel edges whose benefit is not that sum, sorted by (A, B).
+  /// The explicit parallel edges with their benefits, sorted by (A, B).
   std::span<const ParallelEdge> Explicit;
+  /// Per web, its interference neighbours that are also parallel
+  /// neighbours: its edges in both families (Lemma 3).
+  std::span<const unsigned> BothDegree;
 };
 
 /// Colors \p Interference, plus \p Family when non-null, with \p NumRegs

@@ -50,12 +50,7 @@ public:
   bool any() const { return !none(); }
 
   /// Returns the number of set bits.
-  unsigned count() const {
-    unsigned N = 0;
-    for (uint64_t W : Words)
-      N += static_cast<unsigned>(__builtin_popcountll(W));
-    return N;
-  }
+  unsigned count() const { return count(0, NumBits); }
 
   /// Reads bit \p Idx.
   bool test(unsigned Idx) const {
@@ -122,13 +117,32 @@ public:
       Words[I] &= ~RHS.Words[I];
   }
 
-  /// In-place this |= \p A & ~\p B; sizes must match. One pass, where
-  /// copying A, subtracting B and uniting would take three.
-  void unionWithDifference(const BitVector &A, const BitVector &B) {
-    assert(NumBits == A.NumBits && NumBits == B.NumBits &&
-           "size mismatch in unionWithDifference");
+  /// Returns the number of bits in [\p Begin, \p End) set in both this
+  /// vector and \p RHS; sizes must match. Word-parallel over the words
+  /// that hold the range only, no allocation, and no popcount call.
+  unsigned countCommon(const BitVector &RHS, unsigned Begin,
+                       unsigned End) const {
+    assert(NumBits == RHS.NumBits && "size mismatch in countCommon");
+    return countRange(Begin, End, [&](size_t I) {
+      return Words[I] & RHS.Words[I];
+    });
+  }
+
+  /// Returns the number of set bits in [\p Begin, \p End), as
+  /// countCommon does.
+  unsigned count(unsigned Begin, unsigned End) const {
+    return countRange(Begin, End, [&](size_t I) { return Words[I]; });
+  }
+
+  /// Calls \p Fn(Idx) for every bit set in both this vector and \p Mask
+  /// (same size) in ascending order, with no copy of either.
+  template <typename FnT>
+  void forEachCommonSetBit(const BitVector &Mask, FnT &&Fn) const {
+    assert(NumBits == Mask.NumBits && "size mismatch in forEachCommonSetBit");
     for (size_t I = 0, E = Words.size(); I != E; ++I)
-      Words[I] |= A.Words[I] & ~B.Words[I];
+      for (uint64_t Word = Words[I] & Mask.Words[I]; Word != 0;
+           Word &= Word - 1)
+        Fn(static_cast<unsigned>(I * WordBits + __builtin_ctzll(Word)));
   }
 
   /// Returns true when this vector and \p RHS share any set bit; sizes
@@ -190,6 +204,38 @@ public:
 
 private:
   static constexpr unsigned WordBits = 64;
+
+  /// The set bits of WordAt(I) over the words that hold [\p Begin,
+  /// \p End), the first and last masked to the range. Zero words, the
+  /// common case in sparse rows, are skipped.
+  template <typename WordFn>
+  unsigned countRange(unsigned Begin, unsigned End, WordFn &&WordAt) const {
+    assert(Begin <= End && End <= NumBits && "range out of bounds");
+    if (Begin == End)
+      return 0;
+    size_t First = Begin / WordBits, Last = (End - 1) / WordBits;
+    unsigned N = 0;
+    for (size_t I = First; I <= Last; ++I) {
+      uint64_t Word = WordAt(I);
+      if (I == First)
+        Word &= ~uint64_t(0) << (Begin % WordBits);
+      if (I == Last && End % WordBits != 0)
+        Word &= (uint64_t(1) << (End % WordBits)) - 1;
+      if (Word != 0)
+        N += popcountInline(Word);
+    }
+    return N;
+  }
+
+  /// The set bits of \p Word, counted in registers. Without -mpopcnt,
+  /// __builtin_popcountll is a libgcc call per word.
+  static unsigned popcountInline(uint64_t Word) {
+    Word -= (Word >> 1) & 0x5555555555555555ull;
+    Word = (Word & 0x3333333333333333ull) +
+           ((Word >> 2) & 0x3333333333333333ull);
+    Word = (Word + (Word >> 4)) & 0x0F0F0F0F0F0F0F0Full;
+    return static_cast<unsigned>((Word * 0x0101010101010101ull) >> 56);
+  }
 
   void clearUnusedBits() {
     unsigned Tail = NumBits % WordBits;

@@ -15,6 +15,7 @@
 #include "core/PinterAllocator.h"
 #include "ir/IRBuilder.h"
 #include "ir/Interpreter.h"
+#include "ir/Parser.h"
 #include "machine/MachineModel.h"
 #include "pipeline/Strategies.h"
 #include "regalloc/ChaitinAllocator.h"
@@ -25,6 +26,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <type_traits>
 
 using namespace pira;
 
@@ -317,6 +319,17 @@ TEST(PigTest, CombinedIsUnionOfFamilies) {
     EXPECT_TRUE(PIG.combined().hasEdge(A, B));
 }
 
+// The PIG refers to its interference graph's Er, so a temporary one is
+// refused at compile time.
+static_assert(std::is_constructible_v<ParallelInterferenceGraph,
+                                      const Function &, const Webs &,
+                                      const InterferenceGraph &,
+                                      const MachineModel &>);
+static_assert(!std::is_constructible_v<ParallelInterferenceGraph,
+                                       const Function &, const Webs &,
+                                       InterferenceGraph,
+                                       const MachineModel &>);
+
 TEST(PigTest, ParallelBenefitPositiveOnParallelEdges) {
   Function F = paperExample2();
   Webs W(F);
@@ -363,6 +376,42 @@ TEST(PigTest, RegionModeAddsCrossBlockEdges) {
   // D (fixed) with C (float): no dependence, different units -> edge.
   EXPECT_TRUE(With.parallel().hasEdge(W.webOfDef(1, 0), W.webOfDef(1, 1)) ||
               With.parallel().hasEdge(W.webOfDef(0, 0), W.webOfDef(1, 0)));
+}
+
+TEST(PigTest, RegionMemoryEdgesRespectARedefinedIndexRegister) {
+  // A two-block region: the store writes a[%s1 + 1] with %s1 = 3, and
+  // the next block loads a[%s1 + 7]. When %s1 is rewritten to -3 between
+  // them both touch a[4], so the store precedes the load, and so does the
+  // li of the stored value, through the store: no region edge may join
+  // the stored value's web and the load's. Without the rewrite the
+  // slots differ (4 and 10), the two accesses float, and the edge is
+  // there.
+  for (bool Redefine : {true, false}) {
+    std::string Text = "func @redef regs 8 {\n"
+                       "  array a 16\n"
+                       "block entry:\n"
+                       "  %s1 = li 3\n"
+                       "  %s2 = li 7\n"
+                       "  store a[%s1 + 1], %s2\n"
+                       "  br next\n"
+                       "block next:\n" +
+                       std::string(Redefine ? "  %s1 = neg %s1\n" : "") +
+                       "  %s4 = load a[%s1 + 7]\n"
+                       "  %s5 = add %s4, %s2\n"
+                       "  ret %s5\n"
+                       "}\n";
+    Function F;
+    std::string Error;
+    ASSERT_TRUE(parseFunction(Text, F, Error)) << Error;
+    Webs W(F);
+    InterferenceGraph IG(F, W);
+    ParallelInterferenceGraph PIG(F, W, IG, MachineModel::vliw4(),
+                                  /*UseRegions=*/true);
+    unsigned Stored = W.webOfDef(0, 1);
+    unsigned Loaded = W.webOfDef(1, Redefine ? 1 : 0);
+    EXPECT_EQ(PIG.parallel().hasEdge(Stored, Loaded), !Redefine)
+        << (Redefine ? "redefined" : "kept");
+  }
 }
 
 //===----------------------------------------------------------------------===//

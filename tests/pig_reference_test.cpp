@@ -3,10 +3,10 @@
 // Part of PIRA, a reproduction of Pinter's PLDI'93 combined register
 // allocation / instruction scheduling framework.
 //
-// The ParallelInterferenceGraph, whose parallel rows complement Et in
-// web space, checked against the pair-list construction over each
-// block's Ef that it replaced, kept here as ReferencePig (verbatim but
-// for its telemetry): every defining instruction pair of a block's Ef,
+// The ParallelInterferenceGraph, which keeps Ef as groups of one-def
+// webs minus their Et pairs, checked against the pair-list construction
+// over each block's Ef, kept here as ReferencePig (verbatim but for its
+// telemetry): every defining instruction pair of a block's Ef,
 // and every plausible region pair, becomes one ParallelEdge, and one sort
 // with a max-merge dedups them. For every pair of webs, not only for
 // edges, the two builds must agree on the three edge families, the
@@ -214,16 +214,17 @@ void expectSamePig(const Function &F, const MachineModel &M, bool Regions,
   // The explicit list is a sorted, duplicate-free subset of the parallel
   // edges; every other parallel edge joins two single-def webs.
   const std::vector<ParallelEdge> &Explicit = Lib.explicitEdges();
+  const UndirectedGraph LibParallel = Lib.parallel();
   for (size_t I = 0; I != Explicit.size(); ++I) {
     const ParallelEdge &E = Explicit[I];
     EXPECT_LT(E.A, E.B) << Where;
-    EXPECT_TRUE(Lib.parallel().hasEdge(E.A, E.B)) << Where;
+    EXPECT_TRUE(LibParallel.hasEdge(E.A, E.B)) << Where;
     if (I != 0) {
       EXPECT_TRUE(EndpointsLess(Explicit[I - 1], E)) << Where;
     }
   }
   for (unsigned A = 0; A != N; ++A)
-    Lib.parallel().neighbors(A).forEachSetBit([&](unsigned B) {
+    LibParallel.neighbors(A).forEachSetBit([&](unsigned B) {
       if (Lib.defHeight(A) != ParallelInterferenceGraph::NoHeight &&
           Lib.defHeight(B) != ParallelInterferenceGraph::NoHeight)
         return;
@@ -377,10 +378,11 @@ TEST(PigReference, ParallelEdgeCounterCountsDistinctEdges) {
     uint64_t Before = Counter->value();
     ParallelInterferenceGraph PIG(F, W, IG, M, Regions);
     uint64_t Delta = Counter->value() - Before;
-    EXPECT_EQ(Delta, PIG.parallel().numEdges()) << Name;
+    unsigned Edges = PIG.parallel().numEdges();
+    EXPECT_EQ(Delta, Edges) << Name;
     // The case is only meaningful when some web pair is induced twice.
     ReferencePig Ref(F, W, IG, M, Regions);
-    EXPECT_GT(Ref.numInducingPairs(), PIG.parallel().numEdges()) << Name;
+    EXPECT_GT(Ref.numInducingPairs(), Edges) << Name;
   }
 }
 

@@ -26,6 +26,8 @@
 #include <optional>
 #include <set>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 using namespace pira;
 
@@ -127,6 +129,36 @@ TEST(BitVectorTest, IntersectAndSubtract) {
   D.subtract(B);
   EXPECT_EQ(D.count(), 1u);
   EXPECT_TRUE(D.test(1));
+}
+
+TEST(BitVectorTest, RangeCountsAndCommonBitsMatchBitByBit) {
+  // Ranges that start and end inside words, on word boundaries, span
+  // several words or none, against a bit-by-bit count.
+  BitVector A(200), B(200);
+  for (unsigned I = 0; I != 200; ++I) {
+    if (I % 3 == 0 || I == 63 || I == 64 || I == 127)
+      A.set(I);
+    if (I % 5 == 0 || I == 64 || I == 199)
+      B.set(I);
+  }
+  const std::pair<unsigned, unsigned> Ranges[] = {
+      {0, 0},   {0, 200},   {1, 63},    {63, 65},  {64, 128},
+      {5, 190}, {127, 128}, {130, 130}, {199, 200}};
+  for (auto [Begin, End] : Ranges) {
+    unsigned InA = 0, InBoth = 0;
+    for (unsigned I = Begin; I != End; ++I) {
+      InA += A.test(I);
+      InBoth += A.test(I) && B.test(I);
+    }
+    EXPECT_EQ(A.count(Begin, End), InA) << Begin << ".." << End;
+    EXPECT_EQ(A.countCommon(B, Begin, End), InBoth) << Begin << ".." << End;
+  }
+  std::vector<unsigned> Common, Want;
+  A.forEachCommonSetBit(B, [&](unsigned I) { Common.push_back(I); });
+  for (unsigned I = 0; I != 200; ++I)
+    if (A.test(I) && B.test(I))
+      Want.push_back(I);
+  EXPECT_EQ(Common, Want);
 }
 
 TEST(BitVectorTest, FlipAllStaysInDeclaredSize) {

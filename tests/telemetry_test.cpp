@@ -360,7 +360,9 @@ TEST_F(TelemetryTest, OnlyStrategiesThatBuildAPigChargePigTelemetry) {
   // graph and no closure, so a strategy with no PIG records none of their
   // timers or counters.
   const char *PigCounters[] = {"NumFdgParallelPairs",
-                               "NumFdgMachineConstraintPairs"};
+                               "NumFdgMachineConstraintPairs",
+                               "NumPigParallelEdges", "NumPigEtPairs",
+                               "NumPigLemma3Edges"};
   auto counterValue = [](const std::string &Name) -> uint64_t {
     for (const telemetry::Counter *C : telemetry::counters())
       if (C->name() == Name)
@@ -412,7 +414,11 @@ TEST_F(TelemetryTest, OnlyStrategiesThatBuildAPigChargePigTelemetry) {
                      T.Path.find("pig/closure", Pinter) != std::string::npos;
   }
   EXPECT_TRUE(SawPigClosure);
-  EXPECT_GT(counterValue("NumFdgParallelPairs"), 0u);
+  for (const char *Name : PigCounters)
+    EXPECT_GT(counterValue(Name), 0u) << Name;
+  // The compile path reads the group form; nothing builds the parallel
+  // or combined adjacency.
+  EXPECT_EQ(counterValue("NumPigMaterializations"), 0u);
   for (const char *Layer : RoundLayers)
     EXPECT_TRUE(sawUnder("alloc/pinter/alloc/round", Layer)) << Layer;
 }
