@@ -10,10 +10,10 @@
 // binary runs out of the box.
 //
 // With several input files, or with --jobs, pirac switches to the batch
-// driver: every function is compiled through compileBatch() over the
-// work-stealing pool (worker count from --jobs, else PIRA_JOBS, else the
-// hardware; at most ThreadPool::MaxWorkers, and --jobs above it is a
-// usage error), a per-function summary table is printed in input order, and
+// driver: every function is compiled through compileBatch() on up to N
+// threads plus the calling one (N from --jobs, else PIRA_JOBS, else the
+// hardware; at most MaxJobs, and --jobs above it is a usage error), a
+// per-function summary table is printed in input order, and
 // --stats-out emits the batch-shaped "pira.stats" report. Batch results
 // and reports are byte-identical for any --jobs value; only the "timers"
 // section varies (see DESIGN.md).
@@ -87,8 +87,8 @@
 #include "pipeline/Strategies.h"
 #include "pipeline/Tournament.h"
 #include "support/FaultInjection.h"
+#include "support/Parallel.h"
 #include "support/Telemetry.h"
-#include "support/ThreadPool.h"
 
 #include <charconv>
 #include <csignal>
@@ -261,7 +261,7 @@ int main(int argc, char **argv) {
       std::string V;
       uint64_t N = 0;
       // 0 stays meaningful: "use the default worker count".
-      if (!NextValue(V) || !parseCliCount(Arg, V, 0, ThreadPool::MaxWorkers, N))
+      if (!NextValue(V) || !parseCliCount(Arg, V, 0, MaxJobs, N))
         return 2;
       Jobs = static_cast<unsigned>(N);
       BatchMode = true;

@@ -15,10 +15,9 @@
 /// (u, v) is a false dependence iff {u, v} is in Ef; equivalently, Ef
 /// lists exactly the instruction pairs that may issue in the same cycle.
 ///
-/// This dense form serves the graph dumps, the figures and the augmented
-/// PIG. The PIG itself keeps Ef as per-(block, unit kind) groups of webs
-/// minus their Et pairs and never builds Ef
-/// (core/ParallelInterferenceGraph.h).
+/// This dense form serves the graph dumps and the figures. The PIG
+/// itself keeps Ef as per-(block, unit kind) groups of webs minus their
+/// Et pairs and never builds Ef (core/ParallelInterferenceGraph.h).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -17,8 +17,8 @@
 #include "regalloc/SpillCost.h"
 #include "regalloc/SpillInserter.h"
 #include "sched/PreScheduler.h"
+#include "support/Deadline.h"
 #include "support/Telemetry.h"
-#include "support/ThreadPool.h"
 
 #include <cassert>
 #include <limits>

@@ -8,8 +8,8 @@
 #include "ir/Interpreter.h"
 
 #include "ir/Function.h"
+#include "support/Deadline.h"
 #include "support/Rng.h"
-#include "support/ThreadPool.h"
 
 #include <cassert>
 

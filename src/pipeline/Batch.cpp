@@ -9,9 +9,10 @@
 
 #include "machine/MachineModel.h"
 #include "pipeline/Report.h"
+#include "support/Deadline.h"
 #include "support/FaultInjection.h"
+#include "support/Parallel.h"
 #include "support/Telemetry.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
 
@@ -41,14 +42,14 @@ static void failResult(PipelineResult &R, Status S) {
   R.Diag = std::move(S);
 }
 
-/// One ladder rung under the guard: arms the watchdog, runs the
+/// One ladder rung under the guard: arms the deadline, runs the
 /// strategy, and converts anything thrown into a structured failure.
 static PipelineResult runRungGuarded(StrategyKind Kind, const Function &Input,
                                      const MachineModel &Machine,
                                      const BatchOptions &Opts) {
   PipelineResult R;
   try {
-    deadline::ScopedDeadline Watchdog(Opts.Budget.DeadlineMs);
+    deadline::ScopedDeadline Deadline(Opts.Budget.DeadlineMs);
     R = Opts.Measure
             ? runAndMeasure(Kind, Input, Machine, Opts.Pinter, Opts.Seed,
                             Opts.Oracle)
@@ -190,9 +191,9 @@ BatchResult pira::compileBatch(const std::vector<BatchItem> &Batch,
                                const BatchOptions &Opts) {
   // The whole-batch span is recorded by hand at the end rather than as
   // a TimeScope: a live scope on the caller's thread would prefix the
-  // serial path's per-item event paths but not the pool workers', and
-  // the trace contract is that the event set does not depend on the
-  // worker count.
+  // paths of the items the caller runs but not of those other threads
+  // run, and the trace contract is that the event set does not depend
+  // on the job count.
   uint64_t BatchStartNs = telemetry::monotonicNowNs();
   ++NumBatchesCompiled;
   NumBatchItemsCompiled += Batch.size();
@@ -201,11 +202,11 @@ BatchResult pira::compileBatch(const std::vector<BatchItem> &Batch,
   R.Results.resize(Batch.size());
   R.Outcomes.resize(Batch.size());
 
-  unsigned Jobs = Opts.Jobs == 0 ? ThreadPool::defaultJobCount() : Opts.Jobs;
-  Jobs = std::max(1u, Jobs);
-
-  auto CompileOne = [&](unsigned I) {
-    // Each slot is written by exactly one worker; the MachineModel and
+  unsigned Jobs = std::min(Opts.Jobs == 0 ? defaultJobCount() : Opts.Jobs,
+                           MaxJobs);
+  R.JobsUsed = Batch.size() <= 1 ? 1 : Jobs;
+  parallelFor(static_cast<unsigned>(Batch.size()), Jobs, [&](unsigned I) {
+    // Each slot is written by exactly one thread; the MachineModel and
     // the inputs are read-only. runStrategy copies the function, so the
     // item itself is never mutated. The fault key is the input position,
     // so injected faults hit the same functions for any worker count.
@@ -214,18 +215,7 @@ BatchResult pira::compileBatch(const std::vector<BatchItem> &Batch,
     GuardedResult G = compileFunctionGuarded(Batch[I].Input, Machine, Opts);
     R.Results[I] = std::move(G.Result);
     R.Outcomes[I] = std::move(G.Outcome);
-  };
-
-  if (Jobs == 1 || Batch.size() <= 1) {
-    // Serial reference path: no pool, same observable results.
-    R.JobsUsed = 1;
-    for (unsigned I = 0, E = static_cast<unsigned>(Batch.size()); I != E; ++I)
-      CompileOne(I);
-  } else {
-    ThreadPool Pool(Jobs);
-    R.JobsUsed = Pool.numWorkers();
-    Pool.parallelFor(static_cast<unsigned>(Batch.size()), CompileOne);
-  }
+  });
 
   if (telemetry::enabled()) {
     telemetry::TimedEvent Span;

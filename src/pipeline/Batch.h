@@ -7,27 +7,26 @@
 ///
 /// \file
 /// compileBatch(): runs one strategy over a batch of independent
-/// functions, sharded across a work-stealing thread pool (support/
-/// ThreadPool), with a deterministic merge. Per-function compilation is
-/// pure — runStrategy copies its input, the MachineModel is shared
-/// strictly read-only, and telemetry counters are relaxed atomics — so
-/// the only thread-visible ordering is which worker picks which item,
-/// and results are written into pre-sized slots indexed by input
-/// position. Consequently every field of BatchResult, and the stats
-/// report built from it, is bit-identical for any worker count; only the
-/// telemetry *timers* (wall-clock samples) differ run to run. That is
-/// the determinism contract the parallel-vs-serial property tests pin
-/// down.
+/// functions, one parallelFor (support/Parallel.h) over the items, with
+/// a deterministic merge. Per-function compilation is pure — runStrategy
+/// copies its input, the MachineModel is shared strictly read-only, and
+/// telemetry counters are relaxed atomics — so the only thread-visible
+/// ordering is which thread picks which item, and results are written
+/// into pre-sized slots indexed by input position. Consequently every
+/// field of BatchResult, and the stats report built from it, is
+/// bit-identical for any worker count; only the telemetry *timers*
+/// (wall-clock samples) differ run to run. That is the determinism
+/// contract the parallel-vs-serial property tests pin down.
 ///
 /// Fault isolation (the failure model, see DESIGN.md §8): every function
 /// compiles through compileFunctionGuarded, which
 ///
 ///   1. rejects inputs over the resource budget (instruction / block
 ///      caps) with a structured ResourceExhausted diagnostic,
-///   2. arms the per-task watchdog deadline around each attempt,
+///   2. arms a deadline (support/Deadline.h) around each attempt,
 ///   3. captures phase exceptions, injected faults, and deadline
 ///      overruns into the function's result instead of letting them
-///      escape to the pool, and
+///      escape to the batch, and
 ///   4. walks the degradation ladder — requested strategy, then
 ///      Chaitin (alloc-first), then the spill-everywhere baseline — so
 ///      that every input yields verifier-clean code unless even the
@@ -65,10 +64,10 @@ struct BatchItem {
 
 /// Per-function resource budget; 0 means unlimited. Instruction and
 /// block caps are checked against the input before any phase runs and
-/// are fully deterministic. DeadlineMs arms the cooperative per-task
-/// watchdog (support/ThreadPool) around every ladder rung — overruns
-/// depend on wall clock, so arming it trades batch determinism for
-/// protection against pathological inputs.
+/// are fully deterministic. DeadlineMs arms a cooperative deadline
+/// (support/Deadline.h) around every ladder rung — overruns depend on
+/// wall clock, so arming it trades batch determinism for protection
+/// against pathological inputs.
 struct ResourceBudget {
   uint64_t MaxInstructions = 0; ///< Cap on input instruction count.
   uint64_t MaxBlocks = 0;       ///< Cap on input basic-block count.
@@ -80,9 +79,10 @@ struct BatchOptions {
   StrategyKind Strategy = StrategyKind::Combined;
   PinterOptions Pinter;       ///< Tunes the Combined strategy only.
   OracleOptions Oracle;       ///< Tunes the Oracle strategy only.
-  /// Worker threads; 0 means ThreadPool::defaultJobCount() (PIRA_JOBS or
-  /// the hardware concurrency). 1 compiles inline with no pool at all,
-  /// which doubles as the serial reference for determinism checks.
+  /// Job count; 0 means defaultJobCount() (PIRA_JOBS or the hardware
+  /// concurrency). 1 compiles inline, which doubles as the serial
+  /// reference for determinism checks; N > 1 runs up to N threads beside
+  /// the caller.
   unsigned Jobs = 0;
   bool Measure = true;        ///< Also simulate + check semantics.
   uint64_t Seed = 42;         ///< Simulation seed (Measure only).
@@ -137,7 +137,7 @@ struct BatchFailure {
 struct BatchResult {
   std::vector<PipelineResult> Results;  ///< Parallel to the input batch.
   std::vector<CompileOutcome> Outcomes; ///< Ladder record per item.
-  unsigned JobsUsed = 0;                ///< Worker threads actually used.
+  unsigned JobsUsed = 0;                ///< Resolved Jobs; 1 for one item.
   unsigned Succeeded = 0;               ///< Results with Success set.
   unsigned Failed = 0;                  ///< Results with Success clear.
   unsigned Degraded = 0;                ///< Succeeded below the requested rung.
@@ -153,7 +153,7 @@ struct BatchResult {
 };
 
 /// Compiles every item of \p Batch with \p Opts.Strategy for \p Machine.
-/// \p Machine is shared read-only across workers and must outlive the
+/// \p Machine is shared read-only across threads and must outlive the
 /// call. Items compile independently; a failure in one does not stop the
 /// others. Each item's fault-injection key is its input position.
 BatchResult compileBatch(const std::vector<BatchItem> &Batch,

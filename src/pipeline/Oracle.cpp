@@ -41,8 +41,8 @@
 #include "machine/MachineModel.h"
 #include "pipeline/Strategies.h"
 #include "sched/EPTimes.h"
+#include "support/Deadline.h"
 #include "support/Telemetry.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <limits>

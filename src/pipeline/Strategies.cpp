@@ -18,9 +18,9 @@
 #include "sched/IntegratedPrepass.h"
 #include "sched/PreScheduler.h"
 #include "sim/SuperscalarSim.h"
+#include "support/Deadline.h"
 #include "support/FaultInjection.h"
 #include "support/Telemetry.h"
-#include "support/ThreadPool.h"
 
 #include <iterator>
 #include <numeric>

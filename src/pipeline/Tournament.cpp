@@ -10,9 +10,9 @@
 #include "ir/IRBuilder.h"
 #include "machine/MachineModel.h"
 #include "pipeline/Report.h"
+#include "support/Parallel.h"
 #include "support/Rng.h"
 #include "support/Telemetry.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <iomanip>
@@ -166,31 +166,22 @@ json::Value pira::runTournament(const std::vector<BatchItem> &Corpus,
     if (Strategies[S] == StrategyKind::Oracle)
       OracleSlot = S;
 
-  // One guarded compile per (function, strategy), fanned out flat over
-  // the pool into pre-sized slots — input-order merge, so the grid (and
-  // the report built from it) is byte-identical for any Jobs value.
+  // One guarded compile per (function, strategy), fanned out flat into
+  // pre-sized slots — input-order merge, so the grid (and the report
+  // built from it) is byte-identical for any Jobs value.
   std::vector<CellResult> Grid(static_cast<size_t>(N) * K);
-  auto runCell = [&](unsigned Flat) {
+  parallelFor(N * K, Opts.Jobs, [&](unsigned Flat) {
     unsigned F = Flat / K, S = Flat % K;
     BatchOptions BO;
     BO.Strategy = Strategies[S];
     BO.Oracle = Opts.Oracle;
     BO.Budget = Opts.Budget;
     BO.Seed = Opts.Seed;
-    BO.Jobs = 1;
     BO.Degrade = false; // a degraded rung would corrupt the comparison
     Grid[Flat] = summarizeCell(
         compileFunctionGuarded(Corpus[F].Input, Machine, BO));
     ++NumTournamentCells;
-  };
-  const unsigned Total = N * K;
-  if (Opts.Jobs == 1) {
-    for (unsigned Flat = 0; Flat < Total; ++Flat)
-      runCell(Flat);
-  } else {
-    ThreadPool Pool(Opts.Jobs);
-    Pool.parallelFor(Total, runCell);
-  }
+  });
 
   // Walk the grid once, building the per-function records and the
   // per-strategy tallies together.

@@ -30,7 +30,7 @@
 ///     0 on every corpus — the differential tests and the CI smoke job
 ///     assert exactly that.
 ///
-/// Determinism: runs fan out on the thread pool into pre-sized slots
+/// Determinism: runs fan out over one parallelFor into pre-sized slots
 /// and the report carries no clocks or counters, so it is byte-identical
 /// across --jobs widths (pinned by tests/oracle_test.cpp).
 ///
@@ -53,8 +53,8 @@ inline constexpr int TournamentSchemaVersion = 1;
 
 /// Tournament knobs.
 struct TournamentOptions {
-  /// Thread-pool width; 0 means ThreadPool::defaultJobCount(), 1 runs
-  /// inline with no pool.
+  /// Job count, as BatchOptions::Jobs: 0 means defaultJobCount(), 1 runs
+  /// inline.
   unsigned Jobs = 0;
   /// Seed of the simulation every result runs against the sequential
   /// reference (dynamic cycles + semantics).
@@ -78,8 +78,8 @@ std::vector<BatchItem> makeTournamentCorpus(unsigned Count, unsigned Insts,
                                             uint64_t Seed,
                                             TournamentOptions &Opts);
 
-/// Runs every strategy (allStrategies()) on every corpus item on the
-/// thread pool and returns the `pira.tournament` v1 report. Individual
+/// Runs every strategy (allStrategies()) on every corpus item, in
+/// parallel, and returns the `pira.tournament` v1 report. Individual
 /// compile failures (including oracle blowups) become per-function
 /// records, never exceptions.
 json::Value runTournament(const std::vector<BatchItem> &Corpus,

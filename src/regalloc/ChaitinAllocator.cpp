@@ -13,8 +13,8 @@
 #include "regalloc/InterferenceGraph.h"
 #include "regalloc/SpillCost.h"
 #include "regalloc/SpillInserter.h"
+#include "support/Deadline.h"
 #include "support/Telemetry.h"
-#include "support/ThreadPool.h"
 #include "support/UndirectedGraph.h"
 
 #include <algorithm>

@@ -10,8 +10,8 @@
 #include "ir/Function.h"
 #include "machine/MachineModel.h"
 #include "sched/Schedule.h"
+#include "support/Deadline.h"
 #include "support/Telemetry.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <sstream>

@@ -145,16 +145,6 @@ public:
         Fn(static_cast<unsigned>(I * WordBits + __builtin_ctzll(Word)));
   }
 
-  /// Returns true when this vector and \p RHS share any set bit; sizes
-  /// must match. Word-parallel, no allocation.
-  bool intersects(const BitVector &RHS) const {
-    assert(NumBits == RHS.NumBits && "size mismatch in intersects");
-    for (size_t I = 0, E = Words.size(); I != E; ++I)
-      if ((Words[I] & RHS.Words[I]) != 0)
-        return true;
-    return false;
-  }
-
   /// Flips every bit (one's complement within the declared size).
   void flipAll() {
     for (uint64_t &W : Words)

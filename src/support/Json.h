@@ -1,4 +1,4 @@
-//===- support/Json.h - Minimal JSON value, writer, and parser --*- C++ -*-===//
+//===- support/Json.h - Minimal JSON value and writer -----------*- C++ -*-===//
 //
 // Part of PIRA, a reproduction of Pinter's PLDI'93 combined register
 // allocation / instruction scheduling framework.
@@ -6,13 +6,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A dependency-free JSON library for the telemetry subsystem: a value
+/// A dependency-free JSON writer for the telemetry subsystem: a value
 /// type with insertion-ordered objects (so reports are byte-stable run to
-/// run), a pretty-printing writer, and a strict recursive-descent parser.
-/// Integers are kept distinct from doubles so counters survive a
-/// write/parse round trip exactly, and number formatting/parsing is
-/// locale-independent (std::to_chars / std::from_chars): reports written
-/// under a comma-decimal locale still read back everywhere.
+/// run) and a pretty-printing writer. Integers are kept distinct from
+/// doubles so counters survive a write/parse round trip exactly, and
+/// number formatting is locale-independent (std::to_chars): reports
+/// written under a comma-decimal locale still read back everywhere. The
+/// tests read reports back with tests/JsonParser.h.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -122,11 +122,6 @@ private:
 
 /// Writes \p S with JSON escaping (quotes included).
 void writeEscaped(std::ostream &OS, const std::string &S);
-
-/// Parses \p Text into \p Out. On failure returns false and describes
-/// the first error (with offset) in \p Error. Trailing garbage after the
-/// top-level value is an error.
-bool parse(const std::string &Text, Value &Out, std::string &Error);
 
 } // namespace json
 } // namespace pira

@@ -125,6 +125,35 @@ expect 1 "unreadable input path"        -- "$PIRAC" no-such-file.pir
 expect 1 "mixed batch still reports 1"  -- "$PIRAC" good.pir bad.pir --jobs 2
 expect 1 "budget rejection"             -- "$PIRAC" good.pir --max-instructions 1
 
+# A deadline that expires, end to end: a loop of 300,000 iterations
+# compiles clean in tens of milliseconds, and its measurement run
+# (simulation plus reference interpretation) overruns a 1 ms budget.
+cat > count.pir <<'EOF'
+func @count regs 8 {
+block entry:
+  %s0 = li 0
+  %s1 = li 300000
+  %s2 = li 1
+  br loop
+block loop:
+  %s0 = add %s0, %s2
+  %s3 = cmplt %s0, %s1
+  cbr %s3, loop, exit
+block exit:
+  ret %s0
+}
+EOF
+expect 0 "counting loop, no deadline"   -- "$PIRAC" count.pir
+out=$("$PIRAC" count.pir --deadline-ms 1 2>&1)
+got=$?
+if [ "$got" -eq 1 ] && grep -q "deadline exceeded" <<< "$out"; then
+  echo "ok: counting loop, --deadline-ms 1 (exit 1, deadline exceeded)"
+else
+  echo "FAIL: counting loop, --deadline-ms 1: exit $got, output:" >&2
+  echo "$out" >&2
+  FAILURES=$((FAILURES + 1))
+fi
+
 # An integer literal past its field's range is a parse error that names
 # its line: no abort from the lexer, no silent wrap.
 cat > huge.pir <<'EOF'
@@ -206,7 +235,7 @@ expect 2 "no --cache-max-mb flag"       -- "$PIRAC" good.pir --cache-max-mb 1
 expect 2 "no --metrics-out flag"        -- "$PIRAC" good.pir --metrics-out m.prom
 expect 2 "no --progress flag"           -- "$PIRAC" good.pir good.pir --progress
 
-# --jobs above ThreadPool::MaxWorkers (256) is refused before anything
+# --jobs above MaxJobs (256) is refused before anything
 # compiles (no stats report is written).
 err=$("$PIRAC" good.pir --stats-out jobs.json --jobs 257 2>&1 > /dev/null)
 got=$?

@@ -4,8 +4,8 @@
 // allocation / instruction scheduling framework.
 //
 // The failure model under test (DESIGN.md §8): structured diagnostics
-// (Status / Expected), the deterministic fault-injection harness, the
-// thread pool's exception capture and cooperative watchdog, and the
+// (Status / Expected), the deterministic fault-injection harness,
+// parallelFor's exception capture, the cooperative deadline, and the
 // degradation ladder that turns phase failures into rescued — or at
 // worst cleanly diagnosed — compilations.
 //
@@ -17,10 +17,11 @@
 #include "pipeline/Batch.h"
 #include "pipeline/Report.h"
 #include "pipeline/Strategies.h"
+#include "support/Deadline.h"
 #include "support/FaultInjection.h"
+#include "support/Parallel.h"
 #include "support/Status.h"
 #include "support/Telemetry.h"
-#include "support/ThreadPool.h"
 #include "workloads/Kernels.h"
 
 #include <gtest/gtest.h>
@@ -28,6 +29,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <sstream>
 #include <thread>
 
@@ -277,73 +279,66 @@ TEST(StrategyRobustness, SpillAllBaselinePreservesSemanticsEverywhere) {
 }
 
 //===----------------------------------------------------------------------===//
-// Thread pool: exception capture and the cooperative watchdog
+// parallelFor's exception capture and the cooperative deadline
 //===----------------------------------------------------------------------===//
 
-TEST(ThreadPoolRobustness, TaskExceptionRethrownFromWaitPoolSurvives) {
-  ThreadPool Pool(4);
-  std::atomic<unsigned> Ran{0};
-  for (unsigned I = 0; I != 8; ++I)
-    Pool.submit([&Ran, I] {
-      if (I == 3)
-        throw std::runtime_error("task 3 boom");
-      ++Ran;
-    });
-  EXPECT_THROW(Pool.wait(), std::runtime_error);
-  EXPECT_EQ(Ran.load(), 7u) << "one poisoned task must not starve the rest";
+namespace {
 
-  // The pool is still healthy after a captured failure.
-  for (unsigned I = 0; I != 4; ++I)
-    Pool.submit([&Ran] { ++Ran; });
-  EXPECT_NO_THROW(Pool.wait());
-  EXPECT_EQ(Ran.load(), 11u);
+/// The NumDroppedTaskExceptions counter's current value.
+uint64_t droppedTaskExceptions() {
+  for (const telemetry::Counter *C : telemetry::counters())
+    if (std::string("NumDroppedTaskExceptions") == C->name())
+      return C->value();
+  ADD_FAILURE() << "no NumDroppedTaskExceptions counter";
+  return 0;
 }
 
+} // namespace
+
 TEST(ThreadPoolRobustness, ParallelForRunsEveryIterationDespiteAThrow) {
-  for (unsigned Workers : {1u, 4u}) { // inline and pooled paths
-    ThreadPool Pool(Workers);
-    std::atomic<unsigned> Ran{0};
-    EXPECT_THROW(Pool.parallelFor(16,
-                                  [&Ran](unsigned I) {
-                                    if (I == 5)
-                                      throw std::runtime_error("iter 5");
-                                    ++Ran;
-                                  }),
-                 std::runtime_error)
-        << Workers << " workers";
-    EXPECT_EQ(Ran.load(), 15u) << Workers << " workers";
-  }
+  // One index throws, then every index throws: either way each index
+  // runs exactly once, and the first exception reaches the caller.
+  for (unsigned Jobs : {1u, 4u}) // inline and threaded paths
+    for (bool AllThrow : {false, true}) {
+      std::vector<std::atomic<unsigned>> Runs(64);
+      std::string Caught;
+      try {
+        parallelFor(64, Jobs, [&](unsigned I) {
+          ++Runs[I];
+          if (AllThrow || I == 5)
+            throw std::runtime_error("iter " + std::to_string(I));
+        });
+      } catch (const std::runtime_error &E) {
+        Caught = E.what();
+      }
+      for (unsigned I = 0; I != 64; ++I)
+        EXPECT_EQ(Runs[I].load(), 1u)
+            << "index " << I << ", " << Jobs << " jobs, all throw "
+            << AllThrow;
+      // Inline, the first exception is the lowest index's; threaded, it
+      // is whichever was caught first.
+      if (!AllThrow || Jobs == 1)
+        EXPECT_EQ(Caught, AllThrow ? "iter 0" : "iter 5") << Jobs << " jobs";
+      else
+        EXPECT_EQ(Caught.rfind("iter ", 0), 0u) << Caught;
+    }
 }
 
 TEST(ThreadPoolRobustness, SecondaryExceptionsAreCountedNotSilent) {
-  // Only the first exception survives to the wait() rethrow; the pool
-  // drops the rest by design, but each drop must leave a telemetry
-  // trace — a silently vanishing diagnostic is the one thing the
-  // failure model forbids.
-  auto Dropped = [] {
-    for (const telemetry::Counter *C : telemetry::counters())
-      if (std::string("NumDroppedTaskExceptions") == C->name())
-        return C->value();
-    ADD_FAILURE() << "no NumDroppedTaskExceptions counter";
-    return uint64_t(0);
-  };
-
-  uint64_t Before = Dropped();
-  ThreadPool Pool(4);
-  for (unsigned I = 0; I != 6; ++I)
-    Pool.submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(Pool.wait(), std::runtime_error);
-  EXPECT_EQ(Dropped() - Before, 5u) << "six throws, one captured";
-
-  // The inline parallelFor path counts drops the same way.
-  Before = Dropped();
-  ThreadPool Inline(1);
-  EXPECT_THROW(Inline.parallelFor(4,
-                                  [](unsigned) {
-                                    throw std::runtime_error("iter boom");
-                                  }),
-               std::runtime_error);
-  EXPECT_EQ(Dropped() - Before, 3u) << "four throws, one captured";
+  // Only the first exception survives to the rethrow; parallelFor drops
+  // the rest by design, but each drop must leave a telemetry trace — a
+  // silently vanishing diagnostic is the one thing the failure model
+  // forbids.
+  for (unsigned Jobs : {1u, 4u}) {
+    uint64_t Before = droppedTaskExceptions();
+    EXPECT_THROW(parallelFor(64, Jobs,
+                             [](unsigned) {
+                               throw std::runtime_error("boom");
+                             }),
+                 std::runtime_error);
+    EXPECT_EQ(droppedTaskExceptions() - Before, 63u)
+        << "64 throws, one captured, " << Jobs << " jobs";
+  }
 }
 
 TEST(DeadlineTest, NothingArmedNeverExpires) {
@@ -367,20 +362,72 @@ TEST(DeadlineTest, ExpiryFlipsExpiredAndCheckpointThrows) {
   EXPECT_THROW(deadline::checkpoint(), deadline::DeadlineExceededError);
 }
 
-TEST(DeadlineTest, WatchdogCancelsACooperativeTaskInThePool) {
-  ThreadPool Pool(2);
-  std::atomic<bool> OtherRan{false};
-  Pool.submit([&OtherRan] { OtherRan = true; });
-  Pool.submit([] {
-    deadline::ScopedDeadline Watchdog(5);
-    // A cooperative loop: the watchdog never kills the thread, the task
-    // unwinds itself at the next checkpoint after expiry.
-    for (unsigned I = 0; I != 100000; ++I) {
-      deadline::checkpoint();
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+TEST(DeadlineTest, TheInnermostArmedDeadlineRulesAndTheOuterOneReturns) {
+  deadline::ScopedDeadline Outer(1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  ASSERT_TRUE(deadline::expired());
+  {
+    deadline::ScopedDeadline Endless(UINT64_MAX);
+    EXPECT_FALSE(deadline::expired()) << "the inner deadline rules";
+    {
+      deadline::ScopedDeadline Unarmed(0);
+      EXPECT_FALSE(deadline::expired()) << "0 arms nothing";
     }
+    EXPECT_FALSE(deadline::expired());
+  }
+  {
+    deadline::ScopedDeadline Unarmed(0);
+    EXPECT_TRUE(deadline::expired()) << "0 leaves the outer deadline armed";
+  }
+  EXPECT_TRUE(deadline::expired()) << "the outer deadline is back";
+  EXPECT_THROW(deadline::checkpoint(), deadline::DeadlineExceededError);
+}
+
+TEST(DeadlineTest, ADeadlineIsInvisibleToOtherThreads) {
+  // Armed elsewhere and passed there, not here.
+  std::promise<void> Passed, Checked;
+  bool ExpiredThere = false;
+  std::thread Other([&] {
+    deadline::ScopedDeadline Own(1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    ExpiredThere = deadline::expired();
+    Passed.set_value();
+    Checked.get_future().wait();
   });
-  EXPECT_THROW(Pool.wait(), deadline::DeadlineExceededError);
+  Passed.get_future().wait();
+  EXPECT_FALSE(deadline::expired());
+  Checked.set_value();
+  Other.join();
+  EXPECT_TRUE(ExpiredThere);
+
+  // Armed here and passed, not seen by a new thread.
+  deadline::ScopedDeadline Own(1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  ASSERT_TRUE(deadline::expired());
+  bool ExpiredElsewhere = true;
+  std::thread([&] { ExpiredElsewhere = deadline::expired(); }).join();
+  EXPECT_FALSE(ExpiredElsewhere);
+}
+
+TEST(DeadlineTest, WatchdogCancelsACooperativeTaskInThePool) {
+  std::atomic<bool> OtherRan{false};
+  EXPECT_THROW(parallelFor(2, 2,
+                           [&OtherRan](unsigned I) {
+                             if (I == 0) {
+                               OtherRan = true;
+                               return;
+                             }
+                             deadline::ScopedDeadline Deadline(5);
+                             // A cooperative loop: nothing kills the
+                             // thread, the iteration unwinds itself at the
+                             // next checkpoint after expiry.
+                             for (unsigned J = 0; J != 100000; ++J) {
+                               deadline::checkpoint();
+                               std::this_thread::sleep_for(
+                                   std::chrono::milliseconds(1));
+                             }
+                           }),
+               deadline::DeadlineExceededError);
   EXPECT_TRUE(OtherRan.load());
 }
 

@@ -12,7 +12,7 @@
 #include "regalloc/ChaitinAllocator.h"
 #include "sched/ListScheduler.h"
 #include "sim/SuperscalarSim.h"
-#include "support/ThreadPool.h"
+#include "support/Deadline.h"
 #include "workloads/Kernels.h"
 
 #include <gtest/gtest.h>

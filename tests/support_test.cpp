@@ -6,6 +6,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "ClosureOracle.h"
+#include "JsonParser.h"
 
 #include "support/BitMatrix.h"
 #include "support/BitVector.h"
@@ -15,7 +16,7 @@
 #include "support/Rng.h"
 #include "support/SmallVector.h"
 #include "support/StringInterner.h"
-#include "support/ThreadPool.h"
+#include "support/Parallel.h"
 #include "support/UndirectedGraph.h"
 
 #include <gtest/gtest.h>
@@ -699,19 +700,19 @@ TEST(HashTest, Sha256KnownAnswers) {
 }
 
 //===----------------------------------------------------------------------===//
-// ThreadPool worker-count bound
+// Job-count bound
 //===----------------------------------------------------------------------===//
 
 TEST(ThreadPoolTest, PiraJobsAboveTheCapIsIgnored) {
-  // Only defaultJobCount() runs here: no pool is built, so no thread is
+  // Only defaultJobCount() runs here: no loop runs, so no thread is
   // started whatever the variable says.
   std::optional<std::string> Saved;
   if (const char *Old = std::getenv("PIRA_JOBS"))
     Saved = Old;
   setenv("PIRA_JOBS", "100000", 1);
-  EXPECT_LE(ThreadPool::defaultJobCount(), ThreadPool::MaxWorkers);
+  EXPECT_LE(defaultJobCount(), MaxJobs);
   setenv("PIRA_JOBS", "256", 1);
-  EXPECT_EQ(ThreadPool::defaultJobCount(), ThreadPool::MaxWorkers);
+  EXPECT_EQ(defaultJobCount(), MaxJobs);
   if (Saved)
     setenv("PIRA_JOBS", Saved->c_str(), 1);
   else

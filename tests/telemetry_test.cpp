@@ -12,6 +12,7 @@
 
 #include "support/Telemetry.h"
 
+#include "JsonParser.h"
 #include "ir/IRBuilder.h"
 #include "machine/MachineModel.h"
 #include "pipeline/Report.h"
