@@ -30,6 +30,14 @@
 
 using namespace pira;
 
+/// The paper's names s1..sN of the first \p N statements.
+static std::vector<std::string> paperNames(unsigned N) {
+  std::vector<std::string> Names;
+  for (unsigned V = 0; V != N; ++V)
+    Names.push_back("s" + std::to_string(V + 1));
+  return Names;
+}
+
 /// Emits one undirected exhibit over the paper's s1..sN naming.
 static void emitUndirected(const std::string &Name,
                            const UndirectedGraph &G, unsigned Limit,
@@ -78,16 +86,8 @@ int main() {
     emitUndirected("figure2c_example1_gr", IG.graph(), 5);
 
     // Figure 3: the PIG (interference solid, parallel-only dashed).
-    ParallelInterferenceGraph PIG(F, W, IG, M);
-    DotWriter Dot(std::cout, "figure3_example1_pig", /*Directed=*/false);
-    for (unsigned V = 0; V != 5; ++V)
-      Dot.node(V, "s" + std::to_string(V + 1));
-    for (const auto &[A, B] : PIG.interference().edgeList())
-      if (A < 5 && B < 5)
-        Dot.edge(A, B);
-    for (const auto &[A, B] : PIG.parallel().edgeList())
-      if (A < 5 && B < 5 && !PIG.interference().hasEdge(A, B))
-        Dot.edge(A, B, "style=dashed, color=blue");
+    writePigDot(std::cout, "figure3_example1_pig",
+                ParallelInterferenceGraph(F, W, IG, M), paperNames(5));
   }
 
   // Figures 4 and 5: Example 2 interference graph and PIG.
@@ -96,16 +96,8 @@ int main() {
     Webs W(F);
     InterferenceGraph IG(F, W);
     emitUndirected("figure4_example2_gr", IG.graph(), 9);
-    ParallelInterferenceGraph PIG(F, W, IG, M);
-    DotWriter Dot(std::cout, "figure5_example2_pig", /*Directed=*/false);
-    for (unsigned V = 0; V != 9; ++V)
-      Dot.node(V, "s" + std::to_string(V + 1));
-    for (const auto &[A, B] : PIG.interference().edgeList())
-      if (A < 9 && B < 9)
-        Dot.edge(A, B);
-    for (const auto &[A, B] : PIG.parallel().edgeList())
-      if (A < 9 && B < 9 && !PIG.interference().hasEdge(A, B))
-        Dot.edge(A, B, "style=dashed, color=blue");
+    writePigDot(std::cout, "figure5_example2_pig",
+                ParallelInterferenceGraph(F, W, IG, M), paperNames(9));
   }
   return 0;
 }

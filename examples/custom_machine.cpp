@@ -22,7 +22,6 @@
 #include "machine/MachineModel.h"
 #include "pipeline/Strategies.h"
 #include "regalloc/InterferenceGraph.h"
-#include "support/DotWriter.h"
 
 #include <iostream>
 
@@ -90,16 +89,10 @@ int main() {
 
   // Export the paper's graphs for graphviz rendering.
   std::cout << "\n=== DOT of the parallelizable interference graph ===\n";
-  {
-    DotWriter Dot(std::cout, "pig", /*Directed=*/false);
-    for (unsigned Web = 0; Web != PIG.numWebs(); ++Web)
-      Dot.node(Web, "%s" + std::to_string(W.webRegister(Web)));
-    for (const auto &[A, B] : PIG.interference().edgeList())
-      Dot.edge(A, B);
-    for (const auto &[A, B] : PIG.parallel().edgeList())
-      if (!PIG.interference().hasEdge(A, B))
-        Dot.edge(A, B, "style=dashed, color=blue");
-  }
+  std::vector<std::string> Labels;
+  for (unsigned Web = 0; Web != PIG.numWebs(); ++Web)
+    Labels.push_back("%s" + std::to_string(W.webRegister(Web)));
+  writePigDot(std::cout, "pig", PIG, Labels);
 
   std::cout << "\n=== combined compilation for the new core ===\n";
   PipelineResult R = runAndMeasure(StrategyKind::Combined, F, Dsp);

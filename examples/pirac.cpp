@@ -12,7 +12,8 @@
 // With several input files, or with --jobs, pirac switches to the batch
 // driver: every function is compiled through compileBatch() on up to N
 // threads plus the calling one (N from --jobs, else PIRA_JOBS, else the
-// hardware; at most MaxJobs, and --jobs above it is a usage error), a
+// hardware; at most MaxJobs, and --jobs above it is a usage error; the
+// summary counts the threads that ran, at most one per function), a
 // per-function summary table is printed in input order, and
 // --stats-out emits the batch-shaped "pira.stats" report. Batch results
 // and reports are byte-identical for any --jobs value; only the "timers"
@@ -94,6 +95,7 @@
 #include <csignal>
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <limits>
 #include <optional>
@@ -156,6 +158,28 @@ static bool parseCliCount(const std::string &Flag, const std::string &Text,
   }
   Out = Value;
   return true;
+}
+
+/// Writes the --trace-out and --stats-out reports asked for, the stats
+/// document from \p MakeStats, and prints the --time-passes table.
+/// \returns false when a report could not be written (pirac exits 3).
+static bool emitReports(const std::string &TraceOut,
+                        const std::string &StatsOut, bool TimePasses,
+                        const std::function<json::Value()> &MakeStats) {
+  bool Ok = true;
+  std::string ReportError;
+  if (!TraceOut.empty() &&
+      !telemetry::writeChromeTraceFile(TraceOut, ReportError)) {
+    std::cerr << "trace-out: " << ReportError << '\n';
+    Ok = false;
+  }
+  if (!StatsOut.empty() && !writeJsonFile(MakeStats(), StatsOut, ReportError)) {
+    std::cerr << "stats-out: " << ReportError << '\n';
+    Ok = false;
+  }
+  if (TimePasses)
+    telemetry::printTimerReport(std::cerr);
+  return Ok;
 }
 
 int main(int argc, char **argv) {
@@ -432,20 +456,7 @@ int main(int argc, char **argv) {
     json::Value Report = runTournament(Corpus, Machine, TOpts);
     printTournamentSummary(Report, Hum);
 
-    bool ReportsOk = true;
-    std::string ReportError;
-    if (!TraceOut.empty() &&
-        !telemetry::writeChromeTraceFile(TraceOut, ReportError)) {
-      std::cerr << "trace-out: " << ReportError << '\n';
-      ReportsOk = false;
-    }
-    if (!StatsOut.empty() && !writeJsonFile(Report, StatsOut, ReportError)) {
-      std::cerr << "stats-out: " << ReportError << '\n';
-      ReportsOk = false;
-    }
-    if (TimePasses)
-      telemetry::printTimerReport(std::cerr);
-    if (!ReportsOk)
+    if (!emitReports(TraceOut, StatsOut, TimePasses, [&] { return Report; }))
       return 3;
     // A heuristic "beating" the provably optimal baseline means the
     // oracle (or a heuristic's reported cost) is wrong — surface that
@@ -499,25 +510,12 @@ int main(int argc, char **argv) {
     Hum << ", static cycles " << BR.TotalStaticCycles
         << ", dynamic cycles " << BR.TotalDynCycles << '\n';
 
-    bool ReportsOk = true;
-    std::string ReportError;
-    if (!TraceOut.empty() &&
-        !telemetry::writeChromeTraceFile(TraceOut, ReportError)) {
-      std::cerr << "trace-out: " << ReportError << '\n';
-      ReportsOk = false;
-    }
-    if (!StatsOut.empty() &&
-        !writeJsonFile(makeBatchStatsReport(BR, Batch, strategyName(Strategy),
-                                            Machine, InputFailures),
-                       StatsOut, ReportError)) {
-      std::cerr << "stats-out: " << ReportError << '\n';
-      ReportsOk = false;
-    }
-    if (TimePasses)
-      telemetry::printTimerReport(std::cerr);
     // Exit taxonomy (see the usage comment): a report that could not be
     // written takes precedence over compile failures.
-    if (!ReportsOk)
+    if (!emitReports(TraceOut, StatsOut, TimePasses, [&] {
+          return makeBatchStatsReport(BR, Batch, strategyName(Strategy),
+                                      Machine, InputFailures);
+        }))
       return 3;
     return (BR.Succeeded == BR.Results.size() && InputFailures.empty()) ? 0
                                                                         : 1;
@@ -533,16 +531,10 @@ int main(int argc, char **argv) {
     Webs W(F);
     InterferenceGraph IG(F, W);
     ParallelInterferenceGraph PIG(F, W, IG, Machine);
-    {
-      DotWriter Dot(Hum, "pig", /*Directed=*/false);
-      for (unsigned Web = 0; Web != PIG.numWebs(); ++Web)
-        Dot.node(Web, "%s" + std::to_string(W.webRegister(Web)));
-      for (const auto &[A2, B2] : PIG.interference().edgeList())
-        Dot.edge(A2, B2);
-      for (const auto &[A2, B2] : PIG.parallel().edgeList())
-        if (!PIG.interference().hasEdge(A2, B2))
-          Dot.edge(A2, B2, "style=dashed, color=blue");
-    }
+    std::vector<std::string> Labels;
+    for (unsigned Web = 0; Web != PIG.numWebs(); ++Web)
+      Labels.push_back("%s" + std::to_string(W.webRegister(Web)));
+    writePigDot(Hum, "pig", PIG, Labels);
     for (unsigned B2 = 0; B2 != F.numBlocks(); ++B2) {
       FalseDependenceGraph FDG(F, B2, Machine);
       DotWriter Dot(Hum, "ef_" + F.block(B2).name(),
@@ -582,29 +574,14 @@ int main(int argc, char **argv) {
 
   // Reports are written even for failed runs — a trace of a failing
   // pipeline is exactly when you want one.
-  auto EmitReports = [&]() -> bool {
-    bool Ok = true;
-    std::string ReportError;
-    if (!TraceOut.empty() &&
-        !telemetry::writeChromeTraceFile(TraceOut, ReportError)) {
-      std::cerr << "trace-out: " << ReportError << '\n';
-      Ok = false;
-    }
-    if (!StatsOut.empty() &&
-        !writeJsonFile(makeStatsReport(R, strategyName(Strategy), Machine),
-                       StatsOut, ReportError)) {
-      std::cerr << "stats-out: " << ReportError << '\n';
-      Ok = false;
-    }
-    if (TimePasses)
-      telemetry::printTimerReport(std::cerr);
-    return Ok;
+  auto StatsReport = [&] {
+    return makeStatsReport(R, strategyName(Strategy), Machine);
   };
 
   if (!R.Success) {
     std::cerr << "compilation failed: "
               << (R.Diag.ok() ? R.Error : R.Diag.toString()) << '\n';
-    return EmitReports() ? 1 : 3;
+    return emitReports(TraceOut, StatsOut, TimePasses, StatsReport) ? 1 : 3;
   }
 
   printFunction(R.Final, Hum);
@@ -627,5 +604,5 @@ int main(int argc, char **argv) {
       << "\n; dynamic cycles:   " << R.DynCycles
       << "\n; semantics check:  "
       << (R.SemanticsPreserved ? "pass" : "FAIL") << '\n';
-  return EmitReports() ? 0 : 3;
+  return emitReports(TraceOut, StatsOut, TimePasses, StatsReport) ? 0 : 3;
 }

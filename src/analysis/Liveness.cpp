@@ -11,14 +11,40 @@
 
 using namespace pira;
 
+void pira::solveLiveness(const Function &F, const std::vector<BitVector> &Use,
+                         const std::vector<BitVector> &Def,
+                         std::vector<BitVector> &LiveIn,
+                         std::vector<BitVector> &LiveOut) {
+  unsigned NumBlocks = F.numBlocks();
+  unsigned Width = NumBlocks == 0 ? 0 : Use[0].size();
+  LiveIn.assign(NumBlocks, BitVector(Width));
+  LiveOut.assign(NumBlocks, BitVector(Width));
+  // Iterate to the (unique) fixed point; reverse block order converges
+  // quickly on reducible CFGs.
+  bool Changed = true;
+  while (Changed) {
+    Changed = false;
+    for (unsigned B = NumBlocks; B-- != 0;) {
+      BitVector Out(Width);
+      for (unsigned Succ : F.block(B).successors())
+        Out.unionWith(LiveIn[Succ]);
+      BitVector In = Out;
+      In.subtract(Def[B]);
+      In.unionWith(Use[B]);
+      if (Out != LiveOut[B] || In != LiveIn[B]) {
+        LiveOut[B] = std::move(Out);
+        LiveIn[B] = std::move(In);
+        Changed = true;
+      }
+    }
+  }
+}
+
 Liveness::Liveness(const Function &F) {
   unsigned NumBlocks = F.numBlocks();
   unsigned NumRegs = F.numRegs();
   UseSets.assign(NumBlocks, BitVector(NumRegs));
   DefSets.assign(NumBlocks, BitVector(NumRegs));
-  LiveInSets.assign(NumBlocks, BitVector(NumRegs));
-  LiveOutSets.assign(NumBlocks, BitVector(NumRegs));
-
   for (unsigned B = 0; B != NumBlocks; ++B) {
     for (const Instruction &I : F.block(B).instructions()) {
       for (Reg U : I.uses())
@@ -28,24 +54,5 @@ Liveness::Liveness(const Function &F) {
         DefSets[B].set(I.def());
     }
   }
-
-  // Iterate to the (unique) fixed point; reverse block order converges
-  // quickly on reducible CFGs.
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    for (unsigned B = NumBlocks; B-- != 0;) {
-      BitVector Out(NumRegs);
-      for (unsigned Succ : F.block(B).successors())
-        Out.unionWith(LiveInSets[Succ]);
-      BitVector In = Out;
-      In.subtract(DefSets[B]);
-      In.unionWith(UseSets[B]);
-      if (Out != LiveOutSets[B] || In != LiveInSets[B]) {
-        LiveOutSets[B] = std::move(Out);
-        LiveInSets[B] = std::move(In);
-        Changed = true;
-      }
-    }
-  }
+  solveLiveness(F, UseSets, DefSets, LiveInSets, LiveOutSets);
 }

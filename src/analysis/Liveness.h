@@ -25,6 +25,15 @@ namespace pira {
 
 class Function;
 
+/// Solves LiveOut[B] = the union of LiveIn over B's successors and
+/// LiveIn[B] = Use[B] + (LiveOut[B] - Def[B]) over \p F's CFG to the
+/// least fixed point. \p Use and \p Def hold one set per block, all of
+/// one width, over registers (Liveness) or webs (InterferenceGraph).
+void solveLiveness(const Function &F, const std::vector<BitVector> &Use,
+                   const std::vector<BitVector> &Def,
+                   std::vector<BitVector> &LiveIn,
+                   std::vector<BitVector> &LiveOut);
+
 /// Live-in / live-out register sets per block.
 class Liveness {
 public:

@@ -47,9 +47,6 @@ public:
     return RegionList;
   }
 
-  /// Returns the region index containing block \p B.
-  unsigned regionOf(unsigned B) const { return RegionOf[B]; }
-
 private:
   BitMatrix Reach;    // block-level reachability (nonempty paths)
   BitMatrix Plausible;

@@ -15,6 +15,7 @@
 #include "machine/MachineModel.h"
 #include "regalloc/InterferenceGraph.h"
 #include "sched/EPTimes.h"
+#include "support/DotWriter.h"
 #include "support/Telemetry.h"
 
 #include <algorithm>
@@ -417,4 +418,21 @@ UndirectedGraph ParallelInterferenceGraph::parallel() const {
 
 UndirectedGraph ParallelInterferenceGraph::combined() const {
   return UndirectedGraph::fromSymmetric(parallelRows(true));
+}
+
+void pira::writePigDot(std::ostream &OS, const std::string &Name,
+                       const ParallelInterferenceGraph &PIG,
+                       const std::vector<std::string> &Labels) {
+  unsigned N = static_cast<unsigned>(Labels.size());
+  assert(N <= PIG.numWebs() && "more labels than webs");
+  DotWriter Dot(OS, Name, /*Directed=*/false);
+  for (unsigned V = 0; V != N; ++V)
+    Dot.node(V, Labels[V]);
+  const UndirectedGraph &Er = PIG.interference();
+  for (const auto &[A, B] : Er.edgeList())
+    if (A < N && B < N)
+      Dot.edge(A, B);
+  for (const auto &[A, B] : PIG.parallel().edgeList())
+    if (A < N && B < N && !Er.hasEdge(A, B))
+      Dot.edge(A, B, "style=dashed, color=blue");
 }

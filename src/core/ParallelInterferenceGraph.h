@@ -28,6 +28,8 @@
 #include "support/BitMatrix.h"
 #include "support/UndirectedGraph.h"
 
+#include <ostream>
+#include <string>
 #include <vector>
 
 namespace pira {
@@ -143,6 +145,14 @@ private:
   unsigned NumParallel = 0;
   unsigned NumLemma3 = 0;
 };
+
+/// Writes \p PIG as the undirected DOT graph \p Name on \p OS, drawing
+/// its first Labels.size() webs, web I labelled \p Labels[I]: the
+/// interference edges among them solid, the parallel-only ones dashed
+/// blue.
+void writePigDot(std::ostream &OS, const std::string &Name,
+                 const ParallelInterferenceGraph &PIG,
+                 const std::vector<std::string> &Labels);
 
 } // namespace pira
 

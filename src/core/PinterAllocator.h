@@ -24,14 +24,15 @@
 ///      With ParallelWeight = 0 and no parallel edges this degenerates to
 ///      the traditional h = cost/degree.
 ///   5. Color in reverse removal order; on spills, insert spill code and
-///      repeat the whole procedure.
+///      repeat the whole procedure: Chaitin's color/spill/repeat loop
+///      (colorSpillRepeat in regalloc/ChaitinAllocator.h) on the PIG.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef PIRA_CORE_PINTERALLOCATOR_H
 #define PIRA_CORE_PINTERALLOCATOR_H
 
-#include "regalloc/Allocation.h"
+#include "regalloc/ChaitinAllocator.h"
 
 #include <vector>
 
@@ -65,14 +66,9 @@ struct PinterOptions {
   unsigned MaxRounds = 32;
 };
 
-/// Statistics of a combined allocation run.
-struct PinterStats {
-  bool Success = false;
-  unsigned Rounds = 0;
-  unsigned ColorsUsed = 0;
-  unsigned SpilledWebs = 0;
-  unsigned SpillStores = 0;
-  unsigned SpillLoads = 0;
+/// Statistics of a combined allocation run: the loop's, plus Section 4's
+/// own.
+struct PinterStats : AllocStats {
   /// Parallel-only edges sacrificed under register pressure (step 3).
   unsigned ParallelEdgesDropped = 0;
   /// Instructions repositioned by the preliminary scheduling stage.

@@ -37,15 +37,6 @@ public:
     return Cur;
   }
 
-  /// Switches the insertion point to existing block \p Idx.
-  void setBlock(unsigned Idx) {
-    assert(Idx < F.numBlocks() && "no such block");
-    Cur = Idx;
-  }
-
-  /// Returns the current insertion block index.
-  unsigned currentBlock() const { return Cur; }
-
   /// Emits `def = li Imm`.
   Reg loadImm(int64_t Imm) {
     Reg D = F.makeReg();
@@ -99,11 +90,6 @@ public:
   /// Emits `Dst = li Imm` into an existing register.
   void loadImmInto(Reg Dst, int64_t Imm) {
     append(Instruction(Opcode::LoadImm, Dst, {}, Imm));
-  }
-
-  /// Emits `Dst = copy Src` into an existing register.
-  void copyInto(Reg Dst, Reg Src) {
-    append(Instruction(Opcode::Copy, Dst, {Src}));
   }
 
   /// Emits `def = load Array[Index + Offset]`; pass NoReg for a direct

@@ -115,12 +115,6 @@ public:
   /// Sets branch target block indices.
   void setTargets(TargetList Blocks) { Targets = std::move(Blocks); }
 
-  /// Retargets branch target \p Idx to block \p NewBlock.
-  void setTarget(unsigned Idx, unsigned NewBlock) {
-    assert(Idx < Targets.size() && "target index out of range");
-    Targets[Idx] = NewBlock;
-  }
-
   /// Returns true if this instruction ends a basic block.
   bool isTerminator() const { return info().IsTerminator; }
 

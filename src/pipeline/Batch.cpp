@@ -202,10 +202,8 @@ BatchResult pira::compileBatch(const std::vector<BatchItem> &Batch,
   R.Results.resize(Batch.size());
   R.Outcomes.resize(Batch.size());
 
-  unsigned Jobs = std::min(Opts.Jobs == 0 ? defaultJobCount() : Opts.Jobs,
-                           MaxJobs);
-  R.JobsUsed = Batch.size() <= 1 ? 1 : Jobs;
-  parallelFor(static_cast<unsigned>(Batch.size()), Jobs, [&](unsigned I) {
+  unsigned N = static_cast<unsigned>(Batch.size());
+  R.JobsUsed = parallelFor(N, Opts.Jobs, [&](unsigned I) {
     // Each slot is written by exactly one thread; the MachineModel and
     // the inputs are read-only. runStrategy copies the function, so the
     // item itself is never mutated. The fault key is the input position,

@@ -137,7 +137,7 @@ struct BatchFailure {
 struct BatchResult {
   std::vector<PipelineResult> Results;  ///< Parallel to the input batch.
   std::vector<CompileOutcome> Outcomes; ///< Ladder record per item.
-  unsigned JobsUsed = 0;                ///< Resolved Jobs; 1 for one item.
+  unsigned JobsUsed = 0;                ///< Threads that compiled items.
   unsigned Succeeded = 0;               ///< Results with Success set.
   unsigned Failed = 0;                  ///< Results with Success clear.
   unsigned Degraded = 0;                ///< Succeeded below the requested rung.

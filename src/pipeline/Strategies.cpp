@@ -196,34 +196,41 @@ PipelineResult pira::runStrategy(StrategyKind Kind, const Function &Input,
   R.Final = Input;
   unsigned K = Machine.numPhysRegs();
 
-  // Shared Chaitin tail of the three phase-ordered strategies; also the
-  // residue coloring of SpillAll. \p Site lets the fault harness target
-  // the real strategies without condemning the safety-net rung.
-  auto AllocateWithChaitin = [&](const char *Site) -> bool {
+  // The allocation step of every strategy but the oracle: runs \p Run
+  // unless the fault harness fires at \p Site, and maps its stats into R.
+  // A failure is charged to \p Phase, and \p Name names the allocator.
+  auto Allocate = [&](const char *Site, const char *Phase, const char *Name,
+                      auto Run) {
     bool Injected = faultinject::shouldFire(Site);
-    AllocStats Stats;
+    decltype(Run()) Stats;
     if (!Injected)
-      Stats = chaitinAllocate(R.Final, K, /*MaxRounds=*/32, &R.SymbolicTwin);
+      Stats = Run();
     if (!Stats.Success) {
       fail(R, Injected ? ErrorCode::FaultInjected : ErrorCode::AllocFailure,
-           "alloc/chaitin",
+           Phase,
            Injected ? "injected allocation failure"
-                    : "chaitin allocation did not converge");
-      return false;
+                    : std::string(Name) + " allocation did not converge");
+      return Stats;
     }
     R.Success = true;
     R.RegistersUsed = Stats.ColorsUsed;
     R.SpilledWebs += Stats.SpilledWebs;
     R.SpillInstructions += Stats.SpillStores + Stats.SpillLoads;
-    return true;
+    return Stats;
+  };
+  // Shared Chaitin tail of the three phase-ordered strategies; also the
+  // residue coloring of SpillAll. \p Site lets the fault harness target
+  // the real strategies without condemning the safety-net rung.
+  auto AllocateWithChaitin = [&](const char *Site) {
+    Allocate(Site, "alloc/chaitin", "chaitin", [&] {
+      return chaitinAllocate(R.Final, K, /*MaxRounds=*/32, &R.SymbolicTwin);
+    });
   };
 
   switch (Kind) {
-  case StrategyKind::AllocFirst: {
-    if (!AllocateWithChaitin("alloc.chaitin"))
-      return R;
+  case StrategyKind::AllocFirst:
+    AllocateWithChaitin("alloc.chaitin");
     break;
-  }
   case StrategyKind::SchedFirst: {
     // Aggressive pre-pass: order each block exactly as the list scheduler
     // would issue it with unlimited registers, then allocate on the
@@ -235,34 +242,22 @@ PipelineResult pira::runStrategy(StrategyKind Kind, const Function &Input,
       for (unsigned B = 0, E = R.Final.numBlocks(); B != E; ++B)
         reorderBlockBySchedule(R.Final, B, Pre.Blocks[B]);
     }
-    if (!AllocateWithChaitin("alloc.chaitin"))
-      return R;
+    AllocateWithChaitin("alloc.chaitin");
     break;
   }
   case StrategyKind::IntegratedPrepass: {
     // Goodman-Hsu: pressure-aware prepass ordering, then Chaitin.
     integratedPrepassSchedule(R.Final, Machine, K);
-    if (!AllocateWithChaitin("alloc.chaitin"))
-      return R;
+    AllocateWithChaitin("alloc.chaitin");
     break;
   }
   case StrategyKind::Combined: {
-    bool Injected = faultinject::shouldFire("alloc.pinter");
-    PinterStats Stats;
-    if (!Injected)
-      Stats = pinterAllocate(R.Final, K, Machine, Opts, &R.SymbolicTwin);
-    if (!Stats.Success) {
-      fail(R, Injected ? ErrorCode::FaultInjected : ErrorCode::AllocFailure,
-           "alloc/pinter",
-           Injected ? "injected allocation failure"
-                    : "combined allocation did not converge");
-      return R;
-    }
-    R.Success = true;
-    R.RegistersUsed = Stats.ColorsUsed;
-    R.SpilledWebs = Stats.SpilledWebs;
-    R.SpillInstructions = Stats.SpillStores + Stats.SpillLoads;
-    R.ParallelEdgesDropped = Stats.ParallelEdgesDropped;
+    PinterStats Stats =
+        Allocate("alloc.pinter", "alloc/pinter", "combined", [&] {
+          return pinterAllocate(R.Final, K, Machine, Opts, &R.SymbolicTwin);
+        });
+    if (Stats.Success)
+      R.ParallelEdgesDropped = Stats.ParallelEdgesDropped;
     break;
   }
   case StrategyKind::Oracle: {
@@ -299,8 +294,7 @@ PipelineResult pira::runStrategy(StrategyKind Kind, const Function &Input,
       R.SpilledWebs = static_cast<unsigned>(AllWebs.size());
       R.SpillInstructions = Code.Stores + Code.Loads;
     }
-    if (!AllocateWithChaitin("alloc.spillall"))
-      return R;
+    AllocateWithChaitin("alloc.spillall");
     break;
   }
   default:
@@ -310,6 +304,9 @@ PipelineResult pira::runStrategy(StrategyKind Kind, const Function &Input,
     ++NumPipelineFailures;
     return R;
   }
+  // A failed allocation is charged to its phase and ends the run here.
+  if (!R.Success)
+    return R;
 
   deadline::checkpoint();
   finishPipeline(R, Machine);

@@ -30,11 +30,8 @@ struct Allocation {
   /// Number of distinct colors used.
   unsigned NumColorsUsed = 0;
 
-  /// Webs sent to memory across all spill rounds, in spill order.
+  /// Webs this coloring sent to memory, in spill order.
   std::vector<unsigned> SpilledWebs;
-
-  /// Coloring rounds executed (1 when no spill was needed).
-  unsigned Rounds = 1;
 
   /// Parallel (false-dependence) edges the Pinter allocator dropped under
   /// register pressure; always 0 for the Chaitin baseline.

@@ -15,9 +15,7 @@
 #include "regalloc/SpillInserter.h"
 #include "support/Deadline.h"
 #include "support/Telemetry.h"
-#include "support/UndirectedGraph.h"
 
-#include <algorithm>
 #include <limits>
 #include <set>
 
@@ -32,42 +30,11 @@ Allocation pira::chaitinColor(const UndirectedGraph &G,
   return colorGraph(G, Costs, NumRegs);
 }
 
-Allocation pira::briggsColor(const UndirectedGraph &G,
-                             const std::vector<double> &Costs,
-                             unsigned NumRegs) {
-  Allocation Out;
-  Out.ColorOfWeb.assign(G.numVertices(), -1);
-  std::vector<unsigned> Stack = optimisticRemovalOrder(G, Costs, NumRegs);
-
-  // Capped select: a vertex whose neighbors exhaust the register file
-  // becomes an actual spill.
-  for (auto It = Stack.rbegin(), E = Stack.rend(); It != E; ++It) {
-    unsigned V = *It;
-    std::vector<bool> Used(NumRegs, false);
-    const BitVector &Neigh = G.neighbors(V);
-    for (int Nb = Neigh.findFirst(); Nb != -1;
-         Nb = Neigh.findNext(static_cast<unsigned>(Nb))) {
-      int C = Out.ColorOfWeb[static_cast<unsigned>(Nb)];
-      if (C >= 0 && static_cast<unsigned>(C) < NumRegs)
-        Used[static_cast<unsigned>(C)] = true;
-    }
-    unsigned Color = 0;
-    while (Color < NumRegs && Used[Color])
-      ++Color;
-    if (Color == NumRegs) {
-      Out.SpilledWebs.push_back(V);
-      continue;
-    }
-    Out.ColorOfWeb[V] = static_cast<int>(Color);
-    Out.NumColorsUsed = std::max(Out.NumColorsUsed, Color + 1);
-  }
-  return Out;
-}
-
-AllocStats pira::chaitinAllocate(Function &F, unsigned NumRegs,
-                                 unsigned MaxRounds,
-                                 Function *SymbolicSnapshot) {
-  PIRA_TIME_SCOPE("alloc/chaitin");
+AllocStats pira::colorSpillRepeat(
+    Function &F, unsigned MaxRounds, Function *SymbolicSnapshot,
+    telemetry::Counter &RoundsRun, telemetry::Counter &WebsSpilled,
+    const std::function<Allocation(const Webs &, const InterferenceGraph &,
+                                   const std::vector<double> &)> &ColorRound) {
   AllocStats Stats;
   std::set<Reg> NoSpillRegs;
   constexpr double Infinite = std::numeric_limits<double>::infinity();
@@ -77,7 +44,8 @@ AllocStats pira::chaitinAllocate(Function &F, unsigned NumRegs,
     // here instead of holding its worker hostage.
     deadline::checkpoint();
     ++Stats.Rounds;
-    ++NumChaitinRounds;
+    ++RoundsRun;
+    PIRA_TIME_SCOPE("alloc/round");
     Webs W = [&] {
       PIRA_TIME_SCOPE("alloc/webs");
       return Webs(F);
@@ -95,10 +63,7 @@ AllocStats pira::chaitinAllocate(Function &F, unsigned NumRegs,
       return C;
     }();
 
-    Allocation A = [&] {
-      PIRA_TIME_SCOPE("alloc/coloring");
-      return chaitinColor(IG.graph(), Costs, NumRegs);
-    }();
+    Allocation A = ColorRound(W, IG, Costs);
     if (A.fullyColored()) {
       if (SymbolicSnapshot != nullptr)
         *SymbolicSnapshot = F;
@@ -108,10 +73,23 @@ AllocStats pira::chaitinAllocate(Function &F, unsigned NumRegs,
       return Stats;
     }
     Stats.SpilledWebs += static_cast<unsigned>(A.SpilledWebs.size());
-    NumChaitinSpilledWebs += A.SpilledWebs.size();
+    WebsSpilled += A.SpilledWebs.size();
     SpillCode Code = insertSpillCode(F, W, A.SpilledWebs, NoSpillRegs);
     Stats.SpillStores += Code.Stores;
     Stats.SpillLoads += Code.Loads;
   }
   return Stats;
+}
+
+AllocStats pira::chaitinAllocate(Function &F, unsigned NumRegs,
+                                 unsigned MaxRounds,
+                                 Function *SymbolicSnapshot) {
+  PIRA_TIME_SCOPE("alloc/chaitin");
+  return colorSpillRepeat(
+      F, MaxRounds, SymbolicSnapshot, NumChaitinRounds, NumChaitinSpilledWebs,
+      [&](const Webs &, const InterferenceGraph &IG,
+          const std::vector<double> &Costs) {
+        PIRA_TIME_SCOPE("alloc/coloring");
+        return chaitinColor(IG.graph(), Costs, NumRegs);
+      });
 }

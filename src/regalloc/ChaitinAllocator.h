@@ -21,12 +21,19 @@
 
 #include "regalloc/Allocation.h"
 
+#include <functional>
 #include <vector>
 
 namespace pira {
 
 class Function;
+class InterferenceGraph;
 class UndirectedGraph;
+class Webs;
+
+namespace telemetry {
+class Counter;
+} // namespace telemetry
 
 /// One round of Chaitin coloring on an arbitrary conflict graph: the
 /// coloring engine (regalloc/ColoringEngine.h) with no parallel family.
@@ -38,16 +45,6 @@ class UndirectedGraph;
 Allocation chaitinColor(const UndirectedGraph &G,
                         const std::vector<double> &Costs, unsigned NumRegs);
 
-/// Briggs-style *optimistic* variant of chaitinColor: would-be spill
-/// candidates are pushed on the removal stack anyway, and a vertex lands
-/// on the spill list only if the select phase finds all NumRegs colors
-/// taken by its neighbors. Never spills more vertices than the
-/// pessimistic procedure on the same graph; included as the era's
-/// standard improvement (Briggs et al. 1989) for baseline comparisons.
-/// Its pushes follow chaitinColor's spill rule, infinite costs included.
-Allocation briggsColor(const UndirectedGraph &G,
-                       const std::vector<double> &Costs, unsigned NumRegs);
-
 /// Statistics of a full allocation run.
 struct AllocStats {
   bool Success = false;      ///< Everything colored within the round cap.
@@ -57,6 +54,23 @@ struct AllocStats {
   unsigned SpillStores = 0;  ///< Store instructions inserted.
   unsigned SpillLoads = 0;   ///< Load instructions inserted.
 };
+
+/// The color/spill/repeat loop both allocators run: Chaitin's with
+/// chaitinColor, Section 4's with the PIG coloring (PinterAllocator.h).
+///
+/// Each round, timed as "alloc/round", takes a deadline checkpoint,
+/// bumps \p RoundsRun, builds \p F's webs, interference graph and spill
+/// costs (+inf for spill temporaries), and has \p ColorRound color them.
+/// A full coloring is applied to \p F, after a copy of the symbolic code
+/// to \p SymbolicSnapshot when non-null; else the spilled webs, counted
+/// in \p WebsSpilled, go to memory and the next round starts. After
+/// \p MaxRounds rounds \p F is left symbolic, with every round's spills.
+AllocStats colorSpillRepeat(
+    Function &F, unsigned MaxRounds, Function *SymbolicSnapshot,
+    telemetry::Counter &RoundsRun, telemetry::Counter &WebsSpilled,
+    const std::function<Allocation(const Webs &W, const InterferenceGraph &IG,
+                                   const std::vector<double> &Costs)>
+        &ColorRound);
 
 /// Allocates \p F onto \p NumRegs registers with the Chaitin loop,
 /// mutating \p F (spill code, then physical-register rewrite). On failure

@@ -160,8 +160,7 @@ public:
 
   /// The one simplify / spill-choice loop (see ColoringEngine.h).
   std::vector<unsigned> removeAll(const std::vector<double> &Costs,
-                                  double WI, double WP, bool Optimistic,
-                                  Allocation &Out) {
+                                  double WI, double WP, Allocation &Out) {
     assert(Costs.size() == Interf.numVertices() &&
            "cost vector size mismatch");
     assert(meetsHeapPrecondition(Costs, WI, WP) &&
@@ -192,7 +191,7 @@ public:
       // Step 4: spill by the generalized metric h*.
       unsigned Spill = spillCandidate(Costs, WI, WP);
       assert(Spill != ~0u && "no spill candidate among survivors");
-      (Optimistic ? Stack : Out.SpilledWebs).push_back(Spill);
+      Out.SpilledWebs.push_back(Spill);
       removeVertex(Spill);
     }
     return Stack;
@@ -731,8 +730,8 @@ Allocation pira::colorGraph(const UndirectedGraph &Interference,
   Allocation Out;
   Out.ColorOfWeb.assign(Interference.numVertices(), -1);
   Engine Work(Interference, NumRegs, Family);
-  std::vector<unsigned> Stack = Work.removeAll(
-      Costs, InterferenceWeight, ParallelWeight, /*Optimistic=*/false, Out);
+  std::vector<unsigned> Stack =
+      Work.removeAll(Costs, InterferenceWeight, ParallelWeight, Out);
   if (!Out.SpilledWebs.empty())
     return Out;
   if (Family != nullptr)
@@ -740,12 +739,4 @@ Allocation pira::colorGraph(const UndirectedGraph &Interference,
   else
     assignColorsGreedy(Interference, Stack, Out);
   return Out;
-}
-
-std::vector<unsigned> pira::optimisticRemovalOrder(
-    const UndirectedGraph &G, const std::vector<double> &Costs,
-    unsigned NumRegs) {
-  Allocation Unused;
-  Engine Work(G, NumRegs, nullptr);
-  return Work.removeAll(Costs, 1.0, 1.0, /*Optimistic=*/true, Unused);
 }

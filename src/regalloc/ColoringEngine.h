@@ -6,8 +6,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The one simplify / spill-choice loop behind chaitinColor, briggsColor
-/// and the paper's Section 4 procedure (pinterColor):
+/// The one simplify / spill-choice loop behind chaitinColor and the
+/// paper's Section 4 procedure (pinterColor):
 ///
 ///   2. Simplify vertices of degree < r, lowest index first, sweep after
 ///      sweep.
@@ -107,14 +107,6 @@ Allocation colorGraph(const UndirectedGraph &Interference,
                       const ParallelFamily *Family = nullptr,
                       double InterferenceWeight = 1.0,
                       double ParallelWeight = 1.0);
-
-/// Briggs's removal order for \p G: colorGraph's loop with no family,
-/// except that each step-4 choice is pushed on the returned stack in its
-/// turn rather than spilled. colorGraph's precondition on \p Costs
-/// applies.
-std::vector<unsigned> optimisticRemovalOrder(const UndirectedGraph &G,
-                                             const std::vector<double> &Costs,
-                                             unsigned NumRegs);
 
 } // namespace pira
 

@@ -7,6 +7,7 @@
 
 #include "regalloc/InterferenceGraph.h"
 
+#include "analysis/Liveness.h"
 #include "analysis/Webs.h"
 #include "ir/Function.h"
 
@@ -35,25 +36,7 @@ InterferenceGraph::InterferenceGraph(const Function &F, const Webs &W) {
     }
   }
 
-  LiveInW.assign(NumBlocks, BitVector(NumWebs));
-  LiveOutW.assign(NumBlocks, BitVector(NumWebs));
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    for (unsigned B = NumBlocks; B-- != 0;) {
-      BitVector Out(NumWebs);
-      for (unsigned Succ : F.block(B).successors())
-        Out.unionWith(LiveInW[Succ]);
-      BitVector In = Out;
-      In.subtract(DefW[B]);
-      In.unionWith(UseW[B]);
-      if (Out != LiveOutW[B] || In != LiveInW[B]) {
-        LiveOutW[B] = std::move(Out);
-        LiveInW[B] = std::move(In);
-        Changed = true;
-      }
-    }
-  }
+  solveLiveness(F, UseW, DefW, LiveInW, LiveOutW);
 
   // Webs carrying function inputs are all "defined" together at entry:
   // any two simultaneously live there interfere even though no textual

@@ -7,17 +7,15 @@
 
 #include "sched/PreScheduler.h"
 
-#include "analysis/DependenceGraph.h"
 #include "ir/Function.h"
-#include "machine/MachineModel.h"
 #include "sched/EPTimes.h"
+#include "sched/ListScheduler.h"
 #include "support/BitVector.h"
 #include "support/Telemetry.h"
 
 #include <algorithm>
 #include <array>
 #include <cassert>
-#include <numeric>
 
 using namespace pira;
 
@@ -32,7 +30,7 @@ static std::vector<unsigned> adjustEP(const Function &F, unsigned BlockIdx,
   const BasicBlock &BB = F.block(BlockIdx);
   unsigned N = G.size();
   std::vector<unsigned> EP = computeEP(G);
-  std::vector<unsigned> Height = computeHeights(G);
+  HeightOrder Order{computeHeights(G)};
 
   // Levels[L] lists every node whose EP has been L. EP numbers only grow,
   // so a node enters each level at most once, and an entry whose EP has
@@ -61,9 +59,8 @@ static std::vector<unsigned> adjustEP(const Function &F, unsigned BlockIdx,
     for (unsigned V : Levels[Level])
       if (EP[V] == Level)
         Members.push_back(V);
-    std::sort(Members.begin(), Members.end(), [&](unsigned A, unsigned B) {
-      return Height[A] != Height[B] ? Height[A] > Height[B] : A < B;
-    });
+    std::sort(Members.begin(), Members.end(),
+              [&](unsigned A, unsigned B) { return Order.before(A, B); });
 
     // Admit members while capacity lasts; postpone the rest.
     unsigned SlotsLeft = Machine.issueWidth();
@@ -109,34 +106,17 @@ unsigned pira::preScheduleFunction(Function &F, const MachineModel &Machine) {
   assert(!F.isAllocated() && "pre-scheduling runs on symbolic code");
   unsigned Moved = 0;
   for (unsigned B = 0, NB = F.numBlocks(); B != NB; ++B) {
-    BasicBlock &BB = F.block(B);
-    unsigned N = BB.size();
-    if (N < 2)
+    if (F.block(B).size() < 2)
       continue;
     DependenceGraph G(F, B, Machine);
-    std::vector<unsigned> EP = adjustEP(F, B, G, Machine);
-
-    // Linear order consistent with the (adjusted) EP partial order; the
-    // stable sort keeps program order inside one EP level, which respects
-    // every zero-latency edge.
-    std::vector<unsigned> Order(N);
-    std::iota(Order.begin(), Order.end(), 0u);
-    std::stable_sort(Order.begin(), Order.end(),
-                     [&](unsigned A, unsigned C) { return EP[A] < EP[C]; });
-
-    bool Identity = true;
-    for (unsigned Pos = 0; Pos != N; ++Pos)
-      if (Order[Pos] != Pos) {
-        Identity = false;
+    // A linear order consistent with the adjusted EP partial order: the
+    // EP numbers as issue cycles. Program order inside one EP level
+    // respects every zero-latency edge.
+    std::vector<unsigned> Perm =
+        reorderBlockBySchedule(F, B, {adjustEP(F, B, G, Machine)});
+    for (unsigned Pos = 0; Pos != Perm.size(); ++Pos)
+      if (Perm[Pos] != Pos)
         ++Moved;
-      }
-    if (Identity)
-      continue;
-    std::vector<Instruction> NewInsts;
-    NewInsts.reserve(N);
-    for (unsigned Pos = 0; Pos != N; ++Pos)
-      NewInsts.push_back(BB.inst(Order[Pos]));
-    BB.instructions() = std::move(NewInsts);
   }
   NumPreScheduleMoves += Moved;
   return Moved;

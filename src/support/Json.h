@@ -58,9 +58,7 @@ public:
     return V;
   }
 
-  Kind kind() const { return K; }
   bool isNull() const { return K == Kind::Null; }
-  bool isBool() const { return K == Kind::Bool; }
   bool isInt() const { return K == Kind::Int; }
   bool isNumber() const { return K == Kind::Int || K == Kind::Double; }
   bool isString() const { return K == Kind::String; }

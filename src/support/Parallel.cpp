@@ -33,8 +33,8 @@ unsigned pira::defaultJobCount() {
   return std::clamp(std::thread::hardware_concurrency(), 1u, MaxJobs);
 }
 
-void pira::parallelFor(unsigned N, unsigned Jobs,
-                       const std::function<void(unsigned)> &Body) {
+unsigned pira::parallelFor(unsigned N, unsigned Jobs,
+                           const std::function<void(unsigned)> &Body) {
   Jobs = std::min(Jobs == 0 ? defaultJobCount() : Jobs, MaxJobs);
   std::atomic<unsigned> Next{0};
   std::mutex ErrorMutex;
@@ -62,7 +62,9 @@ void pira::parallelFor(unsigned N, unsigned Jobs,
     // Fewer threads than asked: the caller still runs every index left.
   }
   Drain();
+  unsigned Used = static_cast<unsigned>(Threads.size()) + 1;
   Threads.clear(); // joins
   if (FirstError)
     std::rethrow_exception(FirstError);
+  return Used;
 }

@@ -28,8 +28,10 @@ unsigned defaultJobCount();
 /// runs inline; else min(Jobs, N - 1) threads and the caller take indices
 /// from one atomic counter. A throw stops no other index: the first is
 /// rethrown at the end, each later one bumps NumDroppedTaskExceptions.
-void parallelFor(unsigned N, unsigned Jobs,
-                 const std::function<void(unsigned)> &Body);
+/// \returns the number of threads that ran the loop, the caller
+/// included: 1 inline, fewer than asked when a thread failed to start.
+unsigned parallelFor(unsigned N, unsigned Jobs,
+                     const std::function<void(unsigned)> &Body);
 
 } // namespace pira
 

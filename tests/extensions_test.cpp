@@ -258,71 +258,6 @@ TEST_P(ConsistencySweep, EpIsPointwiseLowerBoundOnAnySchedule) {
 INSTANTIATE_TEST_SUITE_P(Sweep, ConsistencySweep, testing::Range(1u, 16u));
 
 //===----------------------------------------------------------------------===//
-// Briggs optimistic coloring
-//===----------------------------------------------------------------------===//
-
-TEST(BriggsTest, ColorsEvenCycleWithTwoRegsWhereChaitinSpills) {
-  // The classic optimism win: C4 is bipartite (2-colorable) but every
-  // vertex has degree 2, so pessimistic Chaitin finds no simplify
-  // candidate at r=2 and spills; Briggs colors it cleanly.
-  UndirectedGraph G(4);
-  for (unsigned I = 0; I != 4; ++I)
-    G.addEdge(I, (I + 1) % 4);
-  std::vector<double> Costs(4, 1.0);
-  Allocation Pessimistic = chaitinColor(G, Costs, 2);
-  Allocation Optimistic = briggsColor(G, Costs, 2);
-  EXPECT_FALSE(Pessimistic.fullyColored());
-  ASSERT_TRUE(Optimistic.fullyColored());
-  EXPECT_EQ(Optimistic.NumColorsUsed, 2u);
-}
-
-TEST(BriggsTest, ColoringIsProperAndCapped) {
-  UndirectedGraph G(6);
-  for (unsigned I = 0; I != 6; ++I)
-    for (unsigned J = I + 1; J != 6; ++J)
-      if ((I + J) % 2 == 1)
-        G.addEdge(I, J);
-  std::vector<double> Costs(6, 1.0);
-  Allocation A = briggsColor(G, Costs, 3);
-  for (const auto &[U, V] : G.edgeList()) {
-    if (A.ColorOfWeb[U] >= 0 && A.ColorOfWeb[V] >= 0) {
-      EXPECT_NE(A.ColorOfWeb[U], A.ColorOfWeb[V]);
-    }
-  }
-  for (int C : A.ColorOfWeb)
-    EXPECT_LT(C, 3);
-}
-
-TEST(BriggsTest, NeverSpillsMoreThanChaitinOnRandomGraphs) {
-  for (unsigned Seed = 1; Seed <= 10; ++Seed) {
-    RandomProgramOptions Opts;
-    Opts.Seed = Seed * 131;
-    Opts.InstructionsPerBlock = 16;
-    Opts.Shape = static_cast<CfgShape>(Seed % 5);
-    Function F = generateRandomProgram(Opts);
-    Webs W(F);
-    InterferenceGraph IG(F, W);
-    std::vector<double> Costs(W.numWebs(), 1.0);
-    for (unsigned Regs : {3u, 5u}) {
-      Allocation C = chaitinColor(IG.graph(), Costs, Regs);
-      Allocation B = briggsColor(IG.graph(), Costs, Regs);
-      EXPECT_LE(B.SpilledWebs.size(), C.SpilledWebs.size())
-          << "seed " << Seed << " regs " << Regs;
-    }
-  }
-}
-
-TEST(BriggsTest, AgreesWithChaitinWhenNoPressure) {
-  Function F = paperExample2();
-  Webs W(F);
-  InterferenceGraph IG(F, W);
-  std::vector<double> Costs(W.numWebs(), 1.0);
-  Allocation B = briggsColor(IG.graph(), Costs, 8);
-  ASSERT_TRUE(B.fullyColored());
-  EXPECT_EQ(B.NumColorsUsed, 3u);
-}
-
-//===----------------------------------------------------------------------===//
 // Machine description parsing
 //===----------------------------------------------------------------------===//
 

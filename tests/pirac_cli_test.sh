@@ -119,6 +119,19 @@ else
   FAILURES=$((FAILURES + 1))
 fi
 
+# The batch line counts the threads that ran, the caller included:
+# three functions take at most three, however many --jobs allows.
+for row in "256 3" "2 3" "1 1"; do
+  read -r jobs want <<< "$row"
+  out=$("$PIRAC" good.pir good.pir good.pir --jobs "$jobs" 2> /dev/null)
+  if grep -q "), $want worker(s)\$" <<< "$out"; then
+    echo "ok: 3 functions at --jobs $jobs print $want worker(s)"
+  else
+    echo "FAIL: 3 functions at --jobs $jobs: $(grep 'batch of' <<< "$out")" >&2
+    FAILURES=$((FAILURES + 1))
+  fi
+done
+
 # --- exit 1: compile/verify failures ----------------------------------------
 expect 1 "unparsable input"             -- "$PIRAC" bad.pir
 expect 1 "unreadable input path"        -- "$PIRAC" no-such-file.pir

@@ -189,8 +189,7 @@ TEST(ChaitinColorTest, InfiniteCostNeverSpilled) {
 TEST(ChaitinColorTest, InfiniteCostsSpillOnceEverySurvivorIsInfinite) {
   // K4 at r = 2 must give up two vertices. An infinite cost defers a
   // vertex until every survivor's cost is infinite; the survivors' h then
-  // tie, and the lowest index goes first. Briggs pushes the same choices
-  // and lets its capped select spill.
+  // tie, and the lowest index goes first.
   UndirectedGraph G(4);
   for (unsigned I = 0; I != 4; ++I)
     for (unsigned J = I + 1; J != 4; ++J)
@@ -201,8 +200,6 @@ TEST(ChaitinColorTest, InfiniteCostsSpillOnceEverySurvivorIsInfinite) {
   using Spills = std::vector<unsigned>;
   EXPECT_EQ(chaitinColor(G, Mixed, 2).SpilledWebs, (Spills{3, 0}));
   EXPECT_EQ(chaitinColor(G, AllInf, 2).SpilledWebs, (Spills{0, 1}));
-  EXPECT_EQ(briggsColor(G, Mixed, 2).SpilledWebs, (Spills{0, 3}));
-  EXPECT_EQ(briggsColor(G, AllInf, 2).SpilledWebs, (Spills{1, 0}));
 }
 
 TEST(ColoringEngineTest, OverflowingWeightSumKeepsTheFirstSurvivor) {

@@ -409,6 +409,23 @@ TEST(DeadlineTest, ADeadlineIsInvisibleToOtherThreads) {
   EXPECT_FALSE(ExpiredElsewhere);
 }
 
+TEST(ThreadPoolRobustness, ParallelForCountsTheThreadsThatRan) {
+  // The caller plus min(Jobs, N - 1) threads; one inline.
+  auto Threads = [](unsigned N, unsigned Jobs) {
+    std::vector<std::atomic<unsigned>> Runs(N);
+    unsigned Used = parallelFor(N, Jobs, [&](unsigned I) { ++Runs[I]; });
+    for (unsigned I = 0; I != N; ++I)
+      EXPECT_EQ(Runs[I].load(), 1u) << "index " << I;
+    return Used;
+  };
+  EXPECT_EQ(Threads(0, 4), 1u);
+  EXPECT_EQ(Threads(1, 4), 1u);
+  EXPECT_EQ(Threads(3, 1), 1u);
+  EXPECT_EQ(Threads(3, 2), 3u);
+  EXPECT_EQ(Threads(3, 256), 3u);
+  EXPECT_EQ(Threads(64, 4), 5u);
+}
+
 TEST(DeadlineTest, WatchdogCancelsACooperativeTaskInThePool) {
   std::atomic<bool> OtherRan{false};
   EXPECT_THROW(parallelFor(2, 2,

@@ -372,7 +372,8 @@ TEST_F(TelemetryTest, OnlyStrategiesThatBuildAPigChargePigTelemetry) {
     return 0;
   };
   // Both allocators time each round's webs, interference graph and spill
-  // costs, so every round's time is attributed below the allocator.
+  // costs inside the round, so every round's time is attributed below
+  // the allocator.
   const char *RoundLayers[] = {"alloc/webs", "alloc/interference",
                                "alloc/spill-costs"};
   auto sawUnder = [](const std::string &Parent, const std::string &Child) {
@@ -399,7 +400,7 @@ TEST_F(TelemetryTest, OnlyStrategiesThatBuildAPigChargePigTelemetry) {
     }
     EXPECT_TRUE(SawCheck) << strategyName(Kind);
     for (const char *Layer : RoundLayers)
-      EXPECT_TRUE(sawUnder("alloc/chaitin", Layer))
+      EXPECT_TRUE(sawUnder("alloc/chaitin/alloc/round", Layer))
           << strategyName(Kind) << " " << Layer;
     for (const char *Name : PigCounters)
       EXPECT_EQ(counterValue(Name), 0u) << strategyName(Kind) << " " << Name;
